@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from rgld import harness
-from rgld.dynamics import ChainConfig, ChainConfigError, run_chain
+from rgld.dynamics import ChainConfig, run_chain
 from rgld.geometry import Ball, SphericalShell
 from rgld.measure import GibbsOracle, export_cells_csv
 from rgld.objectives import Quadratic, Rastrigin, Rosenbrock, make_grid_gaussian_mixture
@@ -58,18 +58,15 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
         known = ", ".join(sorted(harness.PRESETS))
         raise SystemExit(f"unknown preset or missing file {target!r} (presets: {known})")
 
-    overrides = {}
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-        if spec.tv_prefixes:
-            prefixes = tuple(p for p in spec.tv_prefixes if p < args.steps)
-            overrides["tv_prefixes"] = prefixes + (args.steps,)
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
+    # ``oracle`` takes only ``--beta``; ``run`` also takes the chain flags.
+    flags = vars(args)
+    overrides = {
+        key: flags[key] for key in ("eta", "beta", "steps", "seeds")
+        if flags.get(key) is not None
+    }
+    if "steps" in overrides and spec.tv_prefixes:
+        steps = overrides["steps"]
+        overrides["tv_prefixes"] = tuple(p for p in spec.tv_prefixes if p < steps) + (steps,)
     if overrides:
         from dataclasses import replace
 
@@ -79,11 +76,7 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
 
 def _cmd_run(args) -> int:
     spec = _resolve_spec(args)
-    try:
-        paths = harness.run_experiment(spec, args.out, workers=args.workers)
-    except ChainConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    paths = harness.run_experiment(spec, args.out, workers=args.workers)
     print(f"{spec.name}: wrote {len(paths)} files to {args.out}")
     return 0
 
@@ -201,10 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     p_or.add_argument("target", help="preset name or path to a JSON spec")
     p_or.add_argument("--bins", type=int, default=None)
     p_or.add_argument("--dim", type=int, default=None)
-    p_or.add_argument("--eta", type=float, default=None)
     p_or.add_argument("--beta", type=float, default=None)
-    p_or.add_argument("--steps", type=int, default=None)
-    p_or.add_argument("--seeds", type=_parse_seeds, default=None)
     p_or.add_argument("--out", default="results")
     p_or.set_defaults(func=_cmd_oracle)
 
@@ -212,7 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     p_chk.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad spec, settings or chain configuration
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

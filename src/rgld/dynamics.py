@@ -198,8 +198,10 @@ def pg_step(x, obj: Objective, domain: FeasibleDomain, eta: float) -> np.ndarray
 def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bool:
     if config.method not in METHODS:
         raise ChainConfigError(f"method: expected one of {METHODS}, got {config.method!r}")
-    if not config.eta > 0:
-        raise ChainConfigError(f"eta: must be positive, got {config.eta}")
+    if not 0 < config.eta < math.inf:
+        raise ChainConfigError(f"eta: must be positive and finite, got {config.eta}")
+    if not math.isfinite(config.beta):
+        raise ChainConfigError(f"beta: must be finite, got {config.beta}")
     if config.steps < 1:
         raise ChainConfigError(f"steps: must be at least 1, got {config.steps}")
     if obj.dim != domain.dim:
@@ -221,6 +223,8 @@ def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bo
             raise ChainConfigError(
                 f"x0: expected shape ({domain.dim},), got {x0.shape}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise ChainConfigError(f"x0: must be finite, got {x0}")
         dist = domain.distance_to_set(x0)
         if dist > domain.reflection_margin:
             raise ChainConfigError(
@@ -267,10 +271,9 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     is_rgld = method == "rgld"
     if method == "pg":
         noise = None
-        scale = 0.0
     else:
         noise = _noise_matrix(rng, n, d, config.noise)
-        scale = math.sqrt(2.0 * config.eta / config.beta)
+        noise *= math.sqrt(2.0 * config.eta / config.beta)
     eta = config.eta
 
     f_vals = np.empty(n, dtype=np.float64)
@@ -288,7 +291,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
         if noise is None:
             x_raw = x - eta * g
         else:
-            x_raw = x - eta * g + scale * noise[k]
+            x_raw = x - eta * g + noise[k]
         if is_rgld:
             x, reflected, fell_back = _constrain_reflect(domain, x_raw)
             if reflected:

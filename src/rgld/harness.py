@@ -63,6 +63,9 @@ DEFAULT_SEEDS = tuple(range(20))
 GM_OBJECTIVE_SEED = 6
 
 AGGREGATIONS = ("none", "median-with-quartiles")
+# Rows per CSV write and columns per percentile call: large enough to
+# amortise the per-call cost, small enough to bound the temporaries.
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -114,9 +117,14 @@ class AggregateCurve:
     @classmethod
     def from_records(cls, records: list[RunRecord], min_f: float | None) -> "AggregateCurve":
         base = 0.0 if min_f is None else min_f
-        errs = np.stack([r.cumulative_min - base for r in records])
-        q25, q50, q75 = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
-        return cls(q25=q25, q50=q50, q75=q75, seed_count=len(records))
+        n = records[0].cumulative_min.shape[0]
+        q = np.empty((3, n))
+        # Percentiles along axis 0 are independent per column, so column
+        # blocks give the same bits as one call with far less scratch.
+        for a in range(0, n, _BLOCK_ROWS):
+            errs = np.stack([r.cumulative_min[a:a + _BLOCK_ROWS] - base for r in records])
+            q[:, a:a + _BLOCK_ROWS] = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
+        return cls(q25=q[0], q50=q[1], q75=q[2], seed_count=len(records))
 
 
 def preset_gm2d(
@@ -292,8 +300,42 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
 # Config files
 
 
+# (required, optional) keys of the spec tree and of each objective and
+# domain kind; ``kind`` itself is required in those two trees.
+_SPEC_KEYS = (
+    ("objective", "domain", "methods", "eta", "beta", "steps"),
+    ("name", "seeds", "x0", "noise", "aggregation", "min_f",
+     "enforce_step_bound", "oracle_bins", "tv_prefixes"),
+)
+_OBJECTIVE_KEYS = {
+    "quadratic": (("dim",), ("scale",)),
+    "grid-gaussian-mixture": ((), ("seed",)),
+    "gaussian-mixture": (("weights", "means"), ()),
+    "rosenbrock": (("dim",), ()),
+    "rastrigin": (("dim",), ()),
+}
+_DOMAIN_KEYS = {
+    "ball": (("center", "radius"), ()),
+    "shell": (("center", "inner_radius", "outer_radius"), ()),
+}
+
+
+def _check_keys(field: str, d: dict, required, optional) -> None:
+    """Reject unknown and missing keys of one tree, naming each of them."""
+    unknown = sorted(set(d) - set(required) - set(optional))
+    missing = [k for k in required if k not in d]
+    problems = ([f"unknown key {k!r}" for k in unknown]
+                + [f"missing key {k!r}" for k in missing])
+    if problems:
+        raise ValueError(f"{field}: " + ", ".join(problems))
+
+
 def _objective_from_dict(d: dict) -> Objective:
     kind = d.get("kind")
+    if kind not in _OBJECTIVE_KEYS:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    required, optional = _OBJECTIVE_KEYS[kind]
+    _check_keys("objective", d, ("kind",) + required, optional)
     if kind == "quadratic":
         return Quadratic(scale=d.get("scale", 1.0), dim=d["dim"])
     if kind == "grid-gaussian-mixture":
@@ -302,18 +344,18 @@ def _objective_from_dict(d: dict) -> Objective:
         return GaussianMixture(d["weights"], d["means"])
     if kind == "rosenbrock":
         return Rosenbrock(d["dim"])
-    if kind == "rastrigin":
-        return Rastrigin(d["dim"])
-    raise ValueError(f"unknown objective kind {kind!r}")
+    return Rastrigin(d["dim"])
 
 
 def _domain_from_dict(d: dict) -> FeasibleDomain:
     kind = d.get("kind")
+    if kind not in _DOMAIN_KEYS:
+        raise ValueError(f"unknown domain kind {kind!r}")
+    required, optional = _DOMAIN_KEYS[kind]
+    _check_keys("domain", d, ("kind",) + required, optional)
     if kind == "ball":
         return Ball(d["center"], d["radius"])
-    if kind == "shell":
-        return SphericalShell(d["center"], d["inner_radius"], d["outer_radius"])
-    raise ValueError(f"unknown domain kind {kind!r}")
+    return SphericalShell(d["center"], d["inner_radius"], d["outer_radius"])
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
@@ -322,8 +364,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     Required keys: ``objective``, ``domain``, ``methods``, ``eta``,
     ``beta``, ``steps``. Optional: ``name``, ``seeds``, ``x0``,
     ``noise``, ``aggregation``, ``min_f``, ``enforce_step_bound``,
-    ``oracle_bins``, ``tv_prefixes``.
+    ``oracle_bins``, ``tv_prefixes``. Unknown and missing keys, at the
+    top level and in the objective and domain trees, raise a
+    ``ValueError`` that names each of them.
     """
+    _check_keys("spec", d, *_SPEC_KEYS)
     aggregation = d.get("aggregation", "median-with-quartiles")
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -378,30 +423,32 @@ def run_chains(
     return {(m, s): rec for m, s, rec in results}
 
 
-def _write_chain_csv(path: Path, record: RunRecord) -> None:
-    f, c = record.f_value, record.cumulative_min
-    ev, fb = record.boundary_events, record.fallback_events
-    lines = ["step,f,cummin,reflected,fallback"]
-    lines.extend(
-        f"{k},{_FMT(f[k])},{_FMT(c[k])},{int(ev[k])},{int(fb[k])}"
-        for k in range(record.steps)
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _run_strings(col: np.ndarray) -> np.ndarray:
+    """``_FMT`` of every entry of a non-empty column, as an object array.
+
+    Each run of equal values is formatted once. Runs are split on bit
+    patterns, not ``==``, so ``-0.0`` next to ``0.0`` still prints as
+    ``-0`` and ``0``.
+    """
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    strings = np.array([_FMT(v) for v in col[starts].tolist()], dtype=object)
+    return np.repeat(strings, np.diff(starts, append=col.size))
 
 
-def _write_aggregate_csv(path: Path, curve: AggregateCurve) -> None:
-    lines = ["step,q25,q50,q75"]
-    lines.extend(
-        f"{k},{_FMT(curve.q25[k])},{_FMT(curve.q50[k])},{_FMT(curve.q75[k])}"
-        for k in range(curve.q25.shape[0])
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
+    """Write equal-length columns as CSV rows, streamed in blocks.
 
-
-def _write_tv_csv(path: Path, prefixes, tvs) -> None:
-    lines = ["prefix,tv"]
-    lines.extend(f"{p},{_FMT(t)}" for p, t in zip(prefixes, tvs))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Each block is converted to Python values with ``tolist`` and joined
+    through ``row_format``, so no more than one block of text is held in
+    memory at a time.
+    """
+    fmt = row_format.format
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for a in range(0, n, _BLOCK_ROWS):
+            fh.write("".join(map(fmt, *(c[a:a + _BLOCK_ROWS].tolist() for c in columns))))
 
 
 def tv_over_prefixes(
@@ -423,6 +470,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     (unless aggregation is "none"), and, for stationarity presets, one
     total-variation CSV per seed.
     """
+    if not spec.seeds:
+        raise ValueError("seeds: at least one seed is required")
+    bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
+    if bad:
+        raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = run_chains(spec, workers=workers)
@@ -435,20 +487,28 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     for method in spec.methods:
         for seed in spec.seeds:
             p = out / f"{spec.name}_{method}_seed{seed}.csv"
-            _write_chain_csv(p, records[(method, seed)])
+            r = records[(method, seed)]
+            _write_csv(p, "step,f,cummin,reflected,fallback", "{},{:.17g},{},{},{}\n", [
+                np.arange(r.steps), r.f_value, _run_strings(r.cumulative_min),
+                r.boundary_events.view(np.uint8), r.fallback_events.view(np.uint8),
+            ])
             paths.append(p)
         if spec.aggregation == "median-with-quartiles":
             curve = AggregateCurve.from_records(
                 [records[(method, s)] for s in spec.seeds], spec.min_f
             )
             p = out / f"{spec.name}_{method}_aggregate.csv"
-            _write_aggregate_csv(p, curve)
+            _write_csv(p, "step,q25,q50,q75", "{},{},{},{}\n", [
+                np.arange(curve.q25.shape[0]), _run_strings(curve.q25),
+                _run_strings(curve.q50), _run_strings(curve.q75),
+            ])
             paths.append(p)
     if oracle is not None:
         for method in spec.methods:
             for seed in spec.seeds:
                 tvs = tv_over_prefixes(spec, records[(method, seed)], oracle)
                 p = out / f"{spec.name}_{method}_tv_seed{seed}.csv"
-                _write_tv_csv(p, spec.tv_prefixes, tvs)
+                _write_csv(p, "prefix,tv", "{},{:.17g}\n",
+                           [np.asarray(spec.tv_prefixes, dtype=np.int64), np.asarray(tvs)])
                 paths.append(p)
     return paths

@@ -262,6 +262,27 @@ class TestValidation:
         with pytest.raises(ChainConfigError, match="beta"):
             run_chain(cfg, QUAD2, BALL2)
 
+    @pytest.mark.parametrize("x0", [[np.nan, 0.5], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_nonfinite_x0_rejected(self, x0):
+        # NaN compares False against the margin, so the distance check
+        # alone let it through and the chain ran all-NaN.
+        cfg = ChainConfig(method="rgld", eta=0.01, steps=1, x0=np.array(x0))
+        with pytest.raises(ChainConfigError, match="^x0"):
+            run_chain(cfg, QUAD2, BALL2)
+
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_nonfinite_eta_rejected(self, eta):
+        cfg = ChainConfig(method="rgld", eta=eta, steps=1, enforce_step_bound=False)
+        with pytest.raises(ChainConfigError, match="^eta"):
+            run_chain(cfg, QUAD2, BALL2)
+
+    @pytest.mark.parametrize("method", ["rgld", "pg"])
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_nonfinite_beta_rejected(self, method, beta):
+        cfg = ChainConfig(method=method, eta=0.01, beta=beta, steps=1)
+        with pytest.raises(ChainConfigError, match="^beta"):
+            run_chain(cfg, QUAD2, BALL2)
+
     def test_bad_noise_kind(self):
         cfg = ChainConfig(method="rgld", eta=0.1, steps=1, noise="cauchy")
         with pytest.raises(ChainConfigError, match="noise"):

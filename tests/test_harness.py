@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,6 +182,103 @@ class TestRunExperiment:
         assert all(0 <= v <= 1 for v in values)
 
 
+def old_row_text(header, columns, float_columns):
+    """The CSV text of the former per-row f-string writers."""
+    fmt = "{:.17g}".format
+    lines = [header]
+    for k in range(len(columns[0])):
+        lines.append(",".join(
+            fmt(c[k]) if i in float_columns else str(int(c[k]))
+            for i, c in enumerate(columns)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedWriter:
+    HEADER = "step,f,cummin,reflected,fallback"
+
+    def write_chain_rows(self, path, f, c, ev, fb):
+        harness._write_csv(path, self.HEADER, "{},{:.17g},{},{},{}\n", [
+            np.arange(f.size), f, harness._run_strings(c),
+            ev.view(np.uint8), fb.view(np.uint8),
+        ])
+        return path.read_bytes()
+
+    def expected(self, f, c, ev, fb):
+        text = old_row_text(self.HEADER, [np.arange(f.size), f, c, ev, fb], {1, 2})
+        return text.encode("utf-8")
+
+    def check(self, tmp_path, values):
+        rng = np.random.default_rng(1)
+        f = np.asarray(values, dtype=np.float64)
+        ev = rng.random(f.size) < 0.3
+        fb = rng.random(f.size) < 0.1
+        got = self.write_chain_rows(tmp_path / "c.csv", f, f, ev, fb)
+        assert got == self.expected(f, f, ev, fb)
+
+    def test_signed_zero_runs(self, tmp_path):
+        self.check(tmp_path, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines[1:4]] == ["0", "0", "-0"]
+
+    def test_subnormals_and_one_ulp_neighbours(self, tmp_path):
+        tiny = 5e-324
+        one_up = np.nextafter(1.0, 2.0)
+        self.check(tmp_path, [
+            tiny, tiny, 2 * tiny, -tiny, np.nextafter(2.2250738585072014e-308, 0.0),
+            1.0, one_up, one_up, 1.0, np.nextafter(1.0, 0.0), 0.1, 0.1, 1e300,
+            -np.inf, np.inf, np.nan,
+        ])
+
+    def test_single_row(self, tmp_path):
+        self.check(tmp_path, [-0.0])
+
+    def test_run_crossing_block_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+        self.check(tmp_path, [3.0] * 3 + [2.5] * 9 + [-0.0] * 3 + [0.0] * 6)
+
+    def test_run_crossing_real_block_size(self, tmp_path):
+        n = harness._BLOCK_ROWS + 17
+        c = np.full(n, 0.25)
+        c[:5] = 1.0
+        c[-3:] = np.nextafter(0.25, 0.0)
+        f = c + np.linspace(0.0, 1.0, n)
+        ev = np.zeros(n, dtype=bool)
+        ev[harness._BLOCK_ROWS - 1: harness._BLOCK_ROWS + 1] = True
+        got = self.write_chain_rows(tmp_path / "c.csv", f, c, ev, ~ev)
+        assert got == self.expected(f, c, ev, ~ev)
+
+    def test_aggregate_blocks_match_one_call(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 1000)
+        rng = np.random.default_rng(2)
+        cummins = [np.minimum.accumulate(rng.standard_normal(2500)) for _ in range(5)]
+        records = [SimpleNamespace(cumulative_min=c) for c in cummins]
+        curve = AggregateCurve.from_records(records, -1.5)
+        want = np.percentile(np.stack([c + 1.5 for c in cummins]), [25.0, 50.0, 75.0], axis=0)
+        got = np.stack([curve.q25, curve.q50, curve.q75])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestInputChecks:
+    def test_empty_seeds_rejected_before_any_chain(self, tmp_path):
+        spec = tiny_gm2d(seeds=())
+        with pytest.raises(ValueError, match="^seeds"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_tv_prefix_above_steps_rejected(self, tmp_path):
+        spec = replace(preset_gibbs1d(steps=1000), tv_prefixes=(500, 5000))
+        with pytest.raises(ValueError, match="^tv_prefixes.*5000"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
+        rc = cli.main(["run", "gm2d", "--steps", "10", "--seeds", "",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seeds" in capsys.readouterr().err
+
+
 class TestConfigFiles:
     def spec_dict(self):
         return {
@@ -209,6 +308,25 @@ class TestConfigFiles:
         bad = self.spec_dict()
         bad["domain"] = {"kind": "box"}
         with pytest.raises(ValueError, match="domain"):
+            spec_from_dict(bad)
+
+    def test_unknown_and_missing_keys_rejected(self):
+        bad = self.spec_dict()
+        bad["setps"] = bad.pop("steps")
+        bad["colour"] = "red"
+        with pytest.raises(ValueError) as err:
+            spec_from_dict(bad)
+        msg = str(err.value)
+        assert "'setps'" in msg and "'colour'" in msg and "'steps'" in msg
+
+    def test_unknown_and_missing_nested_keys_rejected(self):
+        bad = self.spec_dict()
+        bad["domain"] = {"kind": "ball", "center": [0, 0], "raduis": 1.0}
+        with pytest.raises(ValueError, match="^domain: unknown key 'raduis', missing key 'radius'"):
+            spec_from_dict(bad)
+        bad = self.spec_dict()
+        bad["objective"]["scale"] = 2.0
+        with pytest.raises(ValueError, match="^objective: unknown key 'scale'"):
             spec_from_dict(bad)
 
     def test_validation_failure_reports_field(self, tmp_path):
@@ -257,6 +375,18 @@ class TestCli:
         assert rc == 2
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_bad_spec_file_is_a_configuration_error(self, command, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0], "raduis": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+        }))
+        rc = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "raduis" in capsys.readouterr().err
+
     def test_seed_parsing(self):
         assert cli._parse_seeds("0..3") == (0, 1, 2, 3)
         assert cli._parse_seeds("5,7,9") == (5, 7, 9)
@@ -267,6 +397,11 @@ class TestCli:
         path = tmp_path / "gibbs1d_oracle_64.csv"
         assert path.exists()
         assert path.read_text().startswith("cell,mid_0,probability")
+
+    @pytest.mark.parametrize("flag", ["--eta", "--steps", "--seeds"])
+    def test_oracle_rejects_chain_flags(self, flag, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["oracle", "gibbs1d", flag, "1", "--out", str(tmp_path)])
 
     def test_check_battery_passes(self, capsys):
         rc = cli.main(["check"])
