@@ -100,7 +100,7 @@ class FeasibleDomain:
         r = 2.0 * p - x
         if not self.contains(r):
             gap = x - p
-            dist = math.sqrt(float(gap @ gap))
+            dist = math.sqrt(float(gap.dot(gap)))
             raise ReflectionUndefinedError(
                 f"reflecting a point at distance {dist:.6g} from the region "
                 f"lands outside it (margin {self.reflection_margin:.6g} is "
@@ -114,7 +114,7 @@ class FeasibleDomain:
         if self.contains(x):
             return 0.0
         d = x - self.project(x)
-        return math.sqrt(float(d @ d))
+        return math.sqrt(float(d.dot(d)))
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point uniformly from the region.
@@ -127,10 +127,10 @@ class FeasibleDomain:
 
     def _unit_direction(self, rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(self.dim)
-        n = math.sqrt(float(v @ v))
+        n = math.sqrt(float(v.dot(v)))
         while n == 0.0:  # probability zero, but keep the contract total
             v = rng.standard_normal(self.dim)
-            n = math.sqrt(float(v @ v))
+            n = math.sqrt(float(v.dot(v)))
         return v / n
 
 
@@ -158,12 +158,14 @@ class Ball(FeasibleDomain):
     def contains(self, x) -> bool:
         x = self._as_point(x)
         v = x - self.center
-        return float(v @ v) <= self._r2
+        # ``v.dot(v)`` runs the same BLAS dot as ``v @ v`` with less call
+        # overhead, which counts here: chains test membership every step.
+        return float(v.dot(v)) <= self._r2
 
     def project(self, x) -> np.ndarray:
         x = self._as_point(x)
         v = x - self.center
-        rho2 = float(v @ v)
+        rho2 = float(v.dot(v))
         if rho2 <= self._r2:
             return x
         s = self.radius / math.sqrt(rho2)
@@ -171,7 +173,7 @@ class Ball(FeasibleDomain):
         w = p - self.center
         # Rounding can leave the scaled point an ulp outside the exact
         # membership test; step the scale down until it is a member.
-        while float(w @ w) > self._r2:
+        while float(w.dot(w)) > self._r2:
             s = math.nextafter(s, 0.0)
             p = self.center + s * v
             w = p - self.center
@@ -180,7 +182,7 @@ class Ball(FeasibleDomain):
     def outward_normal(self, x) -> np.ndarray:
         x = self._as_point(x)
         v = x - self.center
-        rho = math.sqrt(float(v @ v))
+        rho = math.sqrt(float(v.dot(v)))
         if abs(rho - self.radius) > BOUNDARY_TOL:
             raise ValueError(
                 f"point at radius {rho:.12g} is not on the boundary "
@@ -229,13 +231,13 @@ class SphericalShell(FeasibleDomain):
     def contains(self, x) -> bool:
         x = self._as_point(x)
         v = x - self.center
-        rho2 = float(v @ v)
+        rho2 = float(v.dot(v))
         return self._rin2 <= rho2 <= self._rout2
 
     def project(self, x) -> np.ndarray:
         x = self._as_point(x)
         v = x - self.center
-        rho2 = float(v @ v)
+        rho2 = float(v.dot(v))
         if self._rin2 <= rho2 <= self._rout2:
             return x
         if rho2 == 0.0:
@@ -251,7 +253,7 @@ class SphericalShell(FeasibleDomain):
             s = self.inner_radius / rho
             p = self.center + s * v
             w = p - self.center
-            while float(w @ w) < self._rin2:
+            while float(w.dot(w)) < self._rin2:
                 s = math.nextafter(s, math.inf)
                 p = self.center + s * v
                 w = p - self.center
@@ -259,7 +261,7 @@ class SphericalShell(FeasibleDomain):
         s = self.outer_radius / rho
         p = self.center + s * v
         w = p - self.center
-        while float(w @ w) > self._rout2:
+        while float(w.dot(w)) > self._rout2:
             s = math.nextafter(s, 0.0)
             p = self.center + s * v
             w = p - self.center
@@ -268,7 +270,7 @@ class SphericalShell(FeasibleDomain):
     def outward_normal(self, x) -> np.ndarray:
         x = self._as_point(x)
         v = x - self.center
-        rho = math.sqrt(float(v @ v))
+        rho = math.sqrt(float(v.dot(v)))
         if abs(rho - self.outer_radius) <= BOUNDARY_TOL:
             return v / rho
         if abs(rho - self.inner_radius) <= BOUNDARY_TOL:

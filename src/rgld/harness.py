@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from rgld.dynamics import ChainConfig, RunRecord, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
@@ -289,6 +287,8 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
     ts = np.linspace(lo, hi, 4096)
     coarse = ts[int(np.argmin([g(t) for t in ts]))]
     span = (hi - lo) / 4096
+    from scipy import optimize  # slow to load; see GaussianMixture.refine_minimum
+
     res = optimize.minimize_scalar(
         g, bounds=(max(lo, coarse - span), min(hi, coarse + span)), method="bounded",
         options={"xatol": 1e-12},
@@ -416,6 +416,8 @@ def run_chains(
     """Run every (method, seed) chain of the spec and return the records."""
     jobs = [(spec, m, s) for m in spec.methods for s in spec.seeds]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))
     else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from rgld.geometry import FeasibleDomain
 
@@ -105,7 +104,7 @@ class Quadratic(Objective):
 
     def value(self, x) -> float:
         x = self._as_point(x)
-        return 0.5 * self.scale * float(x @ x)
+        return 0.5 * self.scale * float(x.dot(x))
 
     def gradient(self, x) -> np.ndarray:
         x = self._as_point(x)
@@ -113,7 +112,7 @@ class Quadratic(Objective):
 
     def value_and_gradient(self, x):
         x = self._as_point(x)
-        return 0.5 * self.scale * float(x @ x), self.scale * x
+        return 0.5 * self.scale * float(x.dot(x)), self.scale * x
 
     def value_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -183,6 +182,10 @@ class GaussianMixture(Objective):
 
     def refine_minimum(self, start) -> tuple[np.ndarray, float]:
         """Local descent from ``start`` using the analytic gradient."""
+        # Imported here: scipy.optimize takes about half a second to load,
+        # and only the mixture and shell-minimum searches use it.
+        from scipy import optimize
+
         res = optimize.minimize(
             self.value, np.asarray(start, dtype=np.float64),
             jac=self.gradient, method="BFGS", options={"gtol": 1e-12},
