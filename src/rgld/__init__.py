@@ -4,102 +4,9 @@ The package bundles the sampler kernels (reflected, projected, and
 deterministic projected descent), analytic feasible-region geometry,
 benchmark objectives with closed-form gradients, a quadrature oracle for
 the stationary Gibbs density on low-dimensional problems, and a
-multi-seed benchmark harness with a CLI.
+multi-seed benchmark harness with a CLI. Import from the submodules:
+``rgld.geometry``, ``rgld.objectives``, ``rgld.dynamics``,
+``rgld.measure``, ``rgld.harness`` and ``rgld.cli``.
 """
 
-from rgld.dynamics import (
-    ChainConfig,
-    ChainConfigError,
-    RunRecord,
-    pg_step,
-    pgld_step,
-    rademacher_vector,
-    rgld_step,
-    run_chain,
-    step_size_bound,
-)
-from rgld.geometry import (
-    Ball,
-    FeasibleDomain,
-    ReflectionUndefinedError,
-    SphericalShell,
-)
-from rgld.harness import (
-    AggregateCurve,
-    ExperimentSpec,
-    PRESETS,
-    preset_gibbs1d,
-    preset_gm2d,
-    preset_gm2d_pgld_vs_rgld,
-    preset_rastrigin,
-    preset_rosenbrock,
-    run_chains,
-    run_experiment,
-    spec_from_dict,
-    spec_from_file,
-)
-from rgld.measure import (
-    GibbsOracle,
-    Histogram,
-    bin_samples,
-    build_oracle,
-    export_cells_csv,
-    gibbs_mean_f,
-    near_optimality_bound,
-    total_variation,
-    tv_distance,
-)
-from rgld.objectives import (
-    GaussianMixture,
-    Objective,
-    Quadratic,
-    Rastrigin,
-    Rosenbrock,
-    make_grid_gaussian_mixture,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Ball",
-    "SphericalShell",
-    "FeasibleDomain",
-    "ReflectionUndefinedError",
-    "Objective",
-    "Quadratic",
-    "GaussianMixture",
-    "Rosenbrock",
-    "Rastrigin",
-    "make_grid_gaussian_mixture",
-    "ChainConfig",
-    "ChainConfigError",
-    "RunRecord",
-    "rademacher_vector",
-    "step_size_bound",
-    "rgld_step",
-    "pgld_step",
-    "pg_step",
-    "run_chain",
-    "GibbsOracle",
-    "Histogram",
-    "build_oracle",
-    "bin_samples",
-    "gibbs_mean_f",
-    "tv_distance",
-    "total_variation",
-    "near_optimality_bound",
-    "export_cells_csv",
-    "ExperimentSpec",
-    "AggregateCurve",
-    "PRESETS",
-    "preset_gm2d",
-    "preset_gm2d_pgld_vs_rgld",
-    "preset_rosenbrock",
-    "preset_rastrigin",
-    "preset_gibbs1d",
-    "run_chains",
-    "run_experiment",
-    "spec_from_dict",
-    "spec_from_file",
-    "__version__",
-]

@@ -42,14 +42,21 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_spec(args) -> harness.ExperimentSpec:
     target = args.target
     if target in harness.PRESETS:
         factory = harness.PRESETS[target]
         kwargs = {}
         if target in PRESET_DIM_DEFAULTS:
-            kwargs["dim"] = args.dim if args.dim else PRESET_DIM_DEFAULTS[target]
-        elif args.dim:
+            kwargs["dim"] = PRESET_DIM_DEFAULTS[target] if args.dim is None else args.dim
+        elif args.dim is not None:
             raise SystemExit(f"--dim is not applicable to preset {target!r}")
         spec = factory(**kwargs)
     elif Path(target).exists():
@@ -187,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--dim", type=int, default=None,
                        help="dimension for rosenbrock/rastrigin presets")
     p_run.add_argument("--out", default="results")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=_positive_int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_or = sub.add_parser("oracle", help="export the Gibbs quadrature oracle")

@@ -62,7 +62,7 @@ class ChainConfig:
     first step; anything farther out is rejected.
 
     ``enforce_step_bound`` controls the conservative admissibility check
-    ``eta * G + sqrt(2 eta d / beta) <= reflection_margin`` (``G`` from
+    ``eta * L + sqrt(2 eta d / beta) <= reflection_margin`` (``L`` from
     ``lipschitz_bounds``), which guarantees reflection can never be
     undefined. The bound is worst-case over the whole domain; benchmark
     presets whose published hyperparameters violate it run with the
@@ -129,31 +129,12 @@ def step_size_bound(
 ) -> float:
     """Worst-case distance an update can overshoot the region.
 
-    ``eta * G + sqrt(2 eta d / beta)`` with ``G`` the gradient-norm bound
+    ``eta * L + sqrt(2 eta d / beta)`` with ``L`` the gradient-norm bound
     from ``lipschitz_bounds``. Reflection is guaranteed well-defined
     whenever this is at most the domain's reflection margin.
     """
-    _, _, G = obj.lipschitz_bounds(domain)
-    return eta * G + math.sqrt(2.0 * eta * domain.dim / beta)
-
-
-def _constrain_reflect(
-    domain: FeasibleDomain, x_raw: np.ndarray
-) -> tuple[np.ndarray, bool, bool]:
-    """Reflect with projection fallback. Returns (point, reflected, fallback).
-
-    The fallback fires when the reflected point would leave the region
-    (an overshoot beyond what the shape can absorb); the chain then uses
-    the projection instead and reports the event, mirroring how the
-    library-level ``reflect`` raises.
-    """
-    if domain.contains(x_raw):
-        return x_raw, False, False
-    p = domain.project(x_raw)
-    r = 2.0 * p - x_raw
-    if domain.contains(r):
-        return r, True, False
-    return p, False, True
+    L, _ = obj.lipschitz_bounds(domain)
+    return eta * L + math.sqrt(2.0 * eta * domain.dim / beta)
 
 
 def _constrain_project(
@@ -177,7 +158,7 @@ def rgld_step(
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     x_raw = x - eta * obj.gradient(x) + math.sqrt(2.0 * eta / beta) * xi
-    return _constrain_reflect(domain, x_raw)
+    return domain.reflect_or_project(x_raw)
 
 
 def pgld_step(
@@ -239,7 +220,7 @@ def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bo
         )
         if not bound_ok and config.enforce_step_bound:
             raise ChainConfigError(
-                "eta: step-size bound eta*G + sqrt(2*eta*d/beta) exceeds the "
+                "eta: step-size bound eta*L + sqrt(2*eta*d/beta) exceeds the "
                 "reflection margin; reduce eta or set enforce_step_bound=False "
                 "to accept the projection fallback explicitly"
             )
@@ -283,6 +264,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     n_reflect = n_project = n_fallback = 0
 
     value_and_gradient = obj.value_and_gradient
+    reflect_or_project = domain.reflect_or_project
     for k in range(n):
         fx, g = value_and_gradient(x)
         f_vals[k] = fx
@@ -293,7 +275,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
         else:
             x_raw = x - eta * g + noise[k]
         if is_rgld:
-            x, reflected, fell_back = _constrain_reflect(domain, x_raw)
+            x, reflected, fell_back = reflect_or_project(x_raw)
             if reflected:
                 n_reflect += 1
                 events[k] = True

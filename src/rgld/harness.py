@@ -418,7 +418,8 @@ def run_chains(
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Workers are all forked at the first submit: start no more than jobs.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_run_job, jobs))
     else:
         results = [_run_job(j) for j in jobs]

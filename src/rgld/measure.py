@@ -26,7 +26,6 @@ from rgld.objectives import Objective
 __all__ = [
     "GibbsOracle",
     "Histogram",
-    "build_oracle",
     "bin_samples",
     "gibbs_mean_f",
     "tv_distance",
@@ -124,13 +123,6 @@ class GibbsOracle:
             e.shape == f.shape and np.array_equal(e, f)
             for e, f in zip(edges, self.edges)
         )
-
-
-def build_oracle(
-    objective: Objective, domain: FeasibleDomain, beta: float, n_per_axis: int
-) -> GibbsOracle:
-    """Construct a :class:`GibbsOracle` (thin functional wrapper)."""
-    return GibbsOracle(objective, domain, beta, n_per_axis)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Differentiable benchmark objectives with analytic gradients.
 
-Each objective exposes ``value``, ``gradient``, a fused
-``value_and_gradient`` for sampler loops, a vectorized ``value_many``
-for quadrature grids, and ``lipschitz_bounds`` giving conservative
+Each objective writes its formula twice: as a fused
+``value_and_gradient`` at one point for sampler loops (``value`` and
+``gradient`` are derived from it), and as a vectorized ``value_many``
+over rows for quadrature grids. ``lipschitz_bounds`` gives conservative
 closed-form constants over a bounded domain. Bounds favor validity over
 tightness: they are upper bounds on the true suprema, never estimates.
 """
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from rgld.geometry import FeasibleDomain
+from rgld.geometry import FeasibleDomain, as_point
 
 __all__ = [
     "Objective",
@@ -42,42 +43,35 @@ DOMINANT_WEIGHT = 12.0
 
 
 class Objective:
-    """A differentiable scalar function with an analytic gradient."""
+    """A differentiable scalar function with an analytic gradient.
+
+    Subclasses define ``value_and_gradient``, ``value_many`` and
+    ``lipschitz_bounds``.
+    """
 
     dim: int
 
-    def _as_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"expected a point of dimension {self.dim}, got shape {x.shape}"
-            )
-        return x
-
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Value and gradient in one evaluation (overridden where fusing
-        saves work in the per-step sampler loop)."""
-        return self.value(x), self.gradient(x)
+        """Value and gradient at one point, in one evaluation."""
+        raise NotImplementedError
 
     def value_many(self, X) -> np.ndarray:
         """Vectorized value over rows of ``X`` with shape ``(n, dim)``."""
-        X = np.asarray(X, dtype=np.float64)
-        return np.array([self.value(row) for row in X])
+        raise NotImplementedError
 
-    def lipschitz_bounds(self, domain: FeasibleDomain) -> tuple[float, float, float]:
-        """Conservative constants ``(L, M, G)`` over the domain.
+    def lipschitz_bounds(self, domain: FeasibleDomain) -> tuple[float, float]:
+        """Conservative constants ``(L, M)`` over the domain.
 
-        ``L`` and ``G`` bound ``sup ||grad f||`` (``G`` is kept as a
-        separate return for the step-size admissibility check), ``M``
-        bounds the Hessian operator norm. All are valid over the convex
-        hull of the domain, so they also certify Lipschitz continuity
-        along straight segments between any two feasible points.
+        ``L`` bounds ``sup ||grad f||`` and ``M`` bounds the Hessian
+        operator norm. Both are valid over the convex hull of the domain,
+        so they also certify Lipschitz continuity along straight segments
+        between any two feasible points.
         """
         raise NotImplementedError
 
@@ -95,23 +89,15 @@ class Quadratic(Objective):
     """``f(x) = scale * ||x||^2 / 2``."""
 
     def __init__(self, scale: float = 1.0, dim: int = 1):
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale: must be positive and finite, got {scale}")
         if dim < 1:
             raise ValueError("dim must be at least 1")
         self.scale = float(scale)
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        x = self._as_point(x)
-        return 0.5 * self.scale * float(x.dot(x))
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._as_point(x)
-        return self.scale * x
-
     def value_and_gradient(self, x):
-        x = self._as_point(x)
+        x = as_point(x, self.dim)
         return 0.5 * self.scale * float(x.dot(x)), self.scale * x
 
     def value_many(self, X) -> np.ndarray:
@@ -120,8 +106,7 @@ class Quadratic(Objective):
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
-        L = self.scale * B
-        return L, self.scale, L
+        return self.scale * B, self.scale
 
 
 class GaussianMixture(Objective):
@@ -140,8 +125,12 @@ class GaussianMixture(Objective):
             raise ValueError("means must have shape (n_modes, dim)")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights and means disagree on the number of modes")
-        if not np.all(weights > 0):
-            raise ValueError("weights must be positive")
+        if not np.all((weights > 0) & np.isfinite(weights)):
+            raise ValueError(
+                f"weights: must be positive and finite, got {weights.tolist()}"
+            )
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"means: must be finite, got {means.tolist()}")
         weights.setflags(write=False)
         means.setflags(write=False)
         self.weights = weights
@@ -154,24 +143,9 @@ class GaussianMixture(Objective):
     def n_modes(self) -> int:
         return self.means.shape[0]
 
-    def _bumps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = x - self.means
-        q = np.exp(-0.5 * np.sum(z * z, axis=1))
-        return z, q
-
-    def value(self, x) -> float:
-        x = self._as_point(x)
-        _, q = self._bumps(x)
-        return -float(self.weights @ q)
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._as_point(x)
-        z, q = self._bumps(x)
-        return (self.weights * q) @ z
-
     def value_and_gradient(self, x):
-        x = self._as_point(x)
-        z, q = self._bumps(x)
+        z = as_point(x, self.dim) - self.means
+        q = np.exp(-0.5 * np.sum(z * z, axis=1))
         return -float(self.weights @ q), (self.weights * q) @ z
 
     def value_many(self, X) -> np.ndarray:
@@ -187,8 +161,8 @@ class GaussianMixture(Objective):
         from scipy import optimize
 
         res = optimize.minimize(
-            self.value, np.asarray(start, dtype=np.float64),
-            jac=self.gradient, method="BFGS", options={"gtol": 1e-12},
+            self.value_and_gradient, np.asarray(start, dtype=np.float64),
+            jac=True, method="BFGS", options={"gtol": 1e-12},
         )
         return res.x, float(res.fun)
 
@@ -202,7 +176,7 @@ class GaussianMixture(Objective):
         # Per-mode Hessian w * exp(-t^2/2) * (I - z z^T) has operator norm
         # at most w (attained at t = 0).
         M = total
-        return L, M, L
+        return L, M
 
 
 class Rosenbrock(Objective):
@@ -218,21 +192,8 @@ class Rosenbrock(Objective):
             raise ValueError("Rosenbrock requires dim >= 2")
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        x = self._as_point(x)
-        t = x[1:] - x[:-1] ** 2
-        return float(np.sum(100.0 * t * t + (1.0 - x[:-1]) ** 2))
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._as_point(x)
-        t = x[1:] - x[:-1] ** 2
-        g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
-        g[1:] += 200.0 * t
-        return g
-
     def value_and_gradient(self, x):
-        x = self._as_point(x)
+        x = as_point(x, self.dim)
         t = x[1:] - x[:-1] ** 2
         head = 1.0 - x[:-1]
         val = float(np.sum(100.0 * t * t + head * head))
@@ -253,7 +214,7 @@ class Rosenbrock(Objective):
         L = math.sqrt(self.dim) * per_coord
         # Row-sum bound on the (tridiagonal) Hessian.
         M = 1200.0 * B * B + 1200.0 * B + 202.0
-        return L, M, L
+        return L, M
 
 
 class Rastrigin(Objective):
@@ -268,16 +229,8 @@ class Rastrigin(Objective):
             raise ValueError("Rastrigin requires dim >= 1")
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        x = self._as_point(x)
-        return 10.0 * self.dim + float(np.sum(x * x - 10.0 * np.cos(TWO_PI * x)))
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._as_point(x)
-        return 2.0 * x + 20.0 * math.pi * np.sin(TWO_PI * x)
-
     def value_and_gradient(self, x):
-        x = self._as_point(x)
+        x = as_point(x, self.dim)
         val = 10.0 * self.dim + float(np.sum(x * x - 10.0 * np.cos(TWO_PI * x)))
         return val, 2.0 * x + 20.0 * math.pi * np.sin(TWO_PI * x)
 
@@ -290,7 +243,7 @@ class Rastrigin(Objective):
         L = math.sqrt(self.dim) * (2.0 * B + 20.0 * math.pi)
         # |f_i''| = |2 + 40 pi^2 cos(2 pi x_i)| <= 2 + 40 pi^2, Hessian is diagonal.
         M = 2.0 + 40.0 * math.pi**2
-        return L, M, L
+        return L, M
 
 
 def make_grid_gaussian_mixture(seed: int) -> GaussianMixture:

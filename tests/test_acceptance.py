@@ -217,7 +217,7 @@ def test_near_optimality_bound_on_presets():
         gm = preset_gm2d()
         for spec, bins in ((gib, 512), (gm, 512)):
             obj, dom = spec.objective, spec.domain
-            L, _, _ = obj.lipschitz_bounds(dom)
+            L, _ = obj.lipschitz_bounds(dom)
             bound = near_optimality_bound(
                 dom.dim, spec.beta, dom.inscribed_radius, dom.bounding_radius, L
             )

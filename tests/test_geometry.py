@@ -1,7 +1,11 @@
 """Geometry: membership, projection, reflection, normals."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgld.geometry import (
     Ball,
@@ -136,6 +140,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SphericalShell(np.zeros(2), 0.0, 1.0)
 
+    @pytest.mark.parametrize("cls,args,field", [
+        (Ball, ([math.nan, 0.0], 1.0), "center"),
+        (Ball, ([0.0], math.inf), "radius"),
+        (SphericalShell, ([0.0, math.inf], 0.5, 1.0), "center"),
+        (SphericalShell, ([0.0, 0.0], 0.5, math.inf), "radii"),
+    ], ids=["ball-center-nan", "ball-radius-inf", "shell-center-inf",
+            "shell-outer-inf"])
+    def test_non_finite_parameters_rejected(self, cls, args, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            cls(*args)
+
     def test_shell_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
             SphericalShell(np.zeros(1), 0.5, 1.0)
@@ -207,3 +222,63 @@ def test_sample_uniform_shell_radius_law():
     assert radii.max() <= dom.outer_radius
     u = (radii**2 - dom.inner_radius**2) / (dom.outer_radius**2 - dom.inner_radius**2)
     assert abs(u.mean() - 0.5) < 0.01
+
+
+@st.composite
+def regions_and_points(draw, reach=0.99):
+    """A ball (d = 1..30) or a shell (d = 2..30) and a point whose
+    distance from the center is drawn up to ``reach`` reflection margins
+    beyond either sphere, or is one ulp inside, on, or one ulp outside
+    one of them."""
+    is_ball = draw(st.booleans())
+    dim = draw(st.integers(1 if is_ball else 2, 30))
+    center = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
+    inner = 0.0 if is_ball else draw(st.floats(0.1, 5.0))
+    outer = inner + draw(st.floats(0.1, 5.0))
+    dom = Ball(center, outer) if is_ball else SphericalShell(center, inner, outer)
+    m = reach * dom.reflection_margin
+    spheres = [r for r in (inner, outer) if r > 0]
+    near_sphere = [math.nextafter(r, t) for r in spheres for t in (0.0, r, math.inf)]
+    rho = draw(st.sampled_from(near_sphere) | st.floats(max(0.0, inner - m), outer + m))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dim)
+    return dom, dom.center + rho * (u / np.linalg.norm(u))
+
+
+PROPERTIES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestRegionProperties:
+    @PROPERTIES
+    @given(regions_and_points())
+    def test_projection_feasible_and_idempotent(self, case):
+        dom, x = case
+        p = dom.project(x)
+        assert dom.contains(p)
+        assert np.array_equal(dom.project(p), p)
+
+    @PROPERTIES
+    @given(regions_and_points())
+    def test_reflection_within_margin_feasible_and_isometric(self, case):
+        dom, x = case
+        p = dom.project(x)
+        r, moved = dom.reflect(x)
+        assert dom.contains(r)
+        assert moved != dom.contains(x)
+        scale = max(1.0, float(np.abs(x).max()))
+        assert abs(np.linalg.norm(r - p) - np.linalg.norm(x - p)) <= 1e-12 * scale
+
+    @PROPERTIES
+    @given(regions_and_points(reach=3.0))
+    def test_reflect_agrees_with_reflect_or_project(self, case):
+        dom, x = case
+        point, reflected, fallback = dom.reflect_or_project(x)
+        assert dom.contains(point)
+        if fallback:
+            assert not reflected
+            assert np.array_equal(point, dom.project(x))
+            with pytest.raises(ReflectionUndefinedError):
+                dom.reflect(x)
+        else:
+            r, moved = dom.reflect(x)
+            assert np.array_equal(r, point)
+            assert moved == reflected

@@ -272,6 +272,50 @@ class TestInputChecks:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tree,field", [
+        ("objective", "means"),
+        ("domain", "center"),
+    ])
+    def test_cli_rejects_non_finite_spec_values(self, tree, field, tmp_path, capsys):
+        # json.load accepts NaN and Infinity; neither may reach a chain.
+        spec = {
+            "objective": {"kind": "gaussian-mixture", "weights": [1.0],
+                          "means": [[0.0, 0.0]]},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+            "seeds": [0],
+        }
+        spec[tree][field] = [[math.nan, 0.0]] if field == "means" else [math.nan, 0.0]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert "NaN" in path.read_text()
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_never_larger_than_job_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        records = harness.run_chains(tiny_gm2d(steps=5), workers=1000)
+        assert sizes == [len(records)] == [4]
+
     def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
         rc = cli.main(["run", "gm2d", "--steps", "10", "--seeds", "",
                        "--out", str(tmp_path)])
@@ -416,6 +460,24 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "rosenbrock6_pg_seed0.csv").exists()
+
+    def test_dim_zero_is_a_dimension_not_unset(self, tmp_path, capsys):
+        rc = cli.main(["run", "rosenbrock", "--dim", "0", "--steps", "10",
+                       "--seeds", "0..0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "invalid dimension 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit, match="--dim is not applicable"):
+            cli.main(["run", "gibbs1d", "--dim", "0", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "gibbs1d", "--steps", "10", "--workers", workers,
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_entry_point_help(self):
         proc = subprocess.run(

@@ -11,7 +11,6 @@ from rgld.measure import (
     GibbsOracle,
     Histogram,
     bin_samples,
-    build_oracle,
     export_cells_csv,
     gibbs_mean_f,
     near_optimality_bound,
@@ -41,26 +40,26 @@ class ConstantObjective(Objective):
 
 class TestOracle:
     def test_constant_objective_gives_uniform_cells(self):
-        oracle = build_oracle(ConstantObjective(3.5, 2), GM_SHELL, 1.0, 64)
+        oracle = GibbsOracle(ConstantObjective(3.5, 2), GM_SHELL, 1.0, 64)
         inside = oracle.probabilities[oracle.in_domain]
         np.testing.assert_allclose(inside, inside[0])
         assert np.all(oracle.probabilities[~oracle.in_domain] == 0.0)
 
     def test_zero_beta_gives_uniform_cells(self):
-        oracle = build_oracle(make_grid_gaussian_mixture(6), GM_SHELL, 0.0, 64)
+        oracle = GibbsOracle(make_grid_gaussian_mixture(6), GM_SHELL, 0.0, 64)
         inside = oracle.probabilities[oracle.in_domain]
         np.testing.assert_allclose(inside, inside[0])
 
     def test_normalizing_constant_matches_error_function(self):
         # For f = x^2/2 with beta 2 on [-1, 1], Z is the integral of
         # exp(-x^2), i.e. sqrt(pi) erf(1).
-        oracle = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 512)
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 512)
         exact = math.sqrt(math.pi) * special.erf(1.0)
         assert abs(oracle.normalizing_constant - exact) < 1e-4
 
     def test_probabilities_sum_to_one(self):
         for beta in (0.5, 1.0, 8.0):
-            oracle = build_oracle(make_grid_gaussian_mixture(6), GM_SHELL, beta, 128)
+            oracle = GibbsOracle(make_grid_gaussian_mixture(6), GM_SHELL, beta, 128)
             assert abs(float(np.sum(oracle.probabilities)) - 1.0) <= 1e-10
             assert oracle.normalizing_constant > 0
             assert math.isfinite(oracle.normalizing_constant)
@@ -72,29 +71,29 @@ class TestOracle:
             (make_grid_gaussian_mixture(6), GM_SHELL, 1.0),
             (make_grid_gaussian_mixture(6), GM_SHELL, 8.0),
         ):
-            z128 = build_oracle(obj, dom, beta, 128).normalizing_constant
-            z512 = build_oracle(obj, dom, beta, 512).normalizing_constant
+            z128 = GibbsOracle(obj, dom, beta, 128).normalizing_constant
+            z512 = GibbsOracle(obj, dom, beta, 512).normalizing_constant
             assert abs(z512 - z128) / z512 < 0.005
 
     def test_rejects_high_dimension(self):
         dom = SphericalShell(np.zeros(3), 0.9, 4.0)
         with pytest.raises(ValueError, match="dimension"):
-            build_oracle(ConstantObjective(0.0, 3), dom, 1.0, 64)
+            GibbsOracle(ConstantObjective(0.0, 3), dom, 1.0, 64)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="n_per_axis"):
-            build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, 16)
+            GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, 16)
 
 
 class TestGibbsMean:
     def test_constant(self):
-        oracle = build_oracle(ConstantObjective(2.25, 2), GM_SHELL, 1.0, 64)
+        oracle = GibbsOracle(ConstantObjective(2.25, 2), GM_SHELL, 1.0, 64)
         assert gibbs_mean_f(oracle) == pytest.approx(2.25, rel=1e-12)
 
     def test_quadratic_closed_form(self):
         # E[x^2/2] under exp(-x^2) restricted to [-1, 1]:
         # integral x^2 exp(-x^2) = sqrt(pi)/2 erf(1) - exp(-1).
-        oracle = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 512)
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 512)
         z = math.sqrt(math.pi) * special.erf(1.0)
         second_moment = 0.5 * math.sqrt(math.pi) * special.erf(1.0) - math.exp(-1.0)
         exact = 0.5 * second_moment / z
@@ -105,7 +104,7 @@ class TestGibbsMean:
         # minimum as beta grows.
         gm = make_grid_gaussian_mixture(6)
         means = [
-            gibbs_mean_f(build_oracle(gm, GM_SHELL, b, 256)) for b in (1.0, 2.0, 4.0, 8.0)
+            gibbs_mean_f(GibbsOracle(gm, GM_SHELL, b, 256)) for b in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -115,7 +114,7 @@ class TestHistogramAndTV:
         # Resampling the oracle itself at the stationarity run's sample
         # size and binning shows the pure-sampling noise floor sits far
         # below the 0.05 total-variation threshold used there.
-        oracle = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 256)
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 256)
         rng = np.random.default_rng(0)
         total = 2 * 10**6
         counts = rng.multinomial(total, oracle.probabilities)
@@ -128,7 +127,7 @@ class TestHistogramAndTV:
         # Odd cell count puts one midpoint exactly at the origin, where a
         # huge beta concentrates essentially all oracle mass; a histogram
         # concentrated in that cell has vanishing distance.
-        oracle = build_oracle(Quadratic(1e6, 1), UNIT_BALL1, 1e6, 255)
+        oracle = GibbsOracle(Quadratic(1e6, 1), UNIT_BALL1, 1e6, 255)
         center_cell = int(np.argmax(oracle.probabilities))
         counts = np.zeros(oracle.n_cells, dtype=np.int64)
         counts[center_cell] = 1000
@@ -141,15 +140,15 @@ class TestHistogramAndTV:
         assert total_variation(p, q) == 1.0
 
     def test_binning_counts_and_feasibility(self):
-        oracle = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         samples = np.array([-0.999, -0.5, 0.0, 0.25, 0.9999, 1.0])
         hist = bin_samples(oracle, samples)
         assert hist.total == samples.size
         assert int(hist.counts.sum()) == samples.size
 
     def test_partition_mismatch_rejected(self):
-        a = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
-        b = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 128)
+        a = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
+        b = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 128)
         hist = bin_samples(b, np.array([0.0]))
         with pytest.raises(ValueError, match="partition"):
             tv_distance(hist, a)
@@ -202,11 +201,11 @@ class TestNearOptimalityBound:
         gm = make_grid_gaussian_mixture(6)
         cases.append((gm, GM_SHELL, 1.0, gm.global_min_value))
         for obj, dom, beta, min_f in cases:
-            L, _, _ = obj.lipschitz_bounds(dom)
+            L, _ = obj.lipschitz_bounds(dom)
             bound = near_optimality_bound(
                 dom.dim, beta, dom.inscribed_radius, dom.bounding_radius, L
             )
-            gap = gibbs_mean_f(build_oracle(obj, dom, beta, 512)) - min_f
+            gap = gibbs_mean_f(GibbsOracle(obj, dom, beta, 512)) - min_f
             assert 0 <= gap <= bound
 
     def test_rejects_nonpositive_arguments(self):
@@ -218,7 +217,7 @@ class TestNearOptimalityBound:
 
 class TestExport:
     def test_cells_csv_roundtrip(self, tmp_path):
-        oracle = build_oracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         hist = bin_samples(oracle, np.array([0.0, 0.1, 0.1]))
         path = tmp_path / "cells.csv"
         export_cells_csv(path, oracle, hist)

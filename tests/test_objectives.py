@@ -131,16 +131,16 @@ class TestGradients:
 
 class TestLipschitzBounds:
     def test_quadratic_exact(self):
-        L, M, G = Quadratic(1.0, 2).lipschitz_bounds(Ball(np.zeros(2), 2.0))
-        assert (L, M, G) == (2.0, 1.0, 2.0)
+        L, M = Quadratic(1.0, 2).lipschitz_bounds(Ball(np.zeros(2), 2.0))
+        assert (L, M) == (2.0, 1.0)
 
     def test_rastrigin_smoothness_closed_form(self):
-        _, M, _ = Rastrigin(2).lipschitz_bounds(Ball(np.zeros(2), 5.12))
+        _, M = Rastrigin(2).lipschitz_bounds(Ball(np.zeros(2), 5.12))
         assert M == pytest.approx(2.0 + 40.0 * math.pi**2)
 
     def test_mixture_bound_below_crude_form(self):
         gm = make_grid_gaussian_mixture(0)
-        L, _, _ = gm.lipschitz_bounds(GM_SHELL)
+        L, _ = gm.lipschitz_bounds(GM_SHELL)
         crude = float(np.sum(gm.weights)) * (
             GM_SHELL.bounding_radius + np.max(np.linalg.norm(gm.means, axis=1))
         )
@@ -149,7 +149,7 @@ class TestLipschitzBounds:
     def test_mixture_bound_dominates_dense_grid_search(self):
         # Independent oracle: sup ||grad f|| over a dense grid of the shell.
         gm = make_grid_gaussian_mixture(0)
-        L, _, _ = gm.lipschitz_bounds(GM_SHELL)
+        L, _ = gm.lipschitz_bounds(GM_SHELL)
         ax = np.linspace(-4.0, 4.0, 320)
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         pts = np.column_stack([X.ravel(), Y.ravel()])
@@ -159,7 +159,7 @@ class TestLipschitzBounds:
 
     @pytest.mark.parametrize("obj,dom", VARIANTS, ids=lambda v: type(v).__name__)
     def test_bounds_certify_lipschitz_pairs(self, obj, dom):
-        L, M, _ = obj.lipschitz_bounds(dom)
+        L, M = obj.lipschitz_bounds(dom)
         rng = np.random.default_rng(77)
         for _ in range(10_000):
             x = dom.sample_uniform(rng)
@@ -229,3 +229,13 @@ class TestValidation:
     def test_quadratic_positive_scale(self):
         with pytest.raises(ValueError):
             Quadratic(0.0, 2)
+
+    @pytest.mark.parametrize("cls,args,field", [
+        (Quadratic, (math.inf, 2), "scale"),
+        (GaussianMixture, ([math.inf], [[0.0, 0.0]]), "weights"),
+        (GaussianMixture, ([1.0], [[math.nan, 0.0]]), "means"),
+        (GaussianMixture, ([1.0], [[0.0, -math.inf]]), "means"),
+    ], ids=["scale-inf", "weight-inf", "mean-nan", "mean-minus-inf"])
+    def test_non_finite_parameters_rejected(self, cls, args, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            cls(*args)
