@@ -16,6 +16,14 @@ projected variant.
 
 One chain is strictly sequential. Distinct chains share no mutable state
 (each owns its generator), so any number may run concurrently.
+
+A record depends on the chain's seed only when the method draws noise
+or the start point is drawn from the region
+(``ChainConfig.depends_on_seed``); multi-seed runners compute a
+seed-free chain once and hand its record to every seed. A noise-free
+chain whose update returns the iterate bit for bit has reached a fixed
+point: every later step would repeat it, so ``run_chain`` fills the
+rest of the record and stops.
 """
 
 from __future__ import annotations
@@ -80,6 +88,12 @@ class ChainConfig:
     record_trajectory: bool = False
     enforce_step_bound: bool = True
 
+    @property
+    def depends_on_seed(self) -> bool:
+        """Whether the chain's record changes with ``seed``: only when the
+        method draws noise or ``x0`` is drawn from the seeded generator."""
+        return self.method != "pg" or self.x0 is None
+
 
 @dataclass
 class RunRecord:
@@ -91,6 +105,10 @@ class RunRecord:
     left the region and was constrained back; ``fallback_events`` flags
     the subset where reflection was undefined and projection was
     substituted. ``final_point`` is the iterate after the last step.
+
+    Seeds whose chains are identical (see ``ChainConfig.depends_on_seed``)
+    may share one record's arrays, each under its own ``config``, so
+    treat the arrays as read-only.
     """
 
     f_value: np.ndarray
@@ -137,14 +155,6 @@ def step_size_bound(
     return eta * L + math.sqrt(2.0 * eta * domain.dim / beta)
 
 
-def _constrain_project(
-    domain: FeasibleDomain, x_raw: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    if domain.contains(x_raw):
-        return x_raw, False
-    return domain.project(x_raw), True
-
-
 def rgld_step(
     x, obj: Objective, domain: FeasibleDomain, eta: float, beta: float, xi
 ) -> tuple[np.ndarray, bool, bool]:
@@ -168,12 +178,14 @@ def pgld_step(
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     x_raw = x - eta * obj.gradient(x) + math.sqrt(2.0 * eta / beta) * xi
-    return _constrain_project(domain, x_raw)
+    p = domain.project(x_raw)
+    return p, p is not x_raw
+
 
 def pg_step(x, obj: Objective, domain: FeasibleDomain, eta: float) -> np.ndarray:
     """One projected gradient descent update."""
     x = np.asarray(x, dtype=np.float64)
-    return _constrain_project(domain, x - eta * obj.gradient(x))[0]
+    return domain.project(x - eta * obj.gradient(x))
 
 
 def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bool:
@@ -235,7 +247,10 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     generator before the step; ``pg`` consumes none. ``f_value`` holds
     the objective at iterates ``0 .. steps-1`` and ``final_point`` the
     iterate after the last step, so ``cumulative_min[-1]`` is the best
-    value seen over the first ``steps`` iterates.
+    value seen over the first ``steps`` iterates. A noise-free chain
+    stops computing at its first fixed point (an update that returns the
+    iterate bit for bit) and fills the rest of the record with it, which
+    gives the same record as running every step.
     """
     bound_ok = _validate(config, obj, domain)
     rng = np.random.default_rng(config.seed)
@@ -265,6 +280,8 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
 
     value_and_gradient = obj.value_and_gradient
     reflect_or_project = domain.reflect_or_project
+    project = domain.project
+    x_bytes = x.tobytes() if noise is None else None
     for k in range(n):
         fx, g = value_and_gradient(x)
         f_vals[k] = fx
@@ -284,10 +301,23 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                 events[k] = True
                 fallbacks[k] = True
         else:
-            x, projected = _constrain_project(domain, x_raw)
-            if projected:
+            x = project(x_raw)
+            if x is not x_raw:
                 n_project += 1
                 events[k] = True
+        if x_bytes is not None:
+            # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat the
+            # same later bits.
+            new_bytes = x.tobytes()
+            if new_bytes == x_bytes:
+                tail = slice(k + 1, n)
+                f_vals[tail] = fx
+                events[tail] = events[k]
+                if traj is not None:
+                    traj[tail] = x
+                n_project += int(events[k]) * (n - k - 1)
+                break
+            x_bytes = new_bytes
 
     return RunRecord(
         f_value=f_vals,

@@ -33,9 +33,17 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_point(x, dim: int) -> np.ndarray:
-    """``x`` as a float64 array of shape ``(dim,)``; ``ValueError`` otherwise."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as a float64 array of shape ``(dim,)``; ``ValueError`` otherwise.
+
+    A float64 array comes back as the same object, which lets ``project``
+    signal "already a member" by returning its argument.
+    """
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=np.float64)
     if x.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {x.shape}")
     return x
@@ -108,8 +116,15 @@ class FeasibleDomain:
         return self._in2 <= float(v.dot(v)) <= self._out2
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the region; the identity on members."""
-        x = as_point(x, self.dim)
+        """Nearest point of the region.
+
+        Members come back as the very same array object when ``x`` is a
+        float64 array, so ``project(x) is not x`` tells an exterior point
+        without a second radius computation.
+        """
+        return self._project(as_point(x, self.dim))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         v = x - self.center
         rho2 = float(v.dot(v))
         if self._in2 <= rho2 <= self._out2:
@@ -164,9 +179,10 @@ class FeasibleDomain:
         outside the region (an overshoot beyond what the shape can
         absorb) the projection is returned instead with ``fallback`` set.
         """
-        if self.contains(x):
+        x = as_point(x, self.dim)
+        p = self._project(x)
+        if p is x:
             return x, False, False
-        p = self.project(x)
         r = 2.0 * p - x
         if self.contains(r):
             return r, True, False
@@ -181,7 +197,6 @@ class FeasibleDomain:
         the region; any point within ``reflection_margin`` of the region
         is guaranteed to reflect successfully.
         """
-        x = as_point(x, self.dim)
         point, reflected, fallback = self.reflect_or_project(x)
         if fallback:
             raise ReflectionUndefinedError(

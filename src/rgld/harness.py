@@ -1,9 +1,10 @@
 """Benchmark presets, multi-seed experiment runner, and CSV emission.
 
 Presets pin the feasible region, objective, and hyperparameters of the
-benchmark problems. ``run_experiment`` executes every (method, seed)
-chain, writes one CSV per chain plus one aggregate CSV per method, and
-is byte-deterministic for a fixed spec regardless of worker count: all
+benchmark problems. ``run_experiment`` executes every distinct (method,
+seed) chain (a chain that reads no seed runs once for all seeds), writes
+one CSV per (method, seed) plus one aggregate CSV per method, and is
+byte-deterministic for a fixed spec regardless of worker count: all
 output is written by a single collector after the chains complete.
 
 Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
@@ -168,21 +169,27 @@ def preset_gm2d_pgld_vs_rgld(
 
 def preset_rosenbrock(
     dim: int = 4,
-    eta: float = 5e-4,
+    eta: float | None = None,
     steps: int = 200_000,
     seeds=DEFAULT_SEEDS,
     beta: float | None = None,
 ) -> ExperimentSpec:
     """Rosenbrock on the shell between radii ``0.5 sqrt(d)`` and ``2 sqrt(d)``.
 
-    ``beta`` defaults to ``0.25 * d``. The benchmark grid uses d in
-    {4, 10, 20}; any d >= 2 is accepted for custom runs. Initial points
-    are drawn uniformly from the region per seed. The huge worst-case
+    ``eta`` defaults to ``min(5e-4, 2e-3 / d)`` and ``beta`` to
+    ``0.25 * d``. The benchmark grid uses d in {4, 10, 20}; any d >= 2 is
+    accepted for custom runs. The step shrinks with d because the
+    gradient grows with the shell: at 5e-4, d = 10 falls back to
+    projection on most rgld steps, while ``2e-3 / d`` keeps d = 10 and
+    20 free of fallbacks and leaves d <= 4 at 5e-4. Initial points are
+    drawn uniformly from the region per seed. The huge worst-case
     gradient bound of this objective fails the conservative step-size
-    check at the published eta, so the check is disabled (see gm2d).
+    check even so, so the check is disabled (see gm2d).
     """
     if dim < 2:
         raise ValueError(f"invalid dimension {dim}: Rosenbrock requires d >= 2")
+    if eta is None:
+        eta = min(5e-4, 2e-3 / dim)
     if beta is None:
         beta = 0.25 * dim
     root_d = math.sqrt(dim)
@@ -320,14 +327,42 @@ _DOMAIN_KEYS = {
 }
 
 
+# (integer, list depth) of every numeric key, in any tree. JSON numbers
+# only: a string, or a bool (a Python int), is an error. The keys in
+# _NULLABLE may also be null, meaning "not set".
+_NUMERIC_KEYS = {
+    "dim": (True, 0), "steps": (True, 0), "seed": (True, 0), "oracle_bins": (True, 0),
+    "seeds": (True, 1), "tv_prefixes": (True, 1),
+    "radius": (False, 0), "inner_radius": (False, 0), "outer_radius": (False, 0),
+    "scale": (False, 0), "eta": (False, 0), "beta": (False, 0), "min_f": (False, 0),
+    "center": (False, 1), "x0": (False, 1), "weights": (False, 1), "means": (False, 2),
+}
+_NULLABLE = ("x0", "min_f", "oracle_bins")
+
+
+def _check_number(field: str, value, integer: bool, depth: int) -> None:
+    if depth:
+        if not isinstance(value, list):
+            raise ValueError(f"{field}: expected a list, got {value!r}")
+        for i, v in enumerate(value):
+            _check_number(f"{field}[{i}]", v, integer, depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{field}: expected {kind}, got {value!r}")
+
+
 def _check_keys(field: str, d: dict, required, optional) -> None:
-    """Reject unknown and missing keys of one tree, naming each of them."""
+    """Reject unknown and missing keys of one tree, naming each of them,
+    then any numeric value that is not a JSON number of the right kind."""
     unknown = sorted(set(d) - set(required) - set(optional))
     missing = [k for k in required if k not in d]
     problems = ([f"unknown key {k!r}" for k in unknown]
                 + [f"missing key {k!r}" for k in missing])
     if problems:
         raise ValueError(f"{field}: " + ", ".join(problems))
+    for key, value in d.items():
+        if key in _NUMERIC_KEYS and not (value is None and key in _NULLABLE):
+            _check_number(f"{field}.{key}", value, *_NUMERIC_KEYS[key])
 
 
 def _objective_from_dict(d: dict) -> Objective:
@@ -366,7 +401,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     ``noise``, ``aggregation``, ``min_f``, ``enforce_step_bound``,
     ``oracle_bins``, ``tv_prefixes``. Unknown and missing keys, at the
     top level and in the objective and domain trees, raise a
-    ``ValueError`` that names each of them.
+    ``ValueError`` that names each of them, and so does a numeric field
+    that is not a JSON number (integers for ``dim``, ``steps``, ``seeds``,
+    ``seed``, ``oracle_bins`` and ``tv_prefixes``; ``true`` and
+    ``false`` are not numbers).
     """
     _check_keys("spec", d, *_SPEC_KEYS)
     aggregation = d.get("aggregation", "median-with-quartiles")
@@ -380,7 +418,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         methods=tuple(d["methods"]),
         eta=float(d["eta"]),
         beta=float(d["beta"]),
-        steps=int(d["steps"]),
+        steps=d["steps"],
         seeds=tuple(d.get("seeds", DEFAULT_SEEDS)),
         x0=None if x0 is None else np.asarray(x0, dtype=np.float64),
         noise=d.get("noise", "rademacher"),
@@ -404,17 +442,26 @@ def spec_from_file(path) -> ExperimentSpec:
 _FMT = "{:.17g}".format
 
 
-def _run_job(args) -> tuple[str, int, RunRecord]:
-    spec, method, seed = args
-    record = run_chain(spec.chain_config(method, seed), spec.objective, spec.domain)
-    return method, seed, record
+def _run_job(args) -> RunRecord:
+    spec, config = args
+    return run_chain(config, spec.objective, spec.domain)
 
 
 def run_chains(
     spec: ExperimentSpec, workers: int = 1
 ) -> dict[tuple[str, int], RunRecord]:
-    """Run every (method, seed) chain of the spec and return the records."""
-    jobs = [(spec, m, s) for m in spec.methods for s in spec.seeds]
+    """Run every (method, seed) chain of the spec and return the records.
+
+    Each distinct chain runs once: seeds whose chains ignore the seed
+    (``ChainConfig.depends_on_seed``) share one record's arrays, each
+    under its own config. The arrays are marked read-only.
+    """
+    configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
+    chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
+    distinct: dict[tuple, ChainConfig] = {}
+    for key, config in configs.items():
+        distinct.setdefault(chain_of[key], config)
+    jobs = [(spec, config) for config in distinct.values()]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -423,7 +470,12 @@ def run_chains(
             results = list(pool.map(_run_job, jobs))
     else:
         results = [_run_job(j) for j in jobs]
-    return {(m, s): rec for m, s, rec in results}
+    for record in results:
+        for value in vars(record).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    records = dict(zip(distinct, results))
+    return {key: replace(records[chain_of[key]], config=c) for key, c in configs.items()}
 
 
 def _run_strings(col: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ class GaussianMixture(Objective):
 
     def value_and_gradient(self, x):
         z = as_point(x, self.dim) - self.means
-        q = np.exp(-0.5 * np.sum(z * z, axis=1))
+        q = np.exp(-0.5 * (z * z).sum(axis=1))
         return -float(self.weights @ q), (self.weights * q) @ z
 
     def value_many(self, X) -> np.ndarray:

@@ -241,6 +241,59 @@ class TestRunChain:
         assert GM_SHELL.contains(rec.initial_point)
 
 
+def pg_reference(cfg, obj, dom):
+    """Every step of a pg chain through ``pg_step``, with no early exit."""
+    x = dom.project(np.asarray(cfg.x0, dtype=np.float64))
+    f, events, traj, first_fixed = [], [], [], None
+    for k in range(cfg.steps):
+        f.append(obj.value(x))
+        traj.append(x)
+        events.append(not dom.contains(x - cfg.eta * obj.gradient(x)))
+        y = pg_step(x, obj, dom, cfg.eta)
+        if first_fixed is None and y.tobytes() == x.tobytes():
+            first_fixed = k
+        x = y
+    return np.array(f), np.array(events), np.array(traj), x, first_fixed
+
+
+class TestFixedPointExit:
+    """A pg chain that stops at its fixed point gives the full-length record."""
+
+    SHELL = SphericalShell(np.zeros(2), 1.0, 3.0)
+
+    @pytest.mark.parametrize("case", ["rastrigin-interior", "shell-boundary", "shell-cycling"])
+    def test_matches_step_by_step_reference(self, case):
+        if case == "rastrigin-interior":
+            obj, dom = Rastrigin(2), SphericalShell(np.zeros(2), 0.9, 5.12)
+            cfg = ChainConfig(method="pg", eta=5e-4, steps=2000, x0=np.array([1.3, -2.2]))
+        else:
+            # The quadratic pulls every iterate into the cavity, so each
+            # step is projected back onto the inner sphere.
+            eta = 0.1 if case == "shell-boundary" else 0.05
+            obj, dom = Quadratic(1.0, 2), self.SHELL
+            cfg = ChainConfig(method="pg", eta=eta, steps=400, x0=np.array([2.0, 0.5]))
+        cfg.record_trajectory = True
+        f, events, traj, final, first_fixed = pg_reference(cfg, obj, dom)
+
+        calls = []
+        evaluate = obj.value_and_gradient
+        obj.value_and_gradient = lambda x: calls.append(x) or evaluate(x)
+        rec = run_chain(cfg, obj, dom)
+
+        assert np.array_equal(rec.f_value.view(np.int64), f.view(np.int64))
+        assert np.array_equal(rec.boundary_events, events)
+        assert np.array_equal(rec.trajectory.view(np.int64), traj.view(np.int64))
+        assert rec.projection_events == int(events.sum())
+        assert rec.final_point.tobytes() == final.tobytes()
+        if case == "shell-cycling":
+            assert first_fixed is None and len(calls) == cfg.steps
+        else:
+            assert first_fixed is not None and first_fixed < cfg.steps // 2
+            assert len(calls) == first_fixed + 1
+        if case == "shell-boundary":
+            assert events[first_fixed:].all()
+
+
 class TestValidation:
     def test_x0_far_outside_rejected(self):
         cfg = ChainConfig(method="pg", eta=0.1, steps=1, x0=np.array([50.0, 0.0]))

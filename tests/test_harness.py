@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rgld import cli, harness
-from rgld.dynamics import ChainConfigError
+from rgld.dynamics import ChainConfigError, run_chain
 from rgld.geometry import SphericalShell
 from rgld.harness import (
     AggregateCurve,
@@ -53,7 +53,7 @@ class TestPresetPins:
     def test_rosenbrock_beta_scales_with_dimension(self, dim, beta):
         spec = preset_rosenbrock(dim)
         assert spec.beta == pytest.approx(beta)
-        assert spec.eta == 5e-4
+        assert spec.eta == min(5e-4, 2e-3 / dim)
         assert spec.domain.inner_radius == pytest.approx(0.5 * math.sqrt(dim))
         assert spec.domain.outer_radius == pytest.approx(2.0 * math.sqrt(dim))
         assert spec.min_f == 0.0
@@ -259,6 +259,41 @@ class TestStreamedWriter:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def spy_on_run_chain(monkeypatch):
+    calls = []
+    run_chain = harness.run_chain
+
+    def spy(config, obj, domain):
+        calls.append((config.method, config.seed))
+        return run_chain(config, obj, domain)
+
+    monkeypatch.setattr(harness, "run_chain", spy)
+    return calls
+
+
+class TestDistinctChains:
+    def test_seed_free_pg_chain_runs_once(self, monkeypatch):
+        spec = tiny_gm2d(steps=300, seeds=(4, 5, 6))
+        calls = spy_on_run_chain(monkeypatch)
+        records = harness.run_chains(spec)
+        assert sorted(calls) == [("pg", 4), ("rgld", 4), ("rgld", 5), ("rgld", 6)]
+        for (method, seed), rec in records.items():
+            assert (rec.config.method, rec.config.seed) == (method, seed)
+            alone = run_chain(spec.chain_config(method, seed), spec.objective, spec.domain)
+            assert np.array_equal(rec.f_value, alone.f_value)
+            assert np.array_equal(rec.boundary_events, alone.boundary_events)
+            assert np.array_equal(rec.final_point, alone.final_point)
+            assert not rec.f_value.flags.writeable
+
+    def test_drawn_start_runs_pg_once_per_seed(self, monkeypatch):
+        spec = preset_rosenbrock(4, steps=50, seeds=(0, 1, 2))
+        calls = spy_on_run_chain(monkeypatch)
+        records = harness.run_chains(spec)
+        assert sorted(calls) == [(m, s) for m in ("pg", "rgld") for s in (0, 1, 2)]
+        starts = {records[("pg", s)].initial_point.tobytes() for s in spec.seeds}
+        assert len(starts) == 3
+
+
 class TestInputChecks:
     def test_empty_seeds_rejected_before_any_chain(self, tmp_path):
         spec = tiny_gm2d(seeds=())
@@ -294,6 +329,28 @@ class TestInputChecks:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tree,field,value", [
+        ("domain", "radius", "1"),
+        ("objective", "dim", 2.7),
+        (None, "steps", "10"),
+        (None, "beta", True),
+    ])
+    def test_cli_rejects_mistyped_numbers(self, tree, field, value, tmp_path, capsys):
+        spec = {
+            "objective": {"kind": "rastrigin", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+            "seeds": [0],
+        }
+        (spec if tree is None else spec[tree])[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{field}: expected" in err and repr(value) in err
+        assert not (tmp_path / "out").exists()
+
     def test_pool_never_larger_than_job_count(self, monkeypatch):
         import concurrent.futures
 
@@ -314,7 +371,9 @@ class TestInputChecks:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         records = harness.run_chains(tiny_gm2d(steps=5), workers=1000)
-        assert sizes == [len(records)] == [4]
+        # Two seeds share one pg chain (fixed start, no noise): 3 jobs.
+        assert len(records) == 4
+        assert sizes == [3]
 
     def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
         rc = cli.main(["run", "gm2d", "--steps", "10", "--seeds", "",
@@ -460,6 +519,17 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "rosenbrock6_pg_seed0.csv").exists()
+
+    def test_readme_rosenbrock_example_never_falls_back(self, tmp_path):
+        # At eta 5e-4, d = 10 falls back on about 3 of 4 rgld steps.
+        rc = cli.main(["run", "rosenbrock", "--dim", "10", "--seeds", "0..1",
+                       "--steps", "20000", "--out", str(tmp_path)])
+        assert rc == 0
+        for seed in (0, 1):
+            rows = np.loadtxt(tmp_path / f"rosenbrock10_rgld_seed{seed}.csv",
+                              delimiter=",", skiprows=1)
+            assert rows.shape[0] == 20_000
+            assert rows[:, 4].sum() == 0
 
     def test_dim_zero_is_a_dimension_not_unset(self, tmp_path, capsys):
         rc = cli.main(["run", "rosenbrock", "--dim", "0", "--steps", "10",
