@@ -39,8 +39,9 @@ _FLOAT64 = np.dtype(np.float64)
 def as_point(x, dim: int) -> np.ndarray:
     """``x`` as a float64 array of shape ``(dim,)``; ``ValueError`` otherwise.
 
-    A float64 array comes back as the same object, which lets ``project``
-    signal "already a member" by returning its argument.
+    A float64 array comes back as the same object. The type check skips
+    the call overhead of ``np.asarray``, which counts here: a chain step
+    checks its points several times.
     """
     if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
         x = np.asarray(x, dtype=np.float64)
@@ -122,9 +123,7 @@ class FeasibleDomain:
         float64 array, so ``project(x) is not x`` tells an exterior point
         without a second radius computation.
         """
-        return self._project(as_point(x, self.dim))
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
+        x = as_point(x, self.dim)
         v = x - self.center
         rho2 = float(v.dot(v))
         if self._in2 <= rho2 <= self._out2:
@@ -180,7 +179,7 @@ class FeasibleDomain:
         absorb) the projection is returned instead with ``fallback`` set.
         """
         x = as_point(x, self.dim)
-        p = self._project(x)
+        p = self.project(x)
         if p is x:
             return x, False, False
         r = 2.0 * p - x

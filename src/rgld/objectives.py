@@ -145,6 +145,7 @@ class GaussianMixture(Objective):
 
     def value_and_gradient(self, x):
         z = as_point(x, self.dim) - self.means
+        # The method runs np.sum's reduction without its Python wrapper.
         q = np.exp(-0.5 * (z * z).sum(axis=1))
         return -float(self.weights @ q), (self.weights * q) @ z
 

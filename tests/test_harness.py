@@ -53,7 +53,8 @@ class TestPresetPins:
     def test_rosenbrock_beta_scales_with_dimension(self, dim, beta):
         spec = preset_rosenbrock(dim)
         assert spec.beta == pytest.approx(beta)
-        assert spec.eta == min(5e-4, 2e-3 / dim)
+        # min(5e-4, 2e-3 / d): the step of d <= 4 stays at 5e-4.
+        assert spec.eta == {4: 5e-4, 10: 2e-4, 20: 1e-4}[dim]
         assert spec.domain.inner_radius == pytest.approx(0.5 * math.sqrt(dim))
         assert spec.domain.outer_radius == pytest.approx(2.0 * math.sqrt(dim))
         assert spec.min_f == 0.0
