@@ -36,6 +36,16 @@ BOUNDARY_TOL = 1e-9
 _FLOAT64 = np.dtype(np.float64)
 
 
+def row_sq_norms(V: np.ndarray) -> np.ndarray:
+    """``V[i].dot(V[i])`` for every row of a ``(B, dim)`` array, bit for bit.
+
+    A stacked matmul runs the same BLAS dot per row as ``v.dot(v)``;
+    ``np.sum(V * V, axis=1)`` and ``einsum`` round differently on a share
+    of rows.
+    """
+    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+
+
 def as_point(x, dim: int) -> np.ndarray:
     """``x`` as a float64 array of shape ``(dim,)``; ``ValueError`` otherwise.
 
@@ -116,6 +126,12 @@ class FeasibleDomain:
         # overhead, which counts here: chains test membership every step.
         return self._in2 <= float(v.dot(v)) <= self._out2
 
+    def contains_many(self, X: np.ndarray) -> np.ndarray:
+        """``contains`` of every row of a float64 array of shape ``(B, dim)``,
+        with the same bits: NaN rows are not members."""
+        rho2 = row_sq_norms(X - self.center)
+        return (self._in2 <= rho2) & (rho2 <= self._out2)
+
     def project(self, x) -> np.ndarray:
         """Nearest point of the region.
 
@@ -138,6 +154,11 @@ class FeasibleDomain:
             radius, r2, sign, toward = self.inner_radius, self._in2, -1.0, math.inf
         else:
             radius, r2, sign, toward = self.outer_radius, self._out2, 1.0, 0.0
+            if rho2 == math.inf:
+                # ``v`` may be finite with a squared norm that overflows:
+                # scale it down first, or it would be sent to the center.
+                v = v / float(np.max(np.abs(v)))
+                rho2 = float(v.dot(v))
         s = radius / math.sqrt(rho2)
         p = self.center + s * v
         w = p - self.center

@@ -7,6 +7,11 @@ one CSV per (method, seed) plus one aggregate CSV per method, and is
 byte-deterministic for a fixed spec regardless of worker count: all
 output is written by a single collector after the chains complete.
 
+Chains execute as one job per method: the method's distinct chains run
+together as one batch (``dynamics.run_batch``), and a lone chain (one
+seed, or a seed-free chain shared by all seeds) runs the scalar loop of
+``dynamics.run_chain``. Both give the same bytes.
+
 Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
 holds the objective and running minimum at iterate ``k`` and the flags
 for the update leaving iterate ``k``. Aggregate CSV schema:
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rgld.dynamics import ChainConfig, RunRecord, run_chain
+from rgld.dynamics import ChainConfig, RunRecord, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle, bin_samples, tv_distance
 from rgld.objectives import (
@@ -338,6 +343,12 @@ _NUMERIC_KEYS = {
     "center": (False, 1), "x0": (False, 1), "weights": (False, 1), "means": (False, 2),
 }
 _NULLABLE = ("x0", "min_f", "oracle_bins")
+# The other typed keys of the spec tree and the JSON type each must have.
+_TYPED_KEYS = {
+    "name": (str, "a string"), "noise": (str, "a string"),
+    "aggregation": (str, "a string"), "enforce_step_bound": (bool, "true or false"),
+    "methods": (list, "a list of strings"),
+}
 
 
 def _check_number(field: str, value, integer: bool, depth: int) -> None:
@@ -353,7 +364,7 @@ def _check_number(field: str, value, integer: bool, depth: int) -> None:
 
 def _check_keys(field: str, d: dict, required, optional) -> None:
     """Reject unknown and missing keys of one tree, naming each of them,
-    then any numeric value that is not a JSON number of the right kind."""
+    then any value that is not of its key's JSON type."""
     unknown = sorted(set(d) - set(required) - set(optional))
     missing = [k for k in required if k not in d]
     problems = ([f"unknown key {k!r}" for k in unknown]
@@ -363,6 +374,11 @@ def _check_keys(field: str, d: dict, required, optional) -> None:
     for key, value in d.items():
         if key in _NUMERIC_KEYS and not (value is None and key in _NULLABLE):
             _check_number(f"{field}.{key}", value, *_NUMERIC_KEYS[key])
+        elif key in _TYPED_KEYS:
+            kind, want = _TYPED_KEYS[key]
+            if not isinstance(value, kind) or (
+                    key == "methods" and not all(isinstance(m, str) for m in value)):
+                raise ValueError(f"{field}.{key}: expected {want}, got {value!r}")
 
 
 def _objective_from_dict(d: dict) -> Objective:
@@ -404,7 +420,9 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     ``ValueError`` that names each of them, and so does a numeric field
     that is not a JSON number (integers for ``dim``, ``steps``, ``seeds``,
     ``seed``, ``oracle_bins`` and ``tv_prefixes``; ``true`` and
-    ``false`` are not numbers).
+    ``false`` are not numbers). ``methods`` must be a list of strings,
+    ``enforce_step_bound`` ``true`` or ``false``, and ``name``, ``noise``
+    and ``aggregation`` strings.
     """
     _check_keys("spec", d, *_SPEC_KEYS)
     aggregation = d.get("aggregation", "median-with-quartiles")
@@ -424,7 +442,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         noise=d.get("noise", "rademacher"),
         aggregation=aggregation,
         min_f=d.get("min_f"),
-        enforce_step_bound=bool(d.get("enforce_step_bound", True)),
+        enforce_step_bound=d.get("enforce_step_bound", True),
         oracle_bins=d.get("oracle_bins"),
         tv_prefixes=tuple(d.get("tv_prefixes", ())),
     )
@@ -442,9 +460,11 @@ def spec_from_file(path) -> ExperimentSpec:
 _FMT = "{:.17g}".format
 
 
-def _run_job(args) -> RunRecord:
-    spec, config = args
-    return run_chain(config, spec.objective, spec.domain)
+def _run_job(args) -> list[RunRecord]:
+    spec, configs = args
+    if len(configs) == 1:
+        return [run_chain(configs[0], spec.objective, spec.domain)]
+    return run_batch(configs, spec.objective, spec.domain)
 
 
 def run_chains(
@@ -454,27 +474,29 @@ def run_chains(
 
     Each distinct chain runs once: seeds whose chains ignore the seed
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
-    under its own config. The arrays are marked read-only.
+    under its own config. A job is one method's distinct chains: a batch
+    of two or more, or a lone chain. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
-    distinct: dict[tuple, ChainConfig] = {}
+    by_method: dict[str, dict[tuple, ChainConfig]] = {}
     for key, config in configs.items():
-        distinct.setdefault(chain_of[key], config)
-    jobs = [(spec, config) for config in distinct.values()]
+        by_method.setdefault(key[0], {}).setdefault(chain_of[key], config)
+    jobs = [(spec, list(distinct.values())) for distinct in by_method.values()]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # Workers are all forked at the first submit: start no more than jobs.
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_run_job, jobs))
+            batches = list(pool.map(_run_job, jobs))
     else:
-        results = [_run_job(j) for j in jobs]
-    for record in results:
+        batches = [_run_job(job) for job in jobs]
+    records = {key: record for distinct, batch in zip(by_method.values(), batches)
+               for key, record in zip(distinct, batch)}
+    for record in records.values():
         for value in vars(record).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-    records = dict(zip(distinct, results))
     return {key: replace(records[chain_of[key]], config=c) for key, c in configs.items()}
 
 
@@ -523,16 +545,18 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     (unless aggregation is "none"), and, for stationarity presets, one
-    total-variation CSV per seed.
+    total-variation CSV per seed. Every chain runs before ``out_dir`` is
+    created, so a chain that raises (a non-finite iterate, say) leaves
+    no files behind.
     """
     if not spec.seeds:
         raise ValueError("seeds: at least one seed is required")
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
+    records = run_chains(spec, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_chains(spec, workers=workers)
 
     oracle = None
     if spec.oracle_bins is not None:

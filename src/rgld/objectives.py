@@ -1,20 +1,26 @@
 """Differentiable benchmark objectives with analytic gradients.
 
 Each objective writes its formula twice: as a fused
-``value_and_gradient`` at one point for sampler loops (``value`` and
-``gradient`` are derived from it), and as a vectorized ``value_many``
-over rows for quadrature grids. ``lipschitz_bounds`` gives conservative
-closed-form constants over a bounded domain. Bounds favor validity over
+``value_and_gradient`` at one point for single-chain loops (``value``
+and ``gradient`` are derived from it), and as
+``value_and_gradient_many`` over the rows of a ``(B, dim)`` array for
+batched chains, with the same bits per row. ``value_many``, the values
+over rows for quadrature grids, is derived from the latter, except for
+the quadratic and the mixture: their grid sums round differently from
+the batched ones, and the oracles' bits depend on them, so they keep a
+third formula. ``lipschitz_bounds`` gives conservative closed-form
+constants over a bounded domain. Bounds favor validity over
 tightness: they are upper bounds on the true suprema, never estimates.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from rgld.geometry import FeasibleDomain, as_point
+from rgld.geometry import FeasibleDomain, as_point, row_sq_norms
 
 __all__ = [
     "Objective",
@@ -42,11 +48,19 @@ DOMINANT_MODE = (0.0, -2.0)
 DOMINANT_WEIGHT = 12.0
 
 
+def _check_dim(dim, least: int, message: str) -> int:
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ValueError(f"dim: expected an integer, got {dim!r}")
+    if dim < least:
+        raise ValueError(message)
+    return int(dim)
+
+
 class Objective:
     """A differentiable scalar function with an analytic gradient.
 
-    Subclasses define ``value_and_gradient``, ``value_many`` and
-    ``lipschitz_bounds``.
+    Subclasses define ``value_and_gradient``, ``value_and_gradient_many``
+    and ``lipschitz_bounds``.
     """
 
     dim: int
@@ -61,9 +75,16 @@ class Objective:
         """Value and gradient at one point, in one evaluation."""
         raise NotImplementedError
 
+    def value_and_gradient_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(B,)`` and gradients ``(B, dim)`` at the rows of a float64
+        array ``X`` of shape ``(B, dim)``. Row ``i`` has the bits of
+        ``value_and_gradient(X[i])``: wherever that calls BLAS, this runs
+        the same BLAS routine per row through a stacked ``np.matmul``."""
+        raise NotImplementedError
+
     def value_many(self, X) -> np.ndarray:
         """Vectorized value over rows of ``X`` with shape ``(n, dim)``."""
-        raise NotImplementedError
+        return self.value_and_gradient_many(np.asarray(X, dtype=np.float64))[0]
 
     def lipschitz_bounds(self, domain: FeasibleDomain) -> tuple[float, float]:
         """Conservative constants ``(L, M)`` over the domain.
@@ -91,14 +112,15 @@ class Quadratic(Objective):
     def __init__(self, scale: float = 1.0, dim: int = 1):
         if not 0 < scale < math.inf:
             raise ValueError(f"scale: must be positive and finite, got {scale}")
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        self.dim = _check_dim(dim, 1, "dim must be at least 1")
         self.scale = float(scale)
-        self.dim = int(dim)
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim)
         return 0.5 * self.scale * float(x.dot(x)), self.scale * x
+
+    def value_and_gradient_many(self, X):
+        return 0.5 * self.scale * row_sq_norms(X), self.scale * X
 
     def value_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -149,6 +171,14 @@ class GaussianMixture(Objective):
         q = np.exp(-0.5 * (z * z).sum(axis=1))
         return -float(self.weights @ q), (self.weights * q) @ z
 
+    def value_and_gradient_many(self, X):
+        Z = X[:, None, :] - self.means
+        Q = np.exp(-0.5 * (Z * Z).sum(axis=2))
+        # Per row: the dot ``weights @ q`` and the vector-matrix product
+        # ``(weights * q) @ z``, as in ``value_and_gradient``.
+        values = np.matmul(Q[:, None, :], self.weights[:, None])[:, 0, 0]
+        return -values, np.matmul((self.weights * Q)[:, None, :], Z)[:, 0, :]
+
     def value_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         Z = X[:, None, :] - self.means[None, :, :]
@@ -189,9 +219,7 @@ class Rosenbrock(Objective):
     """
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise ValueError("Rosenbrock requires dim >= 2")
-        self.dim = int(dim)
+        self.dim = _check_dim(dim, 2, "Rosenbrock requires dim >= 2")
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim)
@@ -203,10 +231,14 @@ class Rosenbrock(Objective):
         g[1:] += 200.0 * t
         return val, g
 
-    def value_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+    def value_and_gradient_many(self, X):
         T = X[:, 1:] - X[:, :-1] ** 2
-        return np.sum(100.0 * T * T + (1.0 - X[:, :-1]) ** 2, axis=1)
+        head = 1.0 - X[:, :-1]
+        values = np.sum(100.0 * T * T + head * head, axis=1)
+        G = np.zeros_like(X)
+        G[:, :-1] = -400.0 * X[:, :-1] * T - 2.0 * head
+        G[:, 1:] += 200.0 * T
+        return values, G
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
@@ -226,18 +258,16 @@ class Rastrigin(Objective):
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("Rastrigin requires dim >= 1")
-        self.dim = int(dim)
+        self.dim = _check_dim(dim, 1, "Rastrigin requires dim >= 1")
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim)
         val = 10.0 * self.dim + float(np.sum(x * x - 10.0 * np.cos(TWO_PI * x)))
         return val, 2.0 * x + 20.0 * math.pi * np.sin(TWO_PI * x)
 
-    def value_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return 10.0 * self.dim + np.sum(X * X - 10.0 * np.cos(TWO_PI * X), axis=1)
+    def value_and_gradient_many(self, X):
+        values = 10.0 * self.dim + np.sum(X * X - 10.0 * np.cos(TWO_PI * X), axis=1)
+        return values, 2.0 * X + 20.0 * math.pi * np.sin(TWO_PI * X)
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)

@@ -1,22 +1,35 @@
 """Sampler kernels and the chain runner."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rgld import dynamics
 from rgld.dynamics import (
+    METHODS,
+    NOISE_KINDS,
     ChainConfig,
     ChainConfigError,
     pg_step,
     pgld_step,
     rademacher_vector,
     rgld_step,
+    run_batch,
     run_chain,
     step_size_bound,
 )
 from rgld.geometry import Ball, SphericalShell
-from rgld.objectives import Quadratic, Rastrigin, make_grid_gaussian_mixture
+from rgld.objectives import (
+    GaussianMixture,
+    Quadratic,
+    Rastrigin,
+    Rosenbrock,
+    make_grid_gaussian_mixture,
+)
 
 BALL2 = Ball(np.zeros(2), 2.0)
 QUAD2 = Quadratic(1.0, 2)
@@ -285,6 +298,7 @@ class TestFixedPointExit:
         assert np.array_equal(rec.trajectory.view(np.int64), traj.view(np.int64))
         assert rec.projection_events == int(events.sum())
         assert rec.final_point.tobytes() == final.tobytes()
+        assert rec.computed_steps == len(calls)
         if case == "shell-cycling":
             assert first_fixed is None and len(calls) == cfg.steps
         else:
@@ -414,3 +428,167 @@ class TestPresetSafety:
         ):
             rec = self._run(spec, "rgld", 1_000_000)
             assert rec.fallback_count == 0, spec.name
+
+
+def assert_same_record(a, b):
+    """Every field of two records, arrays compared by their bytes."""
+    for field in ("f_value", "cumulative_min", "boundary_events", "fallback_events",
+                  "initial_point", "final_point"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert (a.trajectory is None) == (b.trajectory is None)
+    if a.trajectory is not None:
+        assert a.trajectory.tobytes() == b.trajectory.tobytes()
+    for field in ("reflection_events", "projection_events", "fallback_count",
+                  "computed_steps", "step_bound_satisfied", "config"):
+        assert getattr(a, field) == getattr(b, field), field
+
+
+def assert_batch_matches_run_chain(configs, obj, dom):
+    records = run_batch(configs, obj, dom)
+    assert len(records) == len(configs)
+    for config, rec in zip(configs, records):
+        assert_same_record(rec, run_chain(config, obj, dom))
+    return records
+
+
+@st.composite
+def batches(draw, fixing=False):
+    """A method, objective and region with B = 2..20 chains of one config
+    but for the seed (and, for some, ``x0``), and a noise block size.
+
+    ``fixing`` draws pg rows on Rastrigin with eta near 1 / (2 + 40 pi^2),
+    the curvature at its minima, so that rows reach their fixed points
+    within tens of steps, each at its own step.
+    """
+    kind = "rastrigin" if fixing else draw(
+        st.sampled_from(["quadratic", "mixture", "rosenbrock", "rastrigin"]))
+    is_ball = draw(st.booleans())
+    dim = draw(st.integers(1 if is_ball and kind != "rosenbrock" else 2, 5))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    if is_ball:
+        dom = Ball(center, draw(st.floats(0.5, 3.0)))
+    else:
+        inner = draw(st.floats(0.3, 1.5))
+        dom = SphericalShell(center, inner, inner + draw(st.floats(0.3, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obj = {
+        "quadratic": lambda: Quadratic(draw(st.floats(0.1, 10.0)), dim),
+        "mixture": lambda: GaussianMixture(rng.uniform(0.5, 1.0, 6), rng.normal(size=(6, dim))),
+        "rosenbrock": lambda: Rosenbrock(dim),
+        "rastrigin": lambda: Rastrigin(dim),
+    }[kind]()
+    B = draw(st.integers(2, 20))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=B, max_size=B, unique=True))
+    start = draw(st.sampled_from(["drawn", "per-row"] if fixing else
+                                 ["drawn", "shared", "per-row"]))
+    x0 = {
+        "drawn": lambda: [None] * B,
+        "shared": lambda: [dom.sample_uniform(rng)] * B,
+        "per-row": lambda: [dom.sample_uniform(rng) for _ in range(B)],
+    }[start]()
+    base = dict(
+        method="pg" if fixing else draw(st.sampled_from(METHODS)),
+        eta=draw(st.floats(2e-3, 3e-3)) if fixing else 10.0 ** draw(st.floats(-4.0, -0.5)),
+        beta=draw(st.floats(0.5, 20.0)),
+        steps=draw(st.integers(1, 300)),
+        noise=draw(st.sampled_from(NOISE_KINDS)),
+        record_trajectory=draw(st.booleans()),
+        enforce_step_bound=False,
+    )
+    configs = [ChainConfig(seed=s, x0=x, **base) for s, x in zip(seeds, x0)]
+    return configs, obj, dom, draw(st.sampled_from([1, 7, 4096]))
+
+
+class TestRunBatch:
+    """``run_batch`` gives every chain its ``run_chain`` record, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(batches())
+    def test_matches_run_chain(self, case):
+        configs, obj, dom, block = case
+        with mock.patch.object(dynamics, "_NOISE_BLOCK", block):
+            assert_batch_matches_run_chain(configs, obj, dom)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(batches(fixing=True))
+    def test_fixed_rows_match_run_chain(self, case):
+        configs, obj, dom, _ = case
+        assert_batch_matches_run_chain(configs, obj, dom)
+
+    def test_rows_fix_at_different_steps(self):
+        # Drawn starts: each pg row stops at its own fixed point (steps
+        # 150-163 here), and the rows that have not fixed by step 157 keep
+        # computing to the end.
+        obj, dom = Rastrigin(2), SphericalShell(np.zeros(2), 0.9, 5.12)
+        configs = [ChainConfig(method="pg", eta=5e-4, steps=157, seed=s,
+                               record_trajectory=True) for s in range(8)]
+        records = assert_batch_matches_run_chain(configs, obj, dom)
+        computed = [r.computed_steps for r in records]
+        assert len(set(computed)) > 2
+        assert min(computed) < 157 and max(computed) == 157
+
+    def test_fixed_rows_on_the_boundary_and_cycling_rows(self):
+        # The quadratic pulls every iterate into the cavity: rows fix on
+        # the inner sphere, projected on every later step.
+        obj, dom = Quadratic(1.0, 2), SphericalShell(np.zeros(2), 1.0, 3.0)
+        starts = [np.array([2.0, 0.5]), np.array([-1.5, 2.0]), np.array([0.0, -2.5])]
+        for eta in (0.1, 0.05):
+            configs = [ChainConfig(method="pg", eta=eta, steps=400, x0=x) for x in starts]
+            records = assert_batch_matches_run_chain(configs, obj, dom)
+            assert all(r.projection_events > 0 for r in records)
+
+    def test_fallback_rows(self):
+        obj, dom = Rosenbrock(2), SphericalShell(np.zeros(2), 0.5, 2.0)
+        configs = [ChainConfig(method="rgld", eta=3e-3, beta=1.0, steps=2000, seed=s,
+                               enforce_step_bound=False, record_trajectory=True)
+                   for s in range(6)]
+        records = assert_batch_matches_run_chain(configs, obj, dom)
+        assert sum(r.fallback_count for r in records) > 0
+        assert sum(r.reflection_events for r in records) > 0
+
+    @pytest.mark.parametrize("field,value", [("method", "pgld"), ("eta", 0.02),
+                                             ("steps", 11), ("noise", "gaussian")])
+    def test_configs_must_agree(self, field, value):
+        configs = [ChainConfig(method="rgld", eta=0.01, steps=10, seed=s) for s in (0, 1)]
+        setattr(configs[1], field, value)
+        with pytest.raises(ChainConfigError, match=f"^{field}"):
+            run_batch(configs, QUAD2, BALL2)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^configs"):
+            run_batch([], QUAD2, BALL2)
+
+
+class TestNonFiniteIterates:
+    """An update whose ``eta * grad`` overflows raises, naming the chain."""
+
+    @pytest.mark.parametrize("method", ["rgld", "pg"])
+    @pytest.mark.parametrize("runner", ["chain", "batch"])
+    def test_overflowing_update_raises(self, method, runner):
+        # eta * grad = 1e308 * 1.9 overflows to inf.
+        configs = [ChainConfig(method=method, eta=1e308, steps=50, seed=s,
+                               x0=np.array([1.9, 0.0]), enforce_step_bound=False)
+                   for s in (3, 4)]
+        with pytest.raises(ValueError, match=f"^{method} chain, seed 3: iterate 1 is not finite"):
+            if runner == "chain":
+                run_chain(configs[0], QUAD2, BALL2)
+            else:
+                run_batch(configs, QUAD2, BALL2)
+
+    def test_non_finite_final_point_named_by_its_step(self):
+        cfg = ChainConfig(method="pg", eta=1e308, steps=1, seed=5,
+                          x0=np.array([1.9, 0.0]), enforce_step_bound=False)
+        with pytest.raises(ValueError, match="^pg chain, seed 5: iterate 1 is not finite"):
+            run_chain(cfg, QUAD2, BALL2)
+
+    def test_overflowing_squared_norm_is_projected_not_centred(self):
+        # eta * grad stays finite, but ||x_raw||^2 overflows: the raw
+        # point is projected onto the outer sphere, never sent to the
+        # center, which lies in the cavity.
+        obj, dom = Rosenbrock(2), SphericalShell(np.zeros(2), 0.5, 2.0)
+        configs = [ChainConfig(method="rgld", eta=1e300, steps=20, seed=s,
+                               enforce_step_bound=False) for s in (0, 1)]
+        records = assert_batch_matches_run_chain(configs, obj, dom)
+        for rec in records:
+            assert dom.contains(rec.final_point)
+            assert rec.fallback_count == 20

@@ -69,6 +69,21 @@ class TestProject:
     def test_ball_exterior(self):
         np.testing.assert_allclose(BALL.project([3.0, 4.0]), [1.2, 1.6])
 
+    @pytest.mark.parametrize("domain", [SphericalShell(np.zeros(2), 0.5, 2.0), BALL],
+                             ids=["shell", "ball"])
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [-1e300, 1e-300], [1.7e308, -1.7e308]])
+    def test_overflowing_squared_norm(self, domain, x):
+        # ||x||^2 overflows to inf although x is finite: the nearest point
+        # is still on the outer sphere, not the center.
+        x = np.array(x)
+        p = domain.project(x)
+        assert domain.contains(p)
+        u = x / np.abs(x).max()
+        np.testing.assert_allclose(p, domain.outer_radius * u / np.linalg.norm(u),
+                                   rtol=1e-15, atol=1e-15)
+        r, reflected, fallback = domain.reflect_or_project(x)
+        assert fallback and np.array_equal(r, p)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             BALL.project([1.0])
@@ -230,24 +245,70 @@ def regions_and_points(draw, reach=0.99):
     distance from the center is drawn up to ``reach`` reflection margins
     beyond either sphere, or is one ulp inside, on, or one ulp outside
     one of them."""
+    dom = _region(draw)
+    return dom, _point(draw, dom, reach)
+
+
+def _region(draw):
     is_ball = draw(st.booleans())
     dim = draw(st.integers(1 if is_ball else 2, 30))
     center = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
     inner = 0.0 if is_ball else draw(st.floats(0.1, 5.0))
     outer = inner + draw(st.floats(0.1, 5.0))
-    dom = Ball(center, outer) if is_ball else SphericalShell(center, inner, outer)
+    return Ball(center, outer) if is_ball else SphericalShell(center, inner, outer)
+
+
+def _point(draw, dom, reach):
+    inner, outer = dom.inner_radius, dom.outer_radius
     m = reach * dom.reflection_margin
     spheres = [r for r in (inner, outer) if r > 0]
     near_sphere = [math.nextafter(r, t) for r in spheres for t in (0.0, r, math.inf)]
     rho = draw(st.sampled_from(near_sphere) | st.floats(max(0.0, inner - m), outer + m))
-    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dim)
-    return dom, dom.center + rho * (u / np.linalg.norm(u))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dom.dim)
+    return dom.center + rho * (u / np.linalg.norm(u))
+
+
+@st.composite
+def regions_and_rows(draw):
+    """A region and a ``(B, dim)`` array of points drawn as above up to 3
+    margins out, plus a NaN row."""
+    dom = _region(draw)
+    rows = [_point(draw, dom, 3.0) for _ in range(draw(st.integers(1, 8)))]
+    return dom, np.array(rows + [np.full(dom.dim, np.nan)])
 
 
 PROPERTIES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
+@st.composite
+def regions_and_far_points(draw):
+    """A region and a finite point so far out that its squared distance
+    from the center overflows."""
+    dom = _region(draw)
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dom.dim)
+    return dom, dom.center + draw(st.floats(1e155, 1e300)) * (u / np.linalg.norm(u))
+
+
 class TestRegionProperties:
+    @PROPERTIES
+    @given(regions_and_far_points())
+    def test_projection_of_overflowing_points(self, case):
+        dom, x = case
+        v = x - dom.center
+        p = dom.project(x)
+        assert dom.contains(p)
+        # On the outer sphere, along the point's own direction.
+        dom.outward_normal(p)
+        u = v / np.abs(v).max()
+        np.testing.assert_allclose((p - dom.center) / dom.outer_radius,
+                                   u / np.linalg.norm(u), atol=1e-12)
+
+    @PROPERTIES
+    @given(regions_and_rows())
+    def test_contains_many_has_the_scalar_bits(self, case):
+        dom, X = case
+        assert dom.contains_many(X).tolist() == [dom.contains(x) for x in X]
+
     @PROPERTIES
     @given(regions_and_points())
     def test_projection_feasible_and_idempotent(self, case):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -260,24 +261,31 @@ class TestStreamedWriter:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def spy_on_run_chain(monkeypatch):
+def spy_on_jobs(monkeypatch):
+    """Record each lone chain as ``("chain", method, seed)`` and each batch
+    as ``("batch", method, seeds)``."""
     calls = []
-    run_chain = harness.run_chain
+    run_chain, run_batch = harness.run_chain, harness.run_batch
 
-    def spy(config, obj, domain):
-        calls.append((config.method, config.seed))
+    def chain_spy(config, obj, domain):
+        calls.append(("chain", config.method, config.seed))
         return run_chain(config, obj, domain)
 
-    monkeypatch.setattr(harness, "run_chain", spy)
+    def batch_spy(configs, obj, domain):
+        calls.append(("batch", configs[0].method, tuple(c.seed for c in configs)))
+        return run_batch(configs, obj, domain)
+
+    monkeypatch.setattr(harness, "run_chain", chain_spy)
+    monkeypatch.setattr(harness, "run_batch", batch_spy)
     return calls
 
 
 class TestDistinctChains:
     def test_seed_free_pg_chain_runs_once(self, monkeypatch):
         spec = tiny_gm2d(steps=300, seeds=(4, 5, 6))
-        calls = spy_on_run_chain(monkeypatch)
+        calls = spy_on_jobs(monkeypatch)
         records = harness.run_chains(spec)
-        assert sorted(calls) == [("pg", 4), ("rgld", 4), ("rgld", 5), ("rgld", 6)]
+        assert calls == [("chain", "pg", 4), ("batch", "rgld", (4, 5, 6))]
         for (method, seed), rec in records.items():
             assert (rec.config.method, rec.config.seed) == (method, seed)
             alone = run_chain(spec.chain_config(method, seed), spec.objective, spec.domain)
@@ -288,9 +296,9 @@ class TestDistinctChains:
 
     def test_drawn_start_runs_pg_once_per_seed(self, monkeypatch):
         spec = preset_rosenbrock(4, steps=50, seeds=(0, 1, 2))
-        calls = spy_on_run_chain(monkeypatch)
+        calls = spy_on_jobs(monkeypatch)
         records = harness.run_chains(spec)
-        assert sorted(calls) == [(m, s) for m in ("pg", "rgld") for s in (0, 1, 2)]
+        assert calls == [("batch", m, (0, 1, 2)) for m in ("pg", "rgld")]
         starts = {records[("pg", s)].initial_point.tobytes() for s in spec.seeds}
         assert len(starts) == 3
 
@@ -352,6 +360,40 @@ class TestInputChecks:
         assert f"{field}: expected" in err and repr(value) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("methods", "rgld"),
+        ("methods", ["rgld", 3]),
+        ("enforce_step_bound", "false"),
+        ("enforce_step_bound", 0),
+        ("noise", 1),
+        ("aggregation", None),
+        ("name", 5),
+    ])
+    def test_spec_rejects_mistyped_fields(self, field, value):
+        spec = {
+            "objective": {"kind": "rastrigin", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+            field: value,
+        }
+        with pytest.raises(ValueError, match=f"^spec.{field}: expected .*{re.escape(repr(value))}$"):
+            spec_from_dict(spec)
+
+    def test_cli_rejects_non_finite_iterates(self, tmp_path, capsys):
+        # eta * grad = 1e308 * 1.9 overflows on the first update.
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+            "methods": ["pg", "rgld"], "eta": 1e308, "beta": 1.0, "steps": 10,
+            "seeds": [3, 4], "x0": [1.9, 0.0], "enforce_step_bound": False,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "pg chain, seed 3: iterate 1 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_pool_never_larger_than_job_count(self, monkeypatch):
         import concurrent.futures
 
@@ -372,9 +414,10 @@ class TestInputChecks:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         records = harness.run_chains(tiny_gm2d(steps=5), workers=1000)
-        # Two seeds share one pg chain (fixed start, no noise): 3 jobs.
+        # One job per method: the pg chain both seeds share, and a batch
+        # of the two rgld chains.
         assert len(records) == 4
-        assert sizes == [3]
+        assert sizes == [2]
 
     def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
         rc = cli.main(["run", "gm2d", "--steps", "10", "--seeds", "",
@@ -549,6 +592,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("target", ["gm2d", "rosenbrock"])
+    def test_workers_write_identical_bytes(self, target, tmp_path):
+        # Batches and lone chains cross the process boundary unchanged.
+        for workers in ("1", "2"):
+            assert cli.main(["run", target, "--steps", "300", "--seeds", "0..2",
+                             "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        one = sorted((tmp_path / "1").iterdir())
+        assert len(one) == 8
+        for p in one:
+            assert p.read_bytes() == (tmp_path / "2" / p.name).read_bytes()
 
     def test_entry_point_help(self):
         proc = subprocess.run(

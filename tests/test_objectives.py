@@ -82,6 +82,19 @@ class TestValues:
         with pytest.raises(ValueError, match="dimension"):
             Rosenbrock(4).value(np.ones(3))
 
+    @pytest.mark.parametrize("obj", [
+        Quadratic(2.5, 1), Quadratic(0.3, 30), Rosenbrock(2), Rosenbrock(10),
+        Rosenbrock(30), Rastrigin(1), Rastrigin(30), make_grid_gaussian_mixture(0),
+        GaussianMixture(np.linspace(0.5, 1.0, 7), np.arange(35.0).reshape(7, 5) / 9.0),
+    ], ids=lambda o: f"{type(o).__name__}{o.dim}")
+    def test_value_and_gradient_many_has_the_scalar_bits(self, obj):
+        X = np.random.default_rng(obj.dim).normal(scale=2.0, size=(2000, obj.dim))
+        values, grads = obj.value_and_gradient_many(X)
+        for x, v, g in zip(X, values, grads):
+            value, gradient = obj.value_and_gradient(x)
+            assert np.float64(value).tobytes() == v.tobytes()
+            assert gradient.tobytes() == g.tobytes()
+
 
 class TestGradients:
     def test_quadratic_example(self):
@@ -221,6 +234,18 @@ class TestValidation:
             GaussianMixture([1.0], [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             GaussianMixture([1.0, -2.0], [[0.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("cls,args", [
+        (Quadratic, (1.0, 1.5)), (Rastrigin, (2.7,)), (Rosenbrock, (3.0,)),
+        (Rastrigin, (True,)), (Rosenbrock, ("4",)),
+    ], ids=["quadratic-1.5", "rastrigin-2.7", "rosenbrock-3.0", "rastrigin-bool",
+            "rosenbrock-str"])
+    def test_non_integer_dim_rejected(self, cls, args):
+        with pytest.raises(ValueError, match="^dim: expected an integer"):
+            cls(*args)
+
+    def test_numpy_integer_dim_accepted(self):
+        assert Rastrigin(np.int64(3)).dim == 3
 
     def test_rosenbrock_needs_two_dims(self):
         with pytest.raises(ValueError):
