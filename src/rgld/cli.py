@@ -93,7 +93,10 @@ def _cmd_oracle(args) -> int:
     if spec.domain.dim > 2:
         print("oracle requires a preset of dimension <= 2", file=sys.stderr)
         return 2
-    bins = args.bins or spec.oracle_bins or 256
+    # ``is None``, not ``or``: ``--bins 0`` is an error, not the default.
+    bins = args.bins if args.bins is not None else spec.oracle_bins
+    if bins is None:
+        bins = 256
     oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,21 @@ for the update leaving iterate ``k``. Aggregate CSV schema:
 ``step,q25,q50,q75`` of the optimization error (running minimum minus
 the known minimum over the region) across seeds. Floats are printed
 with 17 significant digits so values round-trip exactly.
+
+Every CSV goes through one block-streamed writer. A row's text after
+its leading columns is formatted once per run of rows whose bits are
+equal in those columns (``cummin`` and the flags; the quartiles), so a
+row costs one ``%``-format of its step and ``f``, or one concatenation.
+Seeds that share one record get one formatted chain CSV and byte copies
+of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -457,9 +466,6 @@ def spec_from_file(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # Execution and emission
 
-_FMT = "{:.17g}".format
-
-
 def _run_job(args) -> list[RunRecord]:
     spec, configs = args
     if len(configs) == 1:
@@ -500,32 +506,57 @@ def run_chains(
     return {key: replace(records[chain_of[key]], config=c) for key, c in configs.items()}
 
 
-def _run_strings(col: np.ndarray) -> np.ndarray:
-    """``_FMT`` of every entry of a non-empty column, as an object array.
+def _run_strings(fmt: str, columns) -> np.ndarray:
+    """``fmt % row`` of every row of equal-length, non-empty columns, as an
+    object array.
 
-    Each run of equal values is formatted once. Runs are split on bit
-    patterns, not ``==``, so ``-0.0`` next to ``0.0`` still prints as
-    ``-0`` and ``0``.
+    Each run of rows whose bits are equal in every column is formatted
+    once. Runs are split on bit patterns, not ``==``, so ``-0.0`` next to
+    ``0.0`` still prints as ``-0`` and ``0``.
     """
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    strings = np.array([_FMT(v) for v in col[starts].tolist()], dtype=object)
-    return np.repeat(strings, np.diff(starts, append=col.size))
-
-
-def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
-    """Write equal-length columns as CSV rows, streamed in blocks.
-
-    Each block is converted to Python values with ``tolist`` and joined
-    through ``row_format``, so no more than one block of text is held in
-    memory at a time.
-    """
-    fmt = row_format.format
     n = len(columns[0])
+    starts = np.zeros(n, dtype=bool)
+    starts[0] = True
+    for c in columns:
+        bits = c.view(f"u{c.itemsize}")
+        starts[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(starts)
+    rows = zip(*(c[starts].tolist() for c in columns))
+    strings = np.array([fmt % row for row in rows], dtype=object)
+    return np.repeat(strings, np.diff(starts, append=n))
+
+
+def _write_csv(path, header: str, n: int, rows) -> None:
+    """Write ``header`` and ``n`` rows to ``path``, streamed in blocks.
+
+    ``rows(a, b)`` returns the text of rows ``a .. b-1``, each ending in a
+    newline, as an iterable of strings, so no more than one block of text
+    is held in memory at a time.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for a in range(0, n, _BLOCK_ROWS):
-            fh.write("".join(map(fmt, *(c[a:a + _BLOCK_ROWS].tolist() for c in columns))))
+            fh.write("".join(rows(a, min(a + _BLOCK_ROWS, n))))
+
+
+def _write_chain_csv(path, record: RunRecord) -> None:
+    """One row per step: the step and ``f``, then a tail formatted once per
+    run of equal ``cummin`` and flags."""
+    f = record.f_value
+    tails = _run_strings(",%.17g,%d,%d\n", [
+        record.cumulative_min, record.boundary_events, record.fallback_events,
+    ])
+    row = "%d,%.17g%s".__mod__
+    _write_csv(path, "step,f,cummin,reflected,fallback", f.size, lambda a, b: map(
+        row, zip(range(a, b), f[a:b].tolist(), tails[a:b].tolist())))
+
+
+def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
+    """One row per step: the step, then its quartiles formatted once per
+    run of equal quartiles."""
+    tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
+    _write_csv(path, "step,q25,q50,q75", tails.size, lambda a, b: map(
+        operator.add, map(str, range(a, b)), tails[a:b].tolist()))
 
 
 def tv_over_prefixes(
@@ -564,30 +595,33 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
 
     paths: list[Path] = []
     for method in spec.methods:
+        # Seeds whose chains read no seed share one record: format it once
+        # and copy the file for the others.
+        shared = None
         for seed in spec.seeds:
             p = out / f"{spec.name}_{method}_seed{seed}.csv"
             r = records[(method, seed)]
-            _write_csv(p, "step,f,cummin,reflected,fallback", "{},{:.17g},{},{},{}\n", [
-                np.arange(r.steps), r.f_value, _run_strings(r.cumulative_min),
-                r.boundary_events.view(np.uint8), r.fallback_events.view(np.uint8),
-            ])
+            if shared is None:
+                _write_chain_csv(p, r)
+                if not r.config.depends_on_seed:
+                    shared = p
+            else:
+                shutil.copyfile(shared, p)
             paths.append(p)
         if spec.aggregation == "median-with-quartiles":
             curve = AggregateCurve.from_records(
                 [records[(method, s)] for s in spec.seeds], spec.min_f
             )
             p = out / f"{spec.name}_{method}_aggregate.csv"
-            _write_csv(p, "step,q25,q50,q75", "{},{},{},{}\n", [
-                np.arange(curve.q25.shape[0]), _run_strings(curve.q25),
-                _run_strings(curve.q50), _run_strings(curve.q75),
-            ])
+            _write_aggregate_csv(p, curve)
             paths.append(p)
     if oracle is not None:
+        row = "%d,%.17g\n".__mod__
         for method in spec.methods:
             for seed in spec.seeds:
                 tvs = tv_over_prefixes(spec, records[(method, seed)], oracle)
                 p = out / f"{spec.name}_{method}_tv_seed{seed}.csv"
-                _write_csv(p, "prefix,tv", "{},{:.17g}\n",
-                           [np.asarray(spec.tv_prefixes, dtype=np.int64), np.asarray(tvs)])
+                _write_csv(p, "prefix,tv", len(tvs), lambda a, b: map(
+                    row, zip(spec.tv_prefixes[a:b], tvs[a:b])))
                 paths.append(p)
     return paths

@@ -98,9 +98,7 @@ class GibbsOracle:
             self.shape = (n_per_axis, n_per_axis)
         self.cell_volume = float(np.prod((hi - lo) / n_per_axis))
 
-        self.in_domain = np.array(
-            [domain.contains(m) for m in self.midpoints], dtype=bool
-        )
+        self.in_domain = domain.contains_many(self.midpoints)
         if not self.in_domain.any():
             raise ValueError("degenerate grid: no cell midpoint lies in the region")
         self.f_values = objective.value_many(self.midpoints)
@@ -207,17 +205,17 @@ def export_cells_csv(path, oracle: GibbsOracle, histogram: Histogram | None = No
     and (when a histogram is given) the sample count."""
     if histogram is not None and not oracle.same_partition(histogram.edges):
         raise ValueError("histogram and oracle use different cell partitions")
+    # Imported here: the harness imports this module.
+    from rgld.harness import _write_csv
+
     dim = len(oracle.edges)
-    coord_cols = ",".join(f"mid_{i}" for i in range(dim))
-    header = f"cell,{coord_cols},probability"
+    header = "cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"
+    columns = [oracle.midpoints[:, i] for i in range(dim)] + [oracle.probabilities]
+    row = "%d" + ",%.17g" * (dim + 1)
     if histogram is not None:
         header += ",count"
-    lines = [header]
-    for c in range(oracle.n_cells):
-        coords = ",".join(f"{v:.17g}" for v in oracle.midpoints[c])
-        row = f"{c},{coords},{oracle.probabilities[c]:.17g}"
-        if histogram is not None:
-            row += f",{int(histogram.counts[c])}"
-        lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        columns.append(histogram.counts)
+        row += ",%d"
+    row = (row + "\n").__mod__
+    _write_csv(path, header, oracle.n_cells, lambda a, b: map(
+        row, zip(range(a, b), *(c[a:b].tolist() for c in columns))))

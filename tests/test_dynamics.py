@@ -25,6 +25,7 @@ from rgld.dynamics import (
 from rgld.geometry import Ball, SphericalShell
 from rgld.objectives import (
     GaussianMixture,
+    Objective,
     Quadratic,
     Rastrigin,
     Rosenbrock,
@@ -252,6 +253,58 @@ class TestRunChain:
         expected = GM_SHELL.project(np.array([0.5, 0.5]))
         np.testing.assert_array_equal(rec.initial_point, expected)
         assert GM_SHELL.contains(rec.initial_point)
+
+
+class Flat(Objective):
+    """``f = 0``: an update moves the iterate by its noise alone."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def value_and_gradient(self, x):
+        return 0.0, np.zeros(self.dim)
+
+    def lipschitz_bounds(self, domain):
+        return 0.0, 0.0
+
+
+class TestOuterSphere:
+    """An update that lands exactly on the outer sphere is a member; one ulp
+    beyond it is reflected."""
+
+    # eta = 1/8 and beta = 1 scale the Rademacher kick by exactly 1/2.
+    CONFIG = dict(method="rgld", eta=0.125, beta=1.0, steps=1, seed=7,
+                  enforce_step_bound=False)
+
+    def first_kick(self, dim):
+        rng = np.random.default_rng(self.CONFIG["seed"])
+        return 0.5 * (rng.integers(0, 2, size=(1, dim)).astype(np.float64)[0] * 2.0 - 1.0)
+
+    @pytest.mark.parametrize("case", ["ball-off-origin", "shell-at-origin"])
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_landing_on_or_one_ulp_past_the_outer_sphere(self, case, beyond):
+        if case == "ball-off-origin":
+            dom = Ball(np.array([0.75, -1.5]), 5.0)
+        else:
+            dom = SphericalShell(np.zeros(2), 1.0, 5.0)
+        kick = self.first_kick(2)
+        # (3, 4) has norm 5 exactly; point it the way the kick goes.
+        v = np.sign(kick) * np.array([3.0, 4.0])
+        if beyond:
+            v[1] = np.nextafter(v[1], 2 * v[1])
+        target = dom.center + v
+        x0 = target - kick
+        assert np.array_equal(x0 + kick, target) and dom.contains(x0)
+        assert dom.contains(target) is not beyond
+
+        rec = run_chain(ChainConfig(x0=x0, **self.CONFIG), Flat(2), dom)
+        assert rec.initial_point.tobytes() == x0.tobytes()
+        assert bool(rec.boundary_events[0]) is beyond
+        assert (rec.reflection_events, rec.fallback_count) == (int(beyond), 0)
+        point, reflected, fallback = dom.reflect_or_project(target)
+        assert (reflected, fallback) == (beyond, False)
+        assert rec.final_point.tobytes() == point.tobytes()
+        assert dom.contains(rec.final_point)
 
 
 def pg_reference(cfg, obj, dom):

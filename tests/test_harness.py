@@ -7,9 +7,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgld import cli, harness
 from rgld.dynamics import ChainConfigError, run_chain
@@ -196,48 +199,70 @@ def old_row_text(header, columns, float_columns):
     return "\n".join(lines) + "\n"
 
 
-class TestStreamedWriter:
-    HEADER = "step,f,cummin,reflected,fallback"
+# Values whose text is easy to get wrong: signed zeros, subnormals, one-ulp
+# neighbours, and the non-finite values.
+AWKWARD_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2 * 5e-324, np.nextafter(2.2250738585072014e-308, 0.0),
+    1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, -2.5, 1e300,
+    -np.inf, np.inf, np.nan,
+]
 
-    def write_chain_rows(self, path, f, c, ev, fb):
-        harness._write_csv(path, self.HEADER, "{},{:.17g},{},{},{}\n", [
-            np.arange(f.size), f, harness._run_strings(c),
-            ev.view(np.uint8), fb.view(np.uint8),
-        ])
+
+@st.composite
+def csv_columns(draw):
+    """Chain columns whose ``cummin`` comes in runs, with flags that toggle
+    inside them, and a block size for the writer."""
+    values = st.sampled_from(AWKWARD_FLOATS) | st.floats()
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 6)), min_size=1, max_size=12))
+    c = np.repeat([v for v, _ in runs], [k for _, k in runs]).astype(np.float64)
+    n = c.size
+    f = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    ev, fb = (np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+              for _ in range(2))
+    return f, c, ev, fb, draw(st.integers(1, n + 1))
+
+
+class TestStreamedWriter:
+    """The chain and aggregate writers of ``run_experiment`` against the
+    text of the former per-row f-string writers."""
+
+    def write_chain(self, path, f, c, ev, fb):
+        harness._write_chain_csv(path, SimpleNamespace(
+            f_value=f, cumulative_min=c, boundary_events=ev, fallback_events=fb))
         return path.read_bytes()
 
-    def expected(self, f, c, ev, fb):
-        text = old_row_text(self.HEADER, [np.arange(f.size), f, c, ev, fb], {1, 2})
-        return text.encode("utf-8")
+    def write_aggregate(self, path, q):
+        harness._write_aggregate_csv(path, SimpleNamespace(q25=q[0], q50=q[1], q75=q[2]))
+        return path.read_bytes()
 
-    def check(self, tmp_path, values):
+    def check(self, path, f, c, ev, fb):
+        """Both writers: the chain columns, and quartiles made of them."""
+        steps = np.arange(f.size)
+        want = old_row_text("step,f,cummin,reflected,fallback", [steps, f, c, ev, fb], {1, 2})
+        assert self.write_chain(path, f, c, ev, fb) == want.encode("utf-8")
+        q = [c, f, c]
+        want = old_row_text("step,q25,q50,q75", [steps, *q], {1, 2, 3})
+        assert self.write_aggregate(path, q) == want.encode("utf-8")
+
+    def check_values(self, tmp_path, values):
         rng = np.random.default_rng(1)
         f = np.asarray(values, dtype=np.float64)
-        ev = rng.random(f.size) < 0.3
-        fb = rng.random(f.size) < 0.1
-        got = self.write_chain_rows(tmp_path / "c.csv", f, f, ev, fb)
-        assert got == self.expected(f, f, ev, fb)
+        self.check(tmp_path / "c.csv", f, f, rng.random(f.size) < 0.3, rng.random(f.size) < 0.1)
 
     def test_signed_zero_runs(self, tmp_path):
-        self.check(tmp_path, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+        self.check_values(tmp_path, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:4]] == ["0", "0", "-0"]
 
     def test_subnormals_and_one_ulp_neighbours(self, tmp_path):
-        tiny = 5e-324
-        one_up = np.nextafter(1.0, 2.0)
-        self.check(tmp_path, [
-            tiny, tiny, 2 * tiny, -tiny, np.nextafter(2.2250738585072014e-308, 0.0),
-            1.0, one_up, one_up, 1.0, np.nextafter(1.0, 0.0), 0.1, 0.1, 1e300,
-            -np.inf, np.inf, np.nan,
-        ])
+        self.check_values(tmp_path, AWKWARD_FLOATS + [5e-324, 0.1, 0.1])
 
     def test_single_row(self, tmp_path):
-        self.check(tmp_path, [-0.0])
+        self.check_values(tmp_path, [-0.0])
 
     def test_run_crossing_block_boundary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
-        self.check(tmp_path, [3.0] * 3 + [2.5] * 9 + [-0.0] * 3 + [0.0] * 6)
+        self.check_values(tmp_path, [3.0] * 3 + [2.5] * 9 + [-0.0] * 3 + [0.0] * 6)
 
     def test_run_crossing_real_block_size(self, tmp_path):
         n = harness._BLOCK_ROWS + 17
@@ -247,8 +272,14 @@ class TestStreamedWriter:
         f = c + np.linspace(0.0, 1.0, n)
         ev = np.zeros(n, dtype=bool)
         ev[harness._BLOCK_ROWS - 1: harness._BLOCK_ROWS + 1] = True
-        got = self.write_chain_rows(tmp_path / "c.csv", f, c, ev, ~ev)
-        assert got == self.expected(f, c, ev, ~ev)
+        self.check(tmp_path / "c.csv", f, c, ev, ~ev)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(csv_columns())
+    def test_matches_per_row_text(self, tmp_path_factory, case):
+        f, c, ev, fb, block = case
+        with mock.patch.object(harness, "_BLOCK_ROWS", block):
+            self.check(tmp_path_factory.mktemp("w") / "c.csv", f, c, ev, fb)
 
     def test_aggregate_blocks_match_one_call(self, monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 1000)
@@ -259,6 +290,21 @@ class TestStreamedWriter:
         want = np.percentile(np.stack([c + 1.5 for c in cummins]), [25.0, 50.0, 75.0], axis=0)
         got = np.stack([curve.q25, curve.q50, curve.q75])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_shared_record_is_formatted_once(self, tmp_path, monkeypatch):
+        # gm2d's pg chain reads no seed: one record serves seeds 0, 1 and 2.
+        spec = tiny_gm2d(steps=300, seeds=(0, 1, 2))
+        written = []
+        write = harness._write_chain_csv
+        monkeypatch.setattr(harness, "_write_chain_csv",
+                            lambda path, r: written.append(path.name) or write(path, r))
+        run_experiment(spec, tmp_path / "out")
+        assert written == ["gm2d_pg_seed0.csv"] + [f"gm2d_rgld_seed{s}.csv" for s in range(3)]
+        records = harness.run_chains(spec)
+        for seed in spec.seeds:
+            write(tmp_path / "ref.csv", records[("pg", seed)])
+            got = (tmp_path / "out" / f"gm2d_pg_seed{seed}.csv").read_bytes()
+            assert got == (tmp_path / "ref.csv").read_bytes()
 
 
 def spy_on_jobs(monkeypatch):
@@ -544,6 +590,14 @@ class TestCli:
         path = tmp_path / "gibbs1d_oracle_64.csv"
         assert path.exists()
         assert path.read_text().startswith("cell,mid_0,probability")
+
+    @pytest.mark.parametrize("bins", ["0", "1", "-3"])
+    def test_oracle_rejects_too_few_bins(self, bins, tmp_path, capsys):
+        # 0 is a bin count, not "unset": it must not fall back to 256.
+        rc = cli.main(["oracle", "gibbs1d", "--bins", bins, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"n_per_axis must be at least 32, got {bins}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--eta", "--steps", "--seeds"])
     def test_oracle_rejects_chain_flags(self, flag, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from rgld import harness
 from rgld.geometry import Ball, SphericalShell
 from rgld.measure import (
     GibbsOracle,
@@ -215,7 +216,49 @@ class TestNearOptimalityBound:
             near_optimality_bound(1, 1.0, -1.0, 1.0, 1.0)
 
 
+def old_cells_text(oracle, histogram=None):
+    """The text of the former per-cell f-string writer."""
+    dim = len(oracle.edges)
+    header = "cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"
+    lines = [header + (",count" if histogram is not None else "")]
+    for c in range(oracle.n_cells):
+        coords = ",".join(f"{v:.17g}" for v in oracle.midpoints[c])
+        row = f"{c},{coords},{oracle.probabilities[c]:.17g}"
+        if histogram is not None:
+            row += f",{int(histogram.counts[c])}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+class TestCellClassification:
+    @pytest.mark.parametrize("domain", [
+        Ball(np.array([0.3]), 1.7), Ball(np.array([-0.2, 0.7]), 1.3),
+        SphericalShell(np.array([0.1, -0.4]), 0.6, 2.0), GM_SHELL,
+    ])
+    def test_batched_membership_matches_contains(self, domain):
+        oracle = GibbsOracle(Quadratic(1.0, domain.dim), domain, 1.0, 96)
+        want = [domain.contains(m) for m in oracle.midpoints]
+        assert oracle.in_domain.dtype == bool
+        assert oracle.in_domain.tolist() == want
+
+
 class TestExport:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("with_histogram", [False, True])
+    def test_same_bytes_as_per_cell_rows(self, dim, with_histogram, tmp_path, monkeypatch):
+        # Blocks of 1000 rows: the 2-D grid of 64^2 cells spans five.
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 1000)
+        domain = UNIT_BALL1 if dim == 1 else GM_SHELL
+        obj = Quadratic(1.0, 1) if dim == 1 else make_grid_gaussian_mixture(6)
+        oracle = GibbsOracle(obj, domain, 2.0, 64)
+        rng = np.random.default_rng(3)
+        hist = None
+        if with_histogram:
+            hist = bin_samples(oracle, np.array([domain.sample_uniform(rng) for _ in range(500)]))
+        path = tmp_path / "cells.csv"
+        export_cells_csv(path, oracle, hist)
+        assert path.read_bytes() == old_cells_text(oracle, hist).encode("utf-8")
+
     def test_cells_csv_roundtrip(self, tmp_path):
         oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         hist = bin_samples(oracle, np.array([0.0, 0.1, 0.1]))
