@@ -9,8 +9,9 @@ oracle <preset>
     Build the quadrature oracle paired with a preset (dimension <= 2)
     and export its cells as CSV.
 check
-    Run a compact invariant battery (geometry, gradients, determinism,
-    oracle normalization) and exit non-zero on any failure.
+    Run a compact invariant battery (geometry, gradients, batched and
+    lone chains giving the same bytes, oracle normalization) and exit
+    non-zero on any failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from rgld import harness
-from rgld.dynamics import ChainConfig, run_chain
+from rgld.dynamics import ChainConfig, run_batch, run_chain
 from rgld.geometry import Ball, SphericalShell
 from rgld.measure import GibbsOracle, export_cells_csv
 from rgld.objectives import Quadratic, Rastrigin, Rosenbrock, make_grid_gaussian_mixture
@@ -156,17 +157,18 @@ def _cmd_check(_args) -> int:
                 ok &= abs(fd - g[i]) <= max(tol, 1e-5 * np.linalg.norm(g))
     report("analytic gradients vs finite differences", ok)
 
-    cfg = ChainConfig(method="rgld", eta=0.05, beta=1.0, steps=500, seed=3,
-                      enforce_step_bound=False)
+    # The batched loop and the lone-chain loop must give the same bytes.
     gm = objs[1]
     dom = SphericalShell(np.zeros(2), 0.9, 4.0)
-    rec1 = run_chain(cfg, gm, dom)
-    rec2 = run_chain(cfg, gm, dom)
-    report(
-        "chain determinism",
-        bool(np.array_equal(rec1.f_value, rec2.f_value))
-        and np.array_equal(rec1.final_point, rec2.final_point),
-    )
+    configs = [ChainConfig(method="rgld", eta=0.05, beta=1.0, steps=500, seed=seed,
+                           enforce_step_bound=False) for seed in (3, 4)]
+    fields = ("f_value", "boundary_events", "fallback_events", "final_point")
+    ok = True
+    for batched, config in zip(run_batch(configs, gm, dom), configs):
+        lone = run_chain(config, gm, dom)
+        ok &= all(getattr(batched, f).tobytes() == getattr(lone, f).tobytes()
+                  for f in fields)
+    report("chain determinism", ok)
 
     oracle = GibbsOracle(Quadratic(1.0, 1), Ball(np.zeros(1), 1.0), 2.0, 256)
     report(

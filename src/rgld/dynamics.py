@@ -1,47 +1,44 @@
-"""Sampler kernels and the deterministic seeded chain runner.
+"""Seeded reflected and projected Langevin chains.
 
-Three methods share one update skeleton: a gradient step, an optional
-scaled noise kick, and a constraint operator that returns the iterate to
-the feasible region.
+There is one update, ``x' = x - eta grad f(x) + sqrt(2 eta / beta) xi``,
+and a constraint operator that returns ``x'`` to the region when it
+left it. The method picks the noise and the operator:
 
-* ``rgld``: Langevin step followed by reflection across the boundary
-  projection point.
-* ``pgld``: the same step followed by Euclidean projection.
-* ``pg``: plain projected gradient descent, no noise.
+* ``rgld``: reflection across the boundary projection point
+  (``FeasibleDomain.reflect_or_project``);
+* ``pgld``: Euclidean projection (``FeasibleDomain.project``);
+* ``pg``: projection with no noise (projected gradient descent).
 
 The default noise is a Rademacher vector (i.i.d. +/-1 coordinates) whose
 norm is exactly ``sqrt(d)``, which keeps per-step overshoot bounded;
-Gaussian noise is retained as the conventional alternative for the
-projected variant.
+Gaussian noise is retained as the conventional alternative.
 
-One chain is strictly sequential. Distinct chains share no mutable state
-(each owns its generator), so any number may run concurrently, and
-``run_batch`` advances the chains of one method together: one loop over
-steps on a ``(B, d)`` array, with each row's record equal to its
-``run_chain`` record bit for bit. The objective's
-``value_and_gradient_many`` and the region's ``contains_many`` repeat the
-scalar arithmetic per row; only the rows that left the region go through
-the scalar ``reflect_or_project`` or ``project``, and each chain draws
-its noise from its own generator in blocks of steps. A batch pays for
-its array calls once per step, so it wins from two chains up. A lone
-chain runs the scalar loop of ``run_chain``, which tests membership
-inline and calls the constraint operator only for points outside the
-region. Per step it costs a quarter of a batch of one on the 1-D
+Two loops run the update. ``run_batch`` advances the chains of one
+method together on a ``(B, d)`` array (the objective's
+``value_and_gradient_many`` and the region's ``contains_many`` repeat
+the scalar arithmetic per row), and each chain draws its noise from its
+own generator in blocks of steps. ``run_chain`` runs a lone chain as a
+scalar loop; per step it costs a quarter of a batch of one on the 1-D
 quadratic (4.7 against 19 us) and half on the 2-D mixture (13 against
-26 us), measured on one x86-64 core.
+26 us), measured on one x86-64 core. Both loops call the operator only
+for points outside the region, write ``(B, steps)`` arrays (``B = 1``
+for ``run_chain``) and hand them to one builder, ``_records``, which
+completes early-stopped rows, rejects non-finite values, takes running
+minima and builds each row's ``RunRecord``. A batched chain's record
+equals its lone record bit for bit.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
 (``ChainConfig.depends_on_seed``); multi-seed runners compute a
 seed-free chain once and hand its record to every seed. A noise-free
 chain whose update returns the iterate bit for bit has reached a fixed
-point: every later step would repeat it, so ``run_chain`` fills the
-rest of the record and stops.
+point: every later step would repeat it, so its loop stops there.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +51,7 @@ __all__ = [
     "ChainConfig",
     "RunRecord",
     "ChainConfigError",
-    "rademacher_vector",
     "step_size_bound",
-    "rgld_step",
-    "pgld_step",
-    "pg_step",
     "run_chain",
     "run_batch",
 ]
@@ -126,6 +119,11 @@ class RunRecord:
     all ``steps`` of them, unless a noise-free chain stopped at its fixed
     point and the rest of the record repeats it.
 
+    The counts ``reflection_events``, ``projection_events`` and
+    ``fallback_count`` are derived from the two event arrays and the
+    method: an ``rgld`` event is a reflection or a fallback, any other
+    method's event a projection.
+
     Seeds whose chains are identical (see ``ChainConfig.depends_on_seed``)
     may share one record's arrays, each under its own ``config``, so
     treat the arrays as read-only.
@@ -135,9 +133,6 @@ class RunRecord:
     cumulative_min: np.ndarray
     boundary_events: np.ndarray
     fallback_events: np.ndarray
-    reflection_events: int
-    projection_events: int
-    fallback_count: int
     computed_steps: int
     initial_point: np.ndarray
     final_point: np.ndarray
@@ -149,12 +144,19 @@ class RunRecord:
     def steps(self) -> int:
         return self.f_value.shape[0]
 
+    @property
+    def fallback_count(self) -> int:
+        return int(np.count_nonzero(self.fallback_events))
 
-def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """One vector of i.i.d. +/-1 coordinates, each sign with probability 1/2."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return rng.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
+    @property
+    def reflection_events(self) -> int:
+        n = int(np.count_nonzero(self.boundary_events)) - self.fallback_count
+        return n if self.config.method == "rgld" else 0
+
+    @property
+    def projection_events(self) -> int:
+        n = int(np.count_nonzero(self.boundary_events))
+        return 0 if self.config.method == "rgld" else n
 
 
 def _noise_matrix(rng: np.random.Generator, n: int, d: int, kind: str) -> np.ndarray:
@@ -176,39 +178,6 @@ def step_size_bound(
     return eta * L + math.sqrt(2.0 * eta * domain.dim / beta)
 
 
-def rgld_step(
-    x, obj: Objective, domain: FeasibleDomain, eta: float, beta: float, xi
-) -> tuple[np.ndarray, bool, bool]:
-    """One reflected Langevin update from a feasible point.
-
-    Computes ``x' = x - eta grad f(x) + sqrt(2 eta / beta) xi`` and
-    reflects it into the region. Returns ``(point, reflected, fallback)``
-    where ``fallback`` flags the rare case that ``x'`` overshot the
-    reflection margin and projection was substituted.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    x_raw = x - eta * obj.gradient(x) + math.sqrt(2.0 * eta / beta) * xi
-    return domain.reflect_or_project(x_raw)
-
-
-def pgld_step(
-    x, obj: Objective, domain: FeasibleDomain, eta: float, beta: float, xi
-) -> tuple[np.ndarray, bool]:
-    """One projected Langevin update; returns ``(point, projected)``."""
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    x_raw = x - eta * obj.gradient(x) + math.sqrt(2.0 * eta / beta) * xi
-    p = domain.project(x_raw)
-    return p, p is not x_raw
-
-
-def pg_step(x, obj: Objective, domain: FeasibleDomain, eta: float) -> np.ndarray:
-    """One projected gradient descent update."""
-    x = np.asarray(x, dtype=np.float64)
-    return domain.project(x - eta * obj.gradient(x))
-
-
 def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bool:
     if config.method not in METHODS:
         raise ChainConfigError(f"method: expected one of {METHODS}, got {config.method!r}")
@@ -218,6 +187,9 @@ def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bo
         raise ChainConfigError(f"beta: must be finite, got {config.beta}")
     if config.steps < 1:
         raise ChainConfigError(f"steps: must be at least 1, got {config.steps}")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ChainConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     if obj.dim != domain.dim:
         raise ChainConfigError(
             f"dimension: objective dimension {obj.dim} does not match domain "
@@ -286,6 +258,38 @@ def _reject_non_finite(configs, f_values: np.ndarray, finals: np.ndarray) -> Non
             )
 
 
+def _records(configs, bounds, starts, finals, f_vals, events, fallbacks, traj,
+             computed) -> list[RunRecord]:
+    """The records of a step loop's ``(B, steps)`` arrays, row ``b`` for
+    ``configs[b]``. A row that stopped at its fixed point after
+    ``computed[b]`` updates repeats its last value, event flag and point.
+    """
+    n = f_vals.shape[1]
+    for b, c in enumerate(computed):
+        if c < n:
+            f_vals[b, c:] = f_vals[b, c - 1]
+            events[b, c:] = events[b, c - 1]
+            if traj is not None:
+                traj[b, c:] = finals[b]
+    _reject_non_finite(configs, f_vals, finals)
+    cummins = np.minimum.accumulate(f_vals, axis=1)
+    return [
+        RunRecord(
+            f_value=f_vals[b],
+            cumulative_min=cummins[b],
+            boundary_events=events[b],
+            fallback_events=fallbacks[b],
+            computed_steps=int(computed[b]),
+            initial_point=starts[b],
+            final_point=finals[b],
+            trajectory=None if traj is None else traj[b],
+            config=config,
+            step_bound_satisfied=bounds[b],
+        )
+        for b, config in enumerate(configs)
+    ]
+
+
 def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> RunRecord:
     """Execute a chain and collect its per-step record.
 
@@ -317,11 +321,13 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     # and gives the same bits.
     eta = np.array(config.eta)
 
-    f_vals = np.empty(n, dtype=np.float64)
-    events = np.zeros(n, dtype=bool)
-    fallbacks = np.zeros(n, dtype=bool)
-    traj = np.empty((n, d), dtype=np.float64) if config.record_trajectory else None
-    n_reflect = n_project = n_fallback = 0
+    # A batch of one for ``_records``; the loop writes through row views.
+    f_vals = np.empty((1, n), dtype=np.float64)
+    events = np.zeros((1, n), dtype=bool)
+    fallbacks = np.zeros((1, n), dtype=bool)
+    traj = np.empty((1, n, d), dtype=np.float64) if config.record_trajectory else None
+    f_row, event_row, fallback_row = f_vals[0], events[0], fallbacks[0]
+    traj_row = None if traj is None else traj[0]
 
     value_and_gradient = obj.value_and_gradient
     reflect_or_project = domain.reflect_or_project
@@ -336,9 +342,9 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     computed = n
     for k in range(n):
         fx, g = value_and_gradient(x)
-        f_vals[k] = fx
-        if traj is not None:
-            traj[k] = x
+        f_row[k] = fx
+        if traj_row is not None:
+            traj_row[k] = x
         if noise is None:
             x_raw = x - eta * g
         else:
@@ -348,49 +354,21 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
             x = x_raw
         elif is_rgld:
             x, reflected, fell_back = reflect_or_project(x_raw)
-            if reflected:
-                n_reflect += 1
-                events[k] = True
-            elif fell_back:
-                n_fallback += 1
-                events[k] = True
-                fallbacks[k] = True
+            event_row[k] = reflected or fell_back
+            fallback_row[k] = fell_back
         else:
             x = project(x_raw)
-            if x is not x_raw:
-                n_project += 1
-                events[k] = True
+            event_row[k] = x is not x_raw
         if x_bytes is not None:
             # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat the
             # same later bits.
             new_bytes = x.tobytes()
             if new_bytes == x_bytes:
-                tail = slice(k + 1, n)
-                f_vals[tail] = fx
-                events[tail] = events[k]
-                if traj is not None:
-                    traj[tail] = x
-                n_project += int(events[k]) * (n - k - 1)
                 computed = k + 1
                 break
             x_bytes = new_bytes
-
-    _reject_non_finite([config], f_vals[None], x[None])
-    return RunRecord(
-        f_value=f_vals,
-        cumulative_min=np.minimum.accumulate(f_vals),
-        boundary_events=events,
-        fallback_events=fallbacks,
-        reflection_events=n_reflect,
-        projection_events=n_project,
-        fallback_count=n_fallback,
-        computed_steps=computed,
-        initial_point=x0,
-        final_point=x,
-        trajectory=traj,
-        config=config,
-        step_bound_satisfied=bound_ok,
-    )
+    return _records([config], [bound_ok], x0[None], x[None], f_vals, events,
+                    fallbacks, traj, [computed])[0]
 
 
 def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord]:
@@ -461,39 +439,12 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
             # Bytes, not ``==``, as in ``run_chain``.
             fixed = (x_raw.view(np.int64) == x.view(np.int64)).all(axis=1)
             if fixed.any():
-                for i in np.flatnonzero(fixed).tolist():
-                    b = rows[i]
-                    f_vals[b, k + 1:] = fx[i]
-                    events[b, k + 1:] = events[b, k]
-                    if traj is not None:
-                        traj[b, k + 1:] = x_raw[i]
-                    computed[b] = k + 1
-                    finals[b] = x_raw[i]
+                done = rows[fixed]
+                computed[done] = k + 1
+                finals[done] = x_raw[fixed]
                 x_raw, rows = x_raw[~fixed], rows[~fixed]
         x = x_raw
         if not rows.size:
             break
     finals[rows] = x
-    _reject_non_finite(configs, f_vals, finals)
-
-    cummins = np.minimum.accumulate(f_vals, axis=1)
-    n_events = events.sum(axis=1).tolist()
-    n_fallback = fallbacks.sum(axis=1).tolist()
-    return [
-        RunRecord(
-            f_value=f_vals[b],
-            cumulative_min=cummins[b],
-            boundary_events=events[b],
-            fallback_events=fallbacks[b],
-            reflection_events=n_events[b] - n_fallback[b] if is_rgld else 0,
-            projection_events=0 if is_rgld else n_events[b],
-            fallback_count=n_fallback[b],
-            computed_steps=int(computed[b]),
-            initial_point=x0[b],
-            final_point=finals[b],
-            trajectory=None if traj is None else traj[b],
-            config=config,
-            step_bound_satisfied=bounds[b],
-        )
-        for b, config in enumerate(configs)
-    ]
+    return _records(configs, bounds, x0, finals, f_vals, events, fallbacks, traj, computed)

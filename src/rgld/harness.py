@@ -576,12 +576,19 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     (unless aggregation is "none"), and, for stationarity presets, one
-    total-variation CSV per seed. Every chain runs before ``out_dir`` is
-    created, so a chain that raises (a non-finite iterate, say) leaves
-    no files behind.
+    total-variation CSV per seed. Seeds and methods must be distinct.
+    Every chain runs before ``out_dir`` is created, so a chain that
+    raises (a non-finite iterate, say) leaves no files behind.
     """
     if not spec.seeds:
         raise ValueError("seeds: at least one seed is required")
+    # A repeated seed or method would name one output file twice.
+    repeats = [s for i, s in enumerate(spec.seeds) if s in spec.seeds[:i]]
+    if repeats:
+        raise ValueError(f"seeds: duplicate seed {repeats[0]}")
+    repeats = [m for i, m in enumerate(spec.methods) if m in spec.methods[:i]]
+    if repeats:
+        raise ValueError(f"methods: duplicate {repeats[0]!r}")
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")

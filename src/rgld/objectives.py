@@ -1,16 +1,14 @@
 """Differentiable benchmark objectives with analytic gradients.
 
 Each objective writes its formula twice: as a fused
-``value_and_gradient`` at one point for single-chain loops (``value``
-and ``gradient`` are derived from it), and as
+``value_and_gradient`` at one point for single-chain loops, and as
 ``value_and_gradient_many`` over the rows of a ``(B, dim)`` array for
-batched chains, with the same bits per row. ``value_many``, the values
-over rows for quadrature grids, is derived from the latter, except for
-the quadratic and the mixture: their grid sums round differently from
-the batched ones, and the oracles' bits depend on them, so they keep a
-third formula. ``lipschitz_bounds`` gives conservative closed-form
-constants over a bounded domain. Bounds favor validity over
-tightness: they are upper bounds on the true suprema, never estimates.
+batched chains, with the same bits per row. Everything else is derived
+from these: ``value`` and ``gradient`` from the first, ``value_many``
+(the values over the rows of a quadrature grid) from the second.
+``lipschitz_bounds`` gives conservative closed-form constants over a
+bounded domain. Bounds favor validity over tightness: they are upper
+bounds on the true suprema, never estimates.
 """
 
 from __future__ import annotations
@@ -125,10 +123,6 @@ class Quadratic(Objective):
     def value_and_gradient_many(self, X):
         return 0.5 * self.scale * row_sq_norms(X), self.scale * X
 
-    def value_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return 0.5 * self.scale * np.sum(X * X, axis=1)
-
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
         return self.scale * B, self.scale
@@ -181,12 +175,6 @@ class GaussianMixture(Objective):
         # ``(weights * q) @ z``, as in ``value_and_gradient``.
         values = np.matmul(Q[:, None, :], self.weights[:, None])[:, 0, 0]
         return -values, np.matmul((self.weights * Q)[:, None, :], Z)[:, 0, :]
-
-    def value_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Z = X[:, None, :] - self.means[None, :, :]
-        Q = np.exp(-0.5 * np.sum(Z * Z, axis=2))
-        return -(Q @ self.weights)
 
     def refine_minimum(self, start) -> tuple[np.ndarray, float]:
         """Local descent from ``start`` using the analytic gradient."""

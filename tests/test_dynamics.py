@@ -1,6 +1,7 @@
 """Sampler kernels and the chain runner."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,6 @@ from rgld.dynamics import (
     NOISE_KINDS,
     ChainConfig,
     ChainConfigError,
-    pg_step,
-    pgld_step,
-    rademacher_vector,
-    rgld_step,
     run_batch,
     run_chain,
     step_size_bound,
@@ -37,20 +34,61 @@ QUAD2 = Quadratic(1.0, 2)
 GM_SHELL = SphericalShell(np.zeros(2), 0.9, 4.0)
 
 
+class Flat(Objective):
+    """``f = 0``: an update moves the iterate by its noise alone."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def value_and_gradient(self, x):
+        return 0.0, np.zeros(self.dim)
+
+    def lipschitz_bounds(self, domain):
+        return 0.0, 0.0
+
+
+def rademacher_kicks(seed, steps, dim):
+    """The Rademacher draws of a chain with this seed, one row per step,
+    recomputed from the seed as the runner draws them."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(steps, dim)).astype(np.float64) * 2.0 - 1.0
+
+
+def chain(method, x0, obj, dom, eta, beta=1.0, seed=0, steps=1, **kwargs):
+    """``run_chain`` from ``x0`` with the step-size bound unchecked."""
+    cfg = ChainConfig(method=method, eta=eta, beta=beta, steps=steps, seed=seed,
+                      x0=np.asarray(x0, dtype=np.float64), enforce_step_bound=False,
+                      **kwargs)
+    return run_chain(cfg, obj, dom)
+
+
 class TestRademacher:
+    """The kick, seen as the first update of a flat objective's chain from
+    the center: eta = 1/2 and beta = 1 scale it by exactly 1."""
+
     def test_coordinates_are_signs(self):
-        rng = np.random.default_rng(0)
+        # The norm of the kick is exactly sqrt(d).
         for d in (1, 2, 3, 8):
-            xi = rademacher_vector(rng, d)
+            rec = chain("rgld", np.zeros(d), Flat(d), Ball(np.zeros(d), 10.0), eta=0.5,
+                        seed=d)
+            xi = rec.final_point
+            assert xi.tobytes() == rademacher_kicks(d, 1, d)[0].tobytes()
             assert set(np.unique(xi)) <= {-1.0, 1.0}
             assert float(xi @ xi) == float(d)
+            assert np.linalg.norm(xi) == math.sqrt(d)
 
     def test_reproducible_but_advancing(self):
-        a = rademacher_vector(np.random.default_rng(3), 3)
-        b = rademacher_vector(np.random.default_rng(3), 3)
-        np.testing.assert_array_equal(a, b)
-        rng = np.random.default_rng(3)
-        first, second = rademacher_vector(rng, 3), rademacher_vector(rng, 3)
+        dom = Ball(np.zeros(3), 10.0)
+
+        def run(steps):
+            return chain("rgld", np.zeros(3), Flat(3), dom, eta=0.5, seed=3,
+                         steps=steps, record_trajectory=True)
+
+        a, b = run(1), run(1)
+        assert a.final_point.tobytes() == b.final_point.tobytes()
+        two = run(2)
+        first, second = two.trajectory[1], two.final_point - two.trajectory[1]
+        assert first.tobytes() == a.final_point.tobytes()
         assert not np.array_equal(first, second)
 
     def test_empirical_mean(self):
@@ -59,94 +97,93 @@ class TestRademacher:
         draws = rng.integers(0, 2, size=10**6) * 2.0 - 1.0
         assert abs(draws.mean()) < 0.004
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rademacher_vector(np.random.default_rng(0), 0)
-
 
 class TestSteps:
+    """One update, or a few, of ``run_chain`` against the update written out."""
+
     def test_rgld_interior_hand_computed(self):
-        x = np.array([1.0, 0.0])
-        xi = np.array([1.0, -1.0])
-        y, reflected, fallback = rgld_step(x, QUAD2, BALL2, 0.1, 2.0, xi)
+        xi = rademacher_kicks(0, 1, 2)[0]
+        rec = chain("rgld", [1.0, 0.0], QUAD2, BALL2, eta=0.1, beta=2.0)
         s = math.sqrt(0.1)
-        np.testing.assert_allclose(y, [0.9 + s, -s], atol=1e-15)
-        assert not reflected and not fallback
+        np.testing.assert_allclose(rec.final_point, [0.9 + s * xi[0], s * xi[1]],
+                                   atol=1e-15)
+        assert not rec.boundary_events[0] and not rec.fallback_events[0]
 
     def test_rgld_continuity_at_zero_step(self):
         x = np.array([0.4, -0.2])
-        xi = np.array([1.0, 1.0])
         for eta in (1e-2, 1e-4, 1e-6, 1e-8):
-            y, _, _ = rgld_step(x, QUAD2, BALL2, eta, 2.0, xi)
+            y = chain("rgld", x, QUAD2, BALL2, eta=eta, beta=2.0).final_point
             assert np.linalg.norm(y - x) <= eta * 2.0 + math.sqrt(2 * eta)
 
     def test_rgld_exterior_composes_with_geometry(self):
-        # Inputs that push the raw step into the shell's cavity.
-        x = np.array([0.9, 0.0])
-        xi = np.array([-1.0, 0.0])
+        # From the inner sphere, on the side the kick points away from:
+        # the raw step lands in the shell's cavity.
         eta, beta = 0.02, 1.0
+        xi = rademacher_kicks(0, 1, 2)[0]
+        x = np.array([-0.9 * xi[0], 0.0])
         raw = x - eta * QUAD2.gradient(x) + math.sqrt(2 * eta / beta) * xi
         assert not GM_SHELL.contains(raw)
         expected = 2.0 * GM_SHELL.project(raw) - raw
-        y, reflected, fallback = rgld_step(x, QUAD2, GM_SHELL, eta, beta, xi)
-        np.testing.assert_array_equal(y, expected)
-        assert reflected and not fallback
+        rec = chain("rgld", x, QUAD2, GM_SHELL, eta=eta, beta=beta)
+        np.testing.assert_array_equal(rec.final_point, expected)
+        assert rec.boundary_events[0] and not rec.fallback_events[0]
+        assert rec.reflection_events == 1
 
     def test_pgld_matches_rgld_without_contact(self):
         x = np.array([1.0, 0.0])
-        xi = np.array([1.0, -1.0])
-        y_r, _, _ = rgld_step(x, QUAD2, BALL2, 0.1, 2.0, xi)
-        y_p, projected = pgld_step(x, QUAD2, BALL2, 0.1, 2.0, xi)
-        np.testing.assert_array_equal(y_p, y_r)
-        assert not projected
+        r = chain("rgld", x, QUAD2, BALL2, eta=0.1, beta=2.0)
+        p = chain("pgld", x, QUAD2, BALL2, eta=0.1, beta=2.0)
+        np.testing.assert_array_equal(p.final_point, r.final_point)
+        assert not p.boundary_events[0]
 
     def test_pgld_projects_exterior(self):
-        x = np.array([3.9, 0.0])
-        xi = np.array([1.0, 0.0])
-        eta, beta = 0.5, 2.0
-        y, projected = pgld_step(x, Quadratic(1e-9, 2), GM_SHELL, eta, beta, xi)
-        assert projected
-        assert GM_SHELL.contains(y)
-        assert np.linalg.norm(y) == pytest.approx(4.0, abs=1e-12)
+        # Next to the outer sphere, with the kick pointing out of it.
+        xi = rademacher_kicks(0, 1, 2)[0]
+        x = np.array([3.9 * xi[0], 0.0])
+        rec = chain("pgld", x, Quadratic(1e-9, 2), GM_SHELL, eta=0.5, beta=2.0)
+        assert rec.boundary_events[0] and rec.projection_events == 1
+        assert GM_SHELL.contains(rec.final_point)
+        assert np.linalg.norm(rec.final_point) == pytest.approx(4.0, abs=1e-12)
 
     def test_projection_is_midpoint_of_raw_and_reflection(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
+        eta, beta = 0.3, 1.0
+        checked = 0
+        for seed in range(200):
             x = GM_SHELL.sample_uniform(rng)
-            xi = rademacher_vector(rng, 2)
-            eta, beta = 0.3, 1.0
+            xi = rademacher_kicks(seed, 1, 2)[0]
             raw = x - eta * QUAD2.gradient(x) + math.sqrt(2 * eta / beta) * xi
             if GM_SHELL.contains(raw):
                 continue
             if GM_SHELL.distance_to_set(raw) > GM_SHELL.reflection_margin:
                 continue
-            y_r, _, fb = rgld_step(x, QUAD2, GM_SHELL, eta, beta, xi)
-            assert not fb
-            y_p, _ = pgld_step(x, QUAD2, GM_SHELL, eta, beta, xi)
-            np.testing.assert_allclose(y_p, 0.5 * (raw + y_r), atol=1e-12)
+            r = chain("rgld", x, QUAD2, GM_SHELL, eta=eta, beta=beta, seed=seed)
+            assert not r.fallback_events[0]
+            p = chain("pgld", x, QUAD2, GM_SHELL, eta=eta, beta=beta, seed=seed)
+            np.testing.assert_allclose(p.final_point, 0.5 * (raw + r.final_point),
+                                       atol=1e-12)
+            checked += 1
+        assert checked >= 20
 
     def test_pg_fixed_point_at_stationary_point(self):
-        x = np.zeros(2)
-        np.testing.assert_array_equal(pg_step(x, QUAD2, BALL2, 0.1), x)
+        rec = chain("pg", np.zeros(2), QUAD2, BALL2, eta=0.1, steps=5)
+        np.testing.assert_array_equal(rec.final_point, np.zeros(2))
+        assert rec.computed_steps == 1
 
     def test_pg_quadratic_contraction(self):
-        y = pg_step(np.array([1.0, 0.0]), QUAD2, BALL2, 0.1)
-        np.testing.assert_allclose(y, [0.9, 0.0], atol=1e-16)
+        rec = chain("pg", [1.0, 0.0], QUAD2, BALL2, eta=0.1)
+        np.testing.assert_allclose(rec.final_point, [0.9, 0.0], atol=1e-16)
 
     def test_pg_descends_within_rastrigin_basin(self):
         # Near a local minimizer with eta below 1/M, plain gradient
         # descent must not increase the objective.
         obj = Rastrigin(2)
         dom = SphericalShell(np.zeros(2), 0.9, 5.12)
-        x = np.array([1.05, 0.1])
         eta = 1e-3  # 1/M is about 2.5e-3
-        prev = obj.value(x)
-        for _ in range(100):
-            x = pg_step(x, obj, dom, eta)
-            cur = obj.value(x)
-            assert cur <= prev + 1e-12
-            prev = cur
-        assert np.linalg.norm(x - np.array([0.99496, 0.0])) < 0.05
+        rec = chain("pg", [1.05, 0.1], obj, dom, eta=eta, steps=100)
+        f = np.append(rec.f_value, obj.value(rec.final_point))
+        assert np.all(np.diff(f) <= 1e-12)
+        assert np.linalg.norm(rec.final_point - np.array([0.99496, 0.0])) < 0.05
 
 
 class TestRunChain:
@@ -170,17 +207,17 @@ class TestRunChain:
             b.reflection_events, b.fallback_count)
 
     def test_matches_manual_step_composition(self):
-        # The runner and the public step functions must implement the
-        # same update; replay the noise and compare bitwise.
+        # The runner must implement the update written out with the
+        # region's operator; replay the noise and compare bitwise.
         cfg = ChainConfig(method="rgld", eta=0.02, beta=2.0, steps=50, seed=5,
                           x0=np.array([1.0, 0.5]))
         rec = run_chain(cfg, QUAD2, BALL2)
-        rng = np.random.default_rng(5)
-        noise = rng.integers(0, 2, size=(50, 2)).astype(np.float64) * 2.0 - 1.0
+        noise = rademacher_kicks(5, 50, 2)
         x = np.array([1.0, 0.5])
         for k in range(50):
             assert rec.f_value[k] == QUAD2.value(x)
-            x, _, _ = rgld_step(x, QUAD2, BALL2, 0.02, 2.0, noise[k])
+            raw = x - 0.02 * QUAD2.gradient(x) + math.sqrt(2 * 0.02 / 2.0) * noise[k]
+            x = BALL2.reflect_or_project(raw)[0]
         np.testing.assert_array_equal(rec.final_point, x)
 
     def test_noise_scale_is_exact_for_rademacher(self):
@@ -191,14 +228,13 @@ class TestRunChain:
         for d in (1, 2, 4, 8):
             dom = Ball(np.zeros(d), 10.0)
             obj = Quadratic(1.0, d)
-            rng = np.random.default_rng(2)
-            x = dom.sample_uniform(rng)
-            xi = rademacher_vector(rng, d)
+            x = dom.sample_uniform(np.random.default_rng(2))
+            xi = rademacher_kicks(2, 1, d)[0]
             eta, beta = 1e-3, 2.0
             scale = math.sqrt(2 * eta / beta)
             inc = scale * xi
             assert float(inc @ inc) == d * scale * scale
-            y, _, _ = rgld_step(x, obj, dom, eta, beta, xi)
+            y = chain("rgld", x, obj, dom, eta=eta, beta=beta, seed=2).final_point
             recovered = y - (x - eta * obj.gradient(x))
             assert np.linalg.norm(recovered - inc) <= 1e-12 * scale
 
@@ -255,19 +291,6 @@ class TestRunChain:
         assert GM_SHELL.contains(rec.initial_point)
 
 
-class Flat(Objective):
-    """``f = 0``: an update moves the iterate by its noise alone."""
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def value_and_gradient(self, x):
-        return 0.0, np.zeros(self.dim)
-
-    def lipschitz_bounds(self, domain):
-        return 0.0, 0.0
-
-
 class TestOuterSphere:
     """An update that lands exactly on the outer sphere is a member; one ulp
     beyond it is reflected."""
@@ -277,8 +300,7 @@ class TestOuterSphere:
                   enforce_step_bound=False)
 
     def first_kick(self, dim):
-        rng = np.random.default_rng(self.CONFIG["seed"])
-        return 0.5 * (rng.integers(0, 2, size=(1, dim)).astype(np.float64)[0] * 2.0 - 1.0)
+        return 0.5 * rademacher_kicks(self.CONFIG["seed"], 1, dim)[0]
 
     @pytest.mark.parametrize("case", ["ball-off-origin", "shell-at-origin"])
     @pytest.mark.parametrize("beyond", [False, True])
@@ -308,14 +330,15 @@ class TestOuterSphere:
 
 
 def pg_reference(cfg, obj, dom):
-    """Every step of a pg chain through ``pg_step``, with no early exit."""
+    """Every step of a pg chain composed from ``dom.project``, with no
+    early exit."""
     x = dom.project(np.asarray(cfg.x0, dtype=np.float64))
     f, events, traj, first_fixed = [], [], [], None
     for k in range(cfg.steps):
         f.append(obj.value(x))
         traj.append(x)
         events.append(not dom.contains(x - cfg.eta * obj.gradient(x)))
-        y = pg_step(x, obj, dom, cfg.eta)
+        y = dom.project(x - cfg.eta * obj.gradient(x))
         if first_fixed is None and y.tobytes() == x.tobytes():
             first_fixed = k
         x = y
@@ -402,6 +425,19 @@ class TestValidation:
         cfg = ChainConfig(method=method, eta=0.01, beta=beta, steps=1)
         with pytest.raises(ChainConfigError, match="^beta"):
             run_chain(cfg, QUAD2, BALL2)
+
+    @pytest.mark.parametrize("seed", [-2, 1.5, "3", True])
+    @pytest.mark.parametrize("runner", ["chain", "batch"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, runner):
+        # A negative seed reached ``np.random.default_rng``, whose error
+        # named no field.
+        configs = [ChainConfig(method="rgld", eta=0.01, steps=1, seed=s) for s in (0, seed)]
+        with pytest.raises(ChainConfigError,
+                           match=rf"^seed: must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            if runner == "chain":
+                run_chain(configs[1], QUAD2, BALL2)
+            else:
+                run_batch(configs, QUAD2, BALL2)
 
     def test_bad_noise_kind(self):
         cfg = ChainConfig(method="rgld", eta=0.1, steps=1, noise="cauchy")
@@ -598,6 +634,11 @@ class TestRunBatch:
         records = assert_batch_matches_run_chain(configs, obj, dom)
         assert sum(r.fallback_count for r in records) > 0
         assert sum(r.reflection_events for r in records) > 0
+        for r in records:
+            # The counts are derived from the event arrays.
+            assert r.fallback_count == int(r.fallback_events.sum())
+            assert r.reflection_events == int((r.boundary_events & ~r.fallback_events).sum())
+            assert r.projection_events == 0
 
     @pytest.mark.parametrize("field,value", [("method", "pgld"), ("eta", 0.02),
                                              ("steps", 11), ("noise", "gaussian")])

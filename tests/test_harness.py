@@ -356,6 +356,50 @@ class TestInputChecks:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field,values,message", [
+        ("seeds", (0, 1, 0), "seeds: duplicate seed 0"),
+        ("methods", ("rgld", "pg", "rgld"), "methods: duplicate 'rgld'"),
+    ])
+    def test_repeats_rejected_before_any_chain(self, field, values, message,
+                                               tmp_path, monkeypatch):
+        # A repeat named one output file twice: two equal seeds crashed on
+        # copying a file onto itself, two equal methods miscounted files.
+        monkeypatch.setattr(harness, "run_chains", None)
+        spec = replace(tiny_gm2d(), **{field: values})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seeds", "0,0"], "seeds: duplicate seed 0"),
+        (["--seeds=-2..-1"], "seed: must be a non-negative integer, got -2"),
+    ])
+    def test_cli_rejects_bad_seed_sets(self, argv, message, tmp_path, capsys):
+        rc = cli.main(["run", "gm2d", "--steps", "50", *argv,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,values,message", [
+        ("seeds", [0, 0], "seeds: duplicate seed 0"),
+        ("methods", ["rgld", "rgld"], "methods: duplicate 'rgld'"),
+    ])
+    def test_cli_rejects_repeats_in_a_spec_file(self, field, values, message,
+                                                tmp_path, capsys):
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 10,
+            "seeds": [0], field: values,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tv_prefix_above_steps_rejected(self, tmp_path):
         spec = replace(preset_gibbs1d(steps=1000), tv_prefixes=(500, 5000))
         with pytest.raises(ValueError, match="^tv_prefixes.*5000"):
