@@ -124,7 +124,7 @@ def _cmd_check(_args) -> int:
     ok = True
     for dom in domains:
         for _ in range(2000):
-            x = dom.center + rng.uniform(-1.2, 1.2, size=dom.dim) * dom.bounding_radius
+            x = dom.center + rng.uniform(-1.2, 1.2, size=dom.dim) * dom.outer_radius
             if dom.distance_to_set(x) > dom.reflection_margin:
                 continue
             p = dom.project(x)

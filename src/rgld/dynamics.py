@@ -15,17 +15,18 @@ Gaussian noise is retained as the conventional alternative.
 
 Two loops run the update. ``run_batch`` advances the chains of one
 method together on a ``(B, d)`` array (the objective's
-``value_and_gradient_many`` and the region's ``contains_many`` repeat
-the scalar arithmetic per row), and each chain draws its noise from its
-own generator in blocks of steps. ``run_chain`` runs a lone chain as a
-scalar loop; per step it costs a quarter of a batch of one on the 1-D
-quadratic (4.7 against 19 us) and half on the 2-D mixture (13 against
-26 us), measured on one x86-64 core. Both loops call the operator only
-for points outside the region, write ``(B, steps)`` arrays (``B = 1``
-for ``run_chain``) and hand them to one builder, ``_records``, which
-completes early-stopped rows, rejects non-finite values, takes running
-minima and builds each row's ``RunRecord``. A batched chain's record
-equals its lone record bit for bit.
+``value_and_gradient`` and the region's ``contains`` take the rows and
+give each the bits of its point call), and each chain draws its noise
+from its own generator in blocks of steps. ``run_chain`` runs a lone
+chain on one point, with the region's membership test inline; per step
+it costs a quarter of a batch of one on the 1-D quadratic (4.7 against
+19 us) and half on the 2-D mixture (13 against 26 us), measured on one
+x86-64 core. Both loops call the operator only for points outside the
+region, write ``(B, steps)`` arrays (``B = 1`` for ``run_chain``) and
+hand them to ``_records``, which completes early-stopped rows, rejects
+non-finite values, takes running minima and builds each row's
+``RunRecord``. A batched chain's record equals its lone record bit
+for bit.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
@@ -407,8 +408,8 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     # Chains still computing, by row of ``x``. Only noise-free rows leave.
     rows = np.arange(B)
 
-    value_and_gradient = obj.value_and_gradient_many
-    contains = domain.contains_many
+    value_and_gradient = obj.value_and_gradient
+    contains = domain.contains
     reflect_or_project = domain.reflect_or_project
     project = domain.project
     for k in range(n):

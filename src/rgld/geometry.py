@@ -9,6 +9,10 @@ projections, so the reflection operator ``2 * project(x) - x`` is exact
 and cheap to evaluate inside a sampler loop. One implementation serves
 the convex ball and the non-convex shell alike.
 
+``contains`` takes one point of shape ``(dim,)`` or the rows of a
+``(B, dim)`` array (batched chains, quadrature grids); the other
+operators take one point. All reduce through ``sq_norm``.
+
 All domain objects are immutable after construction and every operation
 is a pure function, so instances can be shared freely across threads.
 """
@@ -36,18 +40,21 @@ BOUNDARY_TOL = 1e-9
 _FLOAT64 = np.dtype(np.float64)
 
 
-def row_sq_norms(V: np.ndarray) -> np.ndarray:
-    """``V[i].dot(V[i])`` for every row of a ``(B, dim)`` array, bit for bit.
+def sq_norm(V: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the last axis: ``V.dot(V)`` for a point
+    of shape ``(dim,)``, one value per row for a ``(B, dim)`` array.
 
-    A stacked matmul runs the same BLAS dot per row as ``v.dot(v)``;
-    ``np.sum(V * V, axis=1)`` and ``einsum`` round differently on a share
-    of rows.
+    Both run the same BLAS dot, so each row of a C-contiguous array gets
+    the bits of ``v.dot(v)`` on that row. A strided row, like a strided
+    point, can round differently from its contiguous copy. ``np.vecdot``
+    would serve a point too, at a higher cost per call.
     """
-    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+    return V.dot(V) if V.ndim == 1 else np.vecdot(V, V)
 
 
-def as_point(x, dim: int) -> np.ndarray:
-    """``x`` as a float64 array of shape ``(dim,)``; ``ValueError`` otherwise.
+def as_point(x, dim: int, rows: bool = False) -> np.ndarray:
+    """``x`` as a float64 array of shape ``(dim,)``, or also ``(B, dim)``
+    when ``rows`` is true; ``ValueError`` naming ``dim`` otherwise.
 
     A float64 array comes back as the same object. The type check skips
     the call overhead of ``np.asarray``, which counts here: a chain step
@@ -55,8 +62,9 @@ def as_point(x, dim: int) -> np.ndarray:
     """
     if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
         x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ValueError(f"expected a point of dimension {dim}, got shape {x.shape}")
+    if x.shape != (dim,) and not (rows and x.ndim == 2 and x.shape[1] == dim):
+        of = "a point or rows" if rows else "a point"
+        raise ValueError(f"dim: expected {of} of dimension {dim}, got shape {x.shape}")
     return x
 
 
@@ -82,8 +90,6 @@ class FeasibleDomain:
         Radii of the bounding spheres; ``inner_radius`` is 0 for a ball.
     inscribed_radius : float
         Radius of a Euclidean ball guaranteed to fit inside the region.
-    bounding_radius : float
-        Radius of a sphere around ``center`` that contains the region.
     reflection_margin : float
         Largest distance from the region at which reflection is
         well-defined.
@@ -108,7 +114,6 @@ class FeasibleDomain:
         self.inner_radius = inner_radius
         self.outer_radius = outer_radius
         self.inscribed_radius = inscribed_radius
-        self.bounding_radius = outer_radius
         self.reflection_margin = reflection_margin
         self._in2 = inner_radius * inner_radius
         self._out2 = outer_radius * outer_radius
@@ -119,17 +124,11 @@ class FeasibleDomain:
             f"inner_radius={self.inner_radius}, outer_radius={self.outer_radius})"
         )
 
-    def contains(self, x) -> bool:
-        """Exact membership test for the closed region (no tolerance)."""
-        v = as_point(x, self.dim) - self.center
-        # ``v.dot(v)`` runs the same BLAS dot as ``v @ v`` with less call
-        # overhead, which counts here: chains test membership every step.
-        return self._in2 <= float(v.dot(v)) <= self._out2
-
-    def contains_many(self, X: np.ndarray) -> np.ndarray:
-        """``contains`` of every row of a float64 array of shape ``(B, dim)``,
-        with the same bits: NaN rows are not members."""
-        rho2 = row_sq_norms(X - self.center)
+    def contains(self, x):
+        """Exact membership test for the closed region (no tolerance): a
+        numpy bool for one point, a bool array for the rows of a
+        ``(B, dim)`` array. A point with a NaN is not a member."""
+        rho2 = sq_norm(as_point(x, self.dim, rows=True) - self.center)
         return (self._in2 <= rho2) & (rho2 <= self._out2)
 
     def project(self, x) -> np.ndarray:
@@ -141,7 +140,7 @@ class FeasibleDomain:
         """
         x = as_point(x, self.dim)
         v = x - self.center
-        rho2 = float(v.dot(v))
+        rho2 = float(sq_norm(v))
         if self._in2 <= rho2 <= self._out2:
             return x
         if rho2 < self._in2:
@@ -158,14 +157,14 @@ class FeasibleDomain:
                 # ``v`` may be finite with a squared norm that overflows:
                 # scale it down first, or it would be sent to the center.
                 v = v / float(np.max(np.abs(v)))
-                rho2 = float(v.dot(v))
+                rho2 = float(sq_norm(v))
         s = radius / math.sqrt(rho2)
         p = self.center + s * v
         w = p - self.center
         # Rounding can leave the scaled point an ulp short of the sphere it
         # was scaled onto (``sign`` flips the test for the inner one); nudge
         # the scale toward the region until the exact membership test holds.
-        while sign * float(w.dot(w)) > sign * r2:
+        while sign * float(sq_norm(w)) > sign * r2:
             s = math.nextafter(s, toward)
             p = self.center + s * v
             w = p - self.center
@@ -179,7 +178,7 @@ class FeasibleDomain:
         from the region at the inner wall points into the cavity.
         """
         v = as_point(x, self.dim) - self.center
-        rho = math.sqrt(float(v.dot(v)))
+        rho = math.sqrt(sq_norm(v))
         if abs(rho - self.outer_radius) <= BOUNDARY_TOL:
             return v / rho
         if self.inner_radius > 0 and abs(rho - self.inner_radius) <= BOUNDARY_TOL:
@@ -230,7 +229,7 @@ class FeasibleDomain:
         """Euclidean distance to the region (0 for members)."""
         x = as_point(x, self.dim)
         d = x - self.project(x)
-        return math.sqrt(float(d.dot(d)))
+        return math.sqrt(sq_norm(d))
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point uniformly from the region.
@@ -240,10 +239,10 @@ class FeasibleDomain:
         generator state advances deterministically.
         """
         v = rng.standard_normal(self.dim)
-        n = math.sqrt(float(v.dot(v)))
+        n = math.sqrt(sq_norm(v))
         while n == 0.0:  # probability zero, but keep the contract total
             v = rng.standard_normal(self.dim)
-            n = math.sqrt(float(v.dot(v)))
+            n = math.sqrt(sq_norm(v))
         d = self.dim
         if self.inner_radius == 0.0:
             # Not the shell formula at lo = 0: that rounds differently.

@@ -576,9 +576,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     (unless aggregation is "none"), and, for stationarity presets, one
-    total-variation CSV per seed. Seeds and methods must be distinct.
-    Every chain runs before ``out_dir`` is created, so a chain that
-    raises (a non-finite iterate, say) leaves no files behind.
+    total-variation CSV per seed. Seeds and methods must be distinct, and
+    ``tv_prefixes`` needs ``oracle_bins``. The settings and the oracle are
+    checked before any chain runs, and every chain runs before
+    ``out_dir`` is created, so a bad setting or a chain that raises (a
+    non-finite iterate, say) leaves no files behind.
     """
     if not spec.seeds:
         raise ValueError("seeds: at least one seed is required")
@@ -592,13 +594,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
-    records = run_chains(spec, workers=workers)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     oracle = None
     if spec.oracle_bins is not None:
         oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, spec.oracle_bins)
+    elif spec.tv_prefixes:
+        raise ValueError("tv_prefixes: needs oracle_bins")
+    records = run_chains(spec, workers=workers)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     paths: list[Path] = []
     for method in spec.methods:

@@ -76,15 +76,15 @@ class GibbsOracle:
             raise ValueError(
                 f"n_per_axis must be at least {MIN_CELLS_PER_AXIS}, got {n_per_axis}"
             )
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 <= beta < math.inf:
+            raise ValueError(f"beta: must be non-negative and finite, got {beta}")
         self.objective = objective
         self.domain = domain
         self.beta = float(beta)
         self.n_per_axis = int(n_per_axis)
 
-        lo = domain.center - domain.bounding_radius
-        hi = domain.center + domain.bounding_radius
+        lo = domain.center - domain.outer_radius
+        hi = domain.center + domain.outer_radius
         self.edges = tuple(
             np.linspace(lo[i], hi[i], n_per_axis + 1) for i in range(domain.dim)
         )
@@ -98,7 +98,7 @@ class GibbsOracle:
             self.shape = (n_per_axis, n_per_axis)
         self.cell_volume = float(np.prod((hi - lo) / n_per_axis))
 
-        self.in_domain = domain.contains_many(self.midpoints)
+        self.in_domain = domain.contains(self.midpoints)
         if not self.in_domain.any():
             raise ValueError("degenerate grid: no cell midpoint lies in the region")
         self.f_values = objective.value_many(self.midpoints)

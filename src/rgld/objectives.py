@@ -1,11 +1,11 @@
 """Differentiable benchmark objectives with analytic gradients.
 
-Each objective writes its formula twice: as a fused
-``value_and_gradient`` at one point for single-chain loops, and as
-``value_and_gradient_many`` over the rows of a ``(B, dim)`` array for
-batched chains, with the same bits per row. Everything else is derived
-from these: ``value`` and ``gradient`` from the first, ``value_many``
-(the values over the rows of a quadrature grid) from the second.
+Each objective writes its formula once, as a fused
+``value_and_gradient`` over the last axis: it takes one point of shape
+``(dim,)`` for a lone chain or the rows of a ``(B, dim)`` array for
+batched chains, and each row gets the bits of its point call. The rest
+is derived from it: ``value`` and ``gradient`` at one point, and
+``value_many`` over the rows of a quadrature grid.
 ``lipschitz_bounds`` gives conservative closed-form constants over a
 bounded domain. Bounds favor validity over tightness: they are upper
 bounds on the true suprema, never estimates.
@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from rgld.geometry import FeasibleDomain, as_point, row_sq_norms
+from rgld.geometry import FeasibleDomain, as_point, sq_norm
 
 __all__ = [
     "Objective",
@@ -57,32 +57,28 @@ def _check_dim(dim, least: int, message: str) -> int:
 class Objective:
     """A differentiable scalar function with an analytic gradient.
 
-    Subclasses define ``value_and_gradient``, ``value_and_gradient_many``
-    and ``lipschitz_bounds``.
+    Subclasses define ``value_and_gradient`` and ``lipschitz_bounds``.
     """
 
     dim: int
 
     def value(self, x) -> float:
-        return self.value_and_gradient(x)[0]
+        return float(self.value_and_gradient(as_point(x, self.dim))[0])
 
     def gradient(self, x) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+        return self.value_and_gradient(as_point(x, self.dim))[1]
 
-    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """Value and gradient at one point, in one evaluation."""
-        raise NotImplementedError
-
-    def value_and_gradient_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(B,)`` and gradients ``(B, dim)`` at the rows of a float64
-        array ``X`` of shape ``(B, dim)``. Row ``i`` has the bits of
-        ``value_and_gradient(X[i])``: wherever that calls BLAS, this runs
-        the same BLAS routine per row through a stacked ``np.matmul``."""
+    def value_and_gradient(self, x):
+        """Value and gradient in one evaluation: a float64 scalar and a
+        ``(dim,)`` array at one point, or ``(B,)`` values and ``(B, dim)``
+        gradients at the rows of a ``(B, dim)`` array. Row ``i`` has the
+        bits of the call at ``X[i]`` when ``X`` is C-contiguous: each BLAS
+        call of the point formula runs once per row."""
         raise NotImplementedError
 
     def value_many(self, X) -> np.ndarray:
-        """Vectorized value over rows of ``X`` with shape ``(n, dim)``."""
-        return self.value_and_gradient_many(np.asarray(X, dtype=np.float64))[0]
+        """Values at the rows of ``X`` with shape ``(n, dim)``."""
+        return self.value_and_gradient(as_point(X, self.dim, rows=True))[0]
 
     def lipschitz_bounds(self, domain: FeasibleDomain) -> tuple[float, float]:
         """Conservative constants ``(L, M)`` over the domain.
@@ -101,7 +97,7 @@ class Objective:
                 f"objective dimension {self.dim} does not match domain "
                 f"dimension {domain.dim}"
             )
-        return float(np.linalg.norm(domain.center)) + domain.bounding_radius
+        return float(np.linalg.norm(domain.center)) + domain.outer_radius
 
 
 class Quadratic(Objective):
@@ -117,11 +113,8 @@ class Quadratic(Objective):
         self._scale = np.array(self.scale)
 
     def value_and_gradient(self, x):
-        x = as_point(x, self.dim)
-        return 0.5 * self.scale * float(x.dot(x)), self._scale * x
-
-    def value_and_gradient_many(self, X):
-        return 0.5 * self.scale * row_sq_norms(X), self.scale * X
+        x = as_point(x, self.dim, rows=True)
+        return 0.5 * self.scale * sq_norm(x), self._scale * x
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
@@ -163,18 +156,13 @@ class GaussianMixture(Objective):
         return self.means.shape[0]
 
     def value_and_gradient(self, x):
-        z = as_point(x, self.dim) - self.means
+        # ``z[..., i, :]`` is the offset from mode ``i``.
+        z = as_point(x, self.dim, rows=True)[..., None, :] - self.means
         # The method runs np.sum's reduction without its Python wrapper.
-        q = np.exp(-0.5 * (z * z).sum(axis=1))
-        return -float(self.weights @ q), (self.weights * q) @ z
-
-    def value_and_gradient_many(self, X):
-        Z = X[:, None, :] - self.means
-        Q = np.exp(-0.5 * (Z * Z).sum(axis=2))
-        # Per row: the dot ``weights @ q`` and the vector-matrix product
-        # ``(weights * q) @ z``, as in ``value_and_gradient``.
-        values = np.matmul(Q[:, None, :], self.weights[:, None])[:, 0, 0]
-        return -values, np.matmul((self.weights * Q)[:, None, :], Z)[:, 0, :]
+        q = np.exp(-0.5 * (z * z).sum(axis=-1))
+        # Per point, vecdot and vecmat run the BLAS dot and vector-matrix
+        # product of ``weights @ q`` and ``(weights * q) @ z``: same bits.
+        return -np.vecdot(q, self.weights), np.vecmat(self.weights * q, z)
 
     def refine_minimum(self, start) -> tuple[np.ndarray, float]:
         """Local descent from ``start`` using the analytic gradient."""
@@ -213,23 +201,14 @@ class Rosenbrock(Objective):
         self.dim = _check_dim(dim, 2, "Rosenbrock requires dim >= 2")
 
     def value_and_gradient(self, x):
-        x = as_point(x, self.dim)
-        t = x[1:] - x[:-1] ** 2
-        head = 1.0 - x[:-1]
-        val = float(np.sum(100.0 * t * t + head * head))
+        x = as_point(x, self.dim, rows=True)
+        t = x[..., 1:] - x[..., :-1] ** 2
+        head = 1.0 - x[..., :-1]
+        value = np.sum(100.0 * t * t + head * head, axis=-1)
         g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * t - 2.0 * head
-        g[1:] += 200.0 * t
-        return val, g
-
-    def value_and_gradient_many(self, X):
-        T = X[:, 1:] - X[:, :-1] ** 2
-        head = 1.0 - X[:, :-1]
-        values = np.sum(100.0 * T * T + head * head, axis=1)
-        G = np.zeros_like(X)
-        G[:, :-1] = -400.0 * X[:, :-1] * T - 2.0 * head
-        G[:, 1:] += 200.0 * T
-        return values, G
+        g[..., :-1] = -400.0 * x[..., :-1] * t - 2.0 * head
+        g[..., 1:] += 200.0 * t
+        return value, g
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
@@ -252,13 +231,9 @@ class Rastrigin(Objective):
         self.dim = _check_dim(dim, 1, "Rastrigin requires dim >= 1")
 
     def value_and_gradient(self, x):
-        x = as_point(x, self.dim)
-        val = 10.0 * self.dim + float(np.sum(x * x - 10.0 * np.cos(TWO_PI * x)))
-        return val, 2.0 * x + 20.0 * math.pi * np.sin(TWO_PI * x)
-
-    def value_and_gradient_many(self, X):
-        values = 10.0 * self.dim + np.sum(X * X - 10.0 * np.cos(TWO_PI * X), axis=1)
-        return values, 2.0 * X + 20.0 * math.pi * np.sin(TWO_PI * X)
+        x = as_point(x, self.dim, rows=True)
+        value = 10.0 * self.dim + np.sum(x * x - 10.0 * np.cos(TWO_PI * x), axis=-1)
+        return value, 2.0 * x + 20.0 * math.pi * np.sin(TWO_PI * x)
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)

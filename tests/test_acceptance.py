@@ -97,7 +97,7 @@ def gibbs_record():
 
 def margin_points(domain, count, seed):
     rng = np.random.default_rng(seed)
-    span = domain.bounding_radius + domain.reflection_margin
+    span = domain.outer_radius + domain.reflection_margin
     pts = []
     while len(pts) < count:
         x = domain.center + rng.uniform(-1.05 * span, 1.05 * span, size=domain.dim)
@@ -219,7 +219,7 @@ def test_near_optimality_bound_on_presets():
             obj, dom = spec.objective, spec.domain
             L, _ = obj.lipschitz_bounds(dom)
             bound = near_optimality_bound(
-                dom.dim, spec.beta, dom.inscribed_radius, dom.bounding_radius, L
+                dom.dim, spec.beta, dom.inscribed_radius, dom.outer_radius, L
             )
             if bound <= 0:
                 print(f"\nnear-optimality bound non-positive on {spec.name}; skipped")

@@ -11,6 +11,7 @@ from rgld.geometry import (
     Ball,
     ReflectionUndefinedError,
     SphericalShell,
+    sq_norm,
 )
 
 SHELL = SphericalShell(np.zeros(2), 0.9, 4.0)
@@ -22,7 +23,7 @@ def margin_points(domain, count, seed):
     """Seeded points with distance_to_set <= reflection_margin (a mix of
     members and exterior points)."""
     rng = np.random.default_rng(seed)
-    span = domain.bounding_radius + domain.reflection_margin
+    span = domain.outer_radius + domain.reflection_margin
     pts = []
     while len(pts) < count:
         x = domain.center + rng.uniform(-1.05 * span, 1.05 * span, size=domain.dim)
@@ -35,6 +36,13 @@ class TestContains:
     def test_ball_interior(self):
         assert BALL.contains([1.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), (2, 2, 2)])
+    def test_rows_of_another_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^dim: expected a point or rows of dimension 2"):
+            BALL.contains(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"^dim: expected a point of dimension 2"):
+            BALL.project(np.zeros(shape))
+
     def test_shell_cavity_excluded(self):
         assert not SHELL.contains([0.5, 0.0])
 
@@ -46,6 +54,20 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             SHELL.contains([1.0, 0.0, 0.0])
+
+
+def test_sq_norm_has_the_bits_of_a_point_dot():
+    """Per row of a C-contiguous ``(B, d)`` array, ``sq_norm`` has the bits
+    of ``v.dot(v)`` at d = 1..100. The contiguity matters: a strided row
+    can round differently from its contiguous copy, as ``v.dot(v)`` does
+    on a strided point."""
+    rng = np.random.default_rng(8)
+    for d in range(1, 101):
+        V = rng.normal(scale=3.0, size=(200, d))
+        rows = sq_norm(V)
+        assert rows.shape == (200,)
+        assert rows.tobytes() == np.array([v.dot(v) for v in V]).tobytes()
+        assert all(sq_norm(v).tobytes() == r.tobytes() for v, r in zip(V, rows))
 
 
 class TestProject:
@@ -172,9 +194,8 @@ class TestConstruction:
 
     def test_derived_radii(self):
         assert SHELL.inscribed_radius == pytest.approx((4.0 - 0.9) / 2)
-        assert SHELL.bounding_radius == 4.0
         assert SHELL.reflection_margin == pytest.approx(0.9)
-        assert BALL.inscribed_radius == BALL.bounding_radius == 2.0
+        assert BALL.inscribed_radius == BALL.outer_radius == 2.0
         assert BALL.reflection_margin == 2.0
         wide = SphericalShell(np.zeros(2), 3.0, 4.0)
         assert wide.reflection_margin == pytest.approx(0.5)
@@ -305,9 +326,10 @@ class TestRegionProperties:
 
     @PROPERTIES
     @given(regions_and_rows())
-    def test_contains_many_has_the_scalar_bits(self, case):
+    def test_contains_rows_have_the_point_bits(self, case):
         dom, X = case
-        assert dom.contains_many(X).tolist() == [dom.contains(x) for x in X]
+        assert dom.contains(X).tolist() == [dom.contains(x) for x in X]
+        assert dom.contains(X[:1]).tolist() == [dom.contains(X[0])]
 
     @PROPERTIES
     @given(regions_and_points())

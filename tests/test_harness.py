@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rgld import cli, harness
 from rgld.dynamics import ChainConfigError, run_chain
-from rgld.geometry import SphericalShell
+from rgld.geometry import Ball, SphericalShell
 from rgld.harness import (
     AggregateCurve,
     preset_gibbs1d,
@@ -28,7 +28,7 @@ from rgld.harness import (
     run_experiment,
     spec_from_dict,
 )
-from rgld.objectives import Rastrigin
+from rgld.objectives import Quadratic, Rastrigin
 
 
 class TestPresetPins:
@@ -384,6 +384,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("field,values,message", [
         ("seeds", [0, 0], "seeds: duplicate seed 0"),
         ("methods", ["rgld", "rgld"], "methods: duplicate 'rgld'"),
+        ("tv_prefixes", [5], "tv_prefixes: needs oracle_bins"),
     ])
     def test_cli_rejects_repeats_in_a_spec_file(self, field, values, message,
                                                 tmp_path, capsys):
@@ -403,6 +404,21 @@ class TestInputChecks:
     def test_tv_prefix_above_steps_rejected(self, tmp_path):
         spec = replace(preset_gibbs1d(steps=1000), tv_prefixes=(500, 5000))
         with pytest.raises(ValueError, match="^tv_prefixes.*5000"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"oracle_bins": 10}, "n_per_axis must be at least 32, got 10"),
+        ({"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
+         "quadrature oracle supports dimension 1 or 2 only"),
+        ({"oracle_bins": None}, "tv_prefixes: needs oracle_bins"),
+    ], ids=["bins", "dimension", "no-oracle"])
+    def test_oracle_settings_rejected_before_any_chain(self, change, message,
+                                                       tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_chains",
+                            lambda *args, **kwargs: pytest.fail("a chain ran"))
+        spec = replace(preset_gibbs1d(steps=1000), **change)
+        with pytest.raises(ValueError, match=f"^{message}"):
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -641,6 +657,14 @@ class TestCli:
         rc = cli.main(["oracle", "gibbs1d", "--bins", bins, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"n_per_axis must be at least 32, got {bins}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+    def test_oracle_rejects_bad_beta(self, beta, tmp_path, capsys):
+        rc = cli.main(["oracle", "gibbs1d", "--beta", beta, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"beta: must be non-negative and finite, got {float(beta)}" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--eta", "--steps", "--seeds"])

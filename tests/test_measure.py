@@ -204,7 +204,7 @@ class TestNearOptimalityBound:
         for obj, dom, beta, min_f in cases:
             L, _ = obj.lipschitz_bounds(dom)
             bound = near_optimality_bound(
-                dom.dim, beta, dom.inscribed_radius, dom.bounding_radius, L
+                dom.dim, beta, dom.inscribed_radius, dom.outer_radius, L
             )
             gap = gibbs_mean_f(GibbsOracle(obj, dom, beta, 512)) - min_f
             assert 0 <= gap <= bound

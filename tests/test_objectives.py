@@ -87,13 +87,30 @@ class TestValues:
         Rosenbrock(30), Rastrigin(1), Rastrigin(30), make_grid_gaussian_mixture(0),
         GaussianMixture(np.linspace(0.5, 1.0, 7), np.arange(35.0).reshape(7, 5) / 9.0),
     ], ids=lambda o: f"{type(o).__name__}{o.dim}")
-    def test_value_and_gradient_many_has_the_scalar_bits(self, obj):
+    def test_rows_have_the_point_bits(self, obj):
         X = np.random.default_rng(obj.dim).normal(scale=2.0, size=(2000, obj.dim))
-        values, grads = obj.value_and_gradient_many(X)
+        values, grads = obj.value_and_gradient(X)
+        assert values.shape == (2000,) and grads.shape == X.shape
+        np.testing.assert_array_equal(obj.value_many(X), values)
         for x, v, g in zip(X, values, grads):
             value, gradient = obj.value_and_gradient(x)
             assert np.float64(value).tobytes() == v.tobytes()
             assert gradient.tobytes() == g.tobytes()
+            point_value = obj.value(x)
+            assert type(point_value) is float and point_value == value
+        # A batch of one is a row too.
+        value, gradient = obj.value_and_gradient(X[:1])
+        assert value.shape == (1,) and gradient.shape == (1, obj.dim)
+        assert value.tobytes() == values[:1].tobytes()
+        assert gradient.tobytes() == grads[:1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (2, 5, 2), (2, 2, 2)])
+    def test_rows_of_another_dimension_rejected(self, shape):
+        obj = make_grid_gaussian_mixture(0)
+        with pytest.raises(ValueError, match=r"^dim: expected a point or rows of dimension 2"):
+            obj.value_and_gradient(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"^dim: expected a point of dimension 2"):
+            obj.value(np.zeros(shape))
 
 
 class TestGradients:
@@ -155,7 +172,7 @@ class TestLipschitzBounds:
         gm = make_grid_gaussian_mixture(0)
         L, _ = gm.lipschitz_bounds(GM_SHELL)
         crude = float(np.sum(gm.weights)) * (
-            GM_SHELL.bounding_radius + np.max(np.linalg.norm(gm.means, axis=1))
+            GM_SHELL.outer_radius + np.max(np.linalg.norm(gm.means, axis=1))
         )
         assert 0 < L <= crude
 
