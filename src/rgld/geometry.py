@@ -10,8 +10,8 @@ and cheap to evaluate inside a sampler loop. One implementation serves
 the convex ball and the non-convex shell alike.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
-``(B, dim)`` array (batched chains, quadrature grids); the other
-operators take one point. All reduce through ``sq_norm``.
+``(B, dim)`` array (batched chains, quadrature grids) through
+``sq_norm``; the other operators take one point and use ``v.dot(v)``.
 
 All domain objects are immutable after construction and every operation
 is a pure function, so instances can be shared freely across threads.
@@ -42,12 +42,10 @@ _FLOAT64 = np.dtype(np.float64)
 
 def sq_norm(V: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm over the last axis: ``V.dot(V)`` for a point
-    of shape ``(dim,)``, one value per row for a ``(B, dim)`` array.
+    (the cheaper call), ``np.vecdot`` per row of a ``(B, dim)`` array.
 
-    Both run the same BLAS dot, so each row of a C-contiguous array gets
-    the bits of ``v.dot(v)`` on that row. A strided row, like a strided
-    point, can round differently from its contiguous copy. ``np.vecdot``
-    would serve a point too, at a higher cost per call.
+    The two agree per C-contiguous row; a strided row, like a strided
+    point, can round differently from its contiguous copy.
     """
     return V.dot(V) if V.ndim == 1 else np.vecdot(V, V)
 
@@ -140,7 +138,7 @@ class FeasibleDomain:
         """
         x = as_point(x, self.dim)
         v = x - self.center
-        rho2 = float(sq_norm(v))
+        rho2 = float(v.dot(v))
         if self._in2 <= rho2 <= self._out2:
             return x
         if rho2 < self._in2:
@@ -157,14 +155,14 @@ class FeasibleDomain:
                 # ``v`` may be finite with a squared norm that overflows:
                 # scale it down first, or it would be sent to the center.
                 v = v / float(np.max(np.abs(v)))
-                rho2 = float(sq_norm(v))
+                rho2 = float(v.dot(v))
         s = radius / math.sqrt(rho2)
         p = self.center + s * v
         w = p - self.center
         # Rounding can leave the scaled point an ulp short of the sphere it
         # was scaled onto (``sign`` flips the test for the inner one); nudge
         # the scale toward the region until the exact membership test holds.
-        while sign * float(sq_norm(w)) > sign * r2:
+        while sign * float(w.dot(w)) > sign * r2:
             s = math.nextafter(s, toward)
             p = self.center + s * v
             w = p - self.center
@@ -178,7 +176,7 @@ class FeasibleDomain:
         from the region at the inner wall points into the cavity.
         """
         v = as_point(x, self.dim) - self.center
-        rho = math.sqrt(sq_norm(v))
+        rho = math.sqrt(float(v.dot(v)))
         if abs(rho - self.outer_radius) <= BOUNDARY_TOL:
             return v / rho
         if self.inner_radius > 0 and abs(rho - self.inner_radius) <= BOUNDARY_TOL:
@@ -203,7 +201,8 @@ class FeasibleDomain:
         if p is x:
             return x, False, False
         r = 2.0 * p - x
-        if self.contains(r):
+        w = r - self.center  # the membership test of ``contains``, inline
+        if self._in2 <= float(w.dot(w)) <= self._out2:
             return r, True, False
         return p, False, True
 
@@ -229,7 +228,7 @@ class FeasibleDomain:
         """Euclidean distance to the region (0 for members)."""
         x = as_point(x, self.dim)
         d = x - self.project(x)
-        return math.sqrt(sq_norm(d))
+        return math.sqrt(float(d.dot(d)))
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point uniformly from the region.
@@ -239,10 +238,10 @@ class FeasibleDomain:
         generator state advances deterministically.
         """
         v = rng.standard_normal(self.dim)
-        n = math.sqrt(sq_norm(v))
+        n = math.sqrt(float(v.dot(v)))
         while n == 0.0:  # probability zero, but keep the contract total
             v = rng.standard_normal(self.dim)
-            n = math.sqrt(sq_norm(v))
+            n = math.sqrt(float(v.dot(v)))
         d = self.dim
         if self.inner_radius == 0.0:
             # Not the shell formula at lo = 0: that rounds differently.

@@ -114,7 +114,8 @@ class Quadratic(Objective):
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim, rows=True)
-        return 0.5 * self.scale * sq_norm(x), self._scale * x
+        s = x.dot(x) if x.ndim == 1 else sq_norm(x)  # a point skips a call
+        return 0.5 * self.scale * s, self._scale * x
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)
