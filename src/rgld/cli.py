@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +76,7 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
     if "steps" in overrides and spec.tv_prefixes:
         steps = overrides["steps"]
         overrides["tv_prefixes"] = tuple(p for p in spec.tv_prefixes if p < steps) + (steps,)
-    if overrides:
-        from dataclasses import replace
-
-        spec = replace(spec, **overrides)
-    return spec
+    return replace(spec, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -195,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="seed range a..b (inclusive) or comma list")
     p_run.add_argument("--eta", type=float, default=None)
     p_run.add_argument("--beta", type=float, default=None)
-    p_run.add_argument("--steps", type=int, default=None)
+    p_run.add_argument("--steps", type=_positive_int, default=None)
     p_run.add_argument("--dim", type=int, default=None,
                        help="dimension for rosenbrock/rastrigin presets")
     p_run.add_argument("--out", default="results")

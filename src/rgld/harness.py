@@ -301,20 +301,20 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
     The function is separable and each coordinate term is minimized at 0,
     so the cheapest way to satisfy ``||x|| >= inner_radius`` is to move
     exactly one coordinate off zero; the minimum is ``10 + min g(t)`` over
-    feasible ``t``, with ``g(t) = t^2 - 10 cos(2 pi t)``.
+    feasible ``t``, with ``g(t) = t^2 - 10 cos(2 pi t)``: the least of a
+    Newton search on ``g'`` and the ends of a coarse scan's bracket.
     """
     g = lambda t: t * t - 10.0 * math.cos(2.0 * math.pi * t)
     lo, hi = domain.inner_radius, domain.outer_radius
     ts = np.linspace(lo, hi, 4096)
-    coarse = ts[int(np.argmin([g(t) for t in ts]))]
+    t = float(ts[int(np.argmin([g(t) for t in ts]))])
     span = (hi - lo) / 4096
-    from scipy import optimize  # slow to load; see GaussianMixture.refine_minimum
-
-    res = optimize.minimize_scalar(
-        g, bounds=(max(lo, coarse - span), min(hi, coarse + span)), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return 10.0 + float(res.fun)
+    a, b = max(lo, t - span), min(hi, t + span)
+    for _ in range(50):  # Newton on g'(t) = 2t + 20 pi sin(2 pi t), kept in [a, b]
+        s = 2.0 * math.pi * t
+        t = min(max(t - (2.0 * t + 20.0 * math.pi * math.sin(s))
+                    / (2.0 + 40.0 * math.pi**2 * math.cos(s)), a), b)
+    return 10.0 + min(g(t), g(a), g(b))
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +591,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     repeats = [m for i, m in enumerate(spec.methods) if m in spec.methods[:i]]
     if repeats:
         raise ValueError(f"methods: duplicate {repeats[0]!r}")
+    if spec.steps < 1:
+        raise ValueError(f"steps: must be at least 1, got {spec.steps}")
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")

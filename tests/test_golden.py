@@ -63,13 +63,13 @@ GOLDEN = {
     },
     'gm2d': {
         'gm2d_pg_aggregate.csv':
-            '23556623184d7fc4268361814b809e13eaaf3ad52697026db1c4a58c63b74faf',
+            '46968a12492a3a811ee2185ea1b1732a872168edfe736e37c647924800196e16',
         'gm2d_pg_seed0.csv':
             'aaae0447f7b07dbe882273271ec1774c9680218eb84a61cc5d8bbdecb838676c',
         'gm2d_pg_seed1.csv':
             'aaae0447f7b07dbe882273271ec1774c9680218eb84a61cc5d8bbdecb838676c',
         'gm2d_rgld_aggregate.csv':
-            '62485e6e3c6c5d7f85552a92045cf4420d28d40093078ec9124cf29c0eec40e7',
+            '1493546dbe174593745a9463cff6246a8e2b480c5628e938a17e97dac412085d',
         'gm2d_rgld_seed0.csv':
             'a9f37622fea7ec9a4f366fd33af559030cb561ea4d81a819f7fada93390b2411',
         'gm2d_rgld_seed1.csv':
@@ -77,13 +77,13 @@ GOLDEN = {
     },
     'gm2d-pgld-vs-rgld': {
         'gm2d-pgld-vs-rgld_pgld_aggregate.csv':
-            '1a746b6f629f84b527fa9375054d1d79d4704c517def21977c70b63b946717f7',
+            '1c81eda6cb324b6d38607a7d7beceb4b54cfe92c638eed66c3954f3c4c9a77b9',
         'gm2d-pgld-vs-rgld_pgld_seed0.csv':
             'c95ca58319c4e7703baa58f8654dc3d62a06c440839ecad4e42a4fec76ab001d',
         'gm2d-pgld-vs-rgld_pgld_seed1.csv':
             '70e6a894dd23c60a94560365211c47c0d7f34fffc1f34ac5fefe8d084bb77b29',
         'gm2d-pgld-vs-rgld_rgld_aggregate.csv':
-            '62485e6e3c6c5d7f85552a92045cf4420d28d40093078ec9124cf29c0eec40e7',
+            '1493546dbe174593745a9463cff6246a8e2b480c5628e938a17e97dac412085d',
         'gm2d-pgld-vs-rgld_rgld_seed0.csv':
             'a9f37622fea7ec9a4f366fd33af559030cb561ea4d81a819f7fada93390b2411',
         'gm2d-pgld-vs-rgld_rgld_seed1.csv':
@@ -91,13 +91,13 @@ GOLDEN = {
     },
     'rastrigin2': {
         'rastrigin2_pg_aggregate.csv':
-            'c9fc9f2e7da57249987bc678e8a6ab88cea38bb5ca0f015610379177512050d7',
+            '777e4e354762b9bb8d5d91e9fc6cb599d506f2fe3c3bf0987eaa0136b9df44d7',
         'rastrigin2_pg_seed0.csv':
             'c9ee3a7e85be9ad141f60679f447af888e682cdf9b78dad4e3dcee5fb7f879ab',
         'rastrigin2_pg_seed1.csv':
             '6851b9ca92a89f790ed66cb5fb5451614400522a1b09f41f6928c9adb4bf6040',
         'rastrigin2_rgld_aggregate.csv':
-            'd31544869281b7a0a4455418332b594ada710a7ef112e255f0e6a343757d390c',
+            '0760caf6362d117b17e62c3f08a08046318930cf8b27dc59d3630ef012135ebd',
         'rastrigin2_rgld_seed0.csv':
             '595f0e1bf8b09fe1d1d2e751937afd4a4687febafca9fee50ac4d2d7386f3ec4',
         'rastrigin2_rgld_seed1.csv':

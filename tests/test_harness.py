@@ -99,6 +99,10 @@ class TestPresetPins:
         t = 0.9949586
         assert obj.value(np.array([t, 0.0])) == pytest.approx(got, abs=1e-4)
         assert got > 0  # origin is infeasible, so the floor is above zero
+        # A minimum on the inner wall: g rises over [0.2, 0.4].
+        g = lambda t: t * t - 10.0 * math.cos(2.0 * math.pi * t)
+        wall = rastrigin_min_on_shell(SphericalShell(np.zeros(2), 0.2, 0.4))
+        assert wall == pytest.approx(10.0 + g(0.2), abs=1e-12)
 
 
 def tiny_gm2d(**overrides):
@@ -399,6 +403,28 @@ class TestInputChecks:
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_cli_rejects_steps_below_one(self, steps, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "gibbs1d", "--steps", steps, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--steps: must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_spec_file_steps_checked_before_tv_prefixes(self, tmp_path, capsys):
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 0,
+            "oracle_bins": 256, "tv_prefixes": [5],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "steps: must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_tv_prefix_above_steps_rejected(self, tmp_path):
@@ -725,6 +751,21 @@ class TestCli:
         assert len(one) == 8
         for p in one:
             assert p.read_bytes() == (tmp_path / "2" / p.name).read_bytes()
+
+    def test_presets_and_check_never_import_scipy(self):
+        # scipy.optimize alone takes about half a second to import.
+        code = (
+            "import sys\n"
+            "from rgld import cli, harness, objectives\n"
+            "harness.preset_gm2d()\n"
+            "harness.preset_rastrigin(2)\n"
+            "objectives.make_grid_gaussian_mixture(6)\n"
+            "assert cli.main(['check']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_entry_point_help(self):
         proc = subprocess.run(

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from rgld import objectives
 from rgld.geometry import Ball, SphericalShell
 from rgld.objectives import (
+    DOMINANT_MODE,
     DOMINANT_WEIGHT,
     GaussianMixture,
     Quadratic,
@@ -243,6 +246,41 @@ class TestGridMixtureMaker:
     def test_minimizer_is_feasible(self):
         gm = make_grid_gaussian_mixture(0)
         assert GM_SHELL.contains(gm.global_minimizer)
+
+    def test_newton_minimum_matches_bfgs(self):
+        for seed in range(200):
+            gm = make_grid_gaussian_mixture(seed)
+            x, f = gm.global_minimizer, gm.global_min_value
+            assert np.abs(gm.gradient(x)).max() <= 1e-12
+            np.linalg.cholesky(gm.hessian(x))
+            assert GM_SHELL.contains(x)
+            ref = optimize.minimize(
+                gm.value_and_gradient, np.asarray(DOMINANT_MODE), jac=True,
+                method="BFGS", options={"gtol": 1e-12},
+            )
+            # BFGS may stop on precision loss short of its gtol; its residual
+            # gradient over the least Hessian eigenvalue bounds how far off
+            # it stopped.
+            off = np.linalg.norm(gm.gradient(ref.x)) / np.linalg.eigvalsh(gm.hessian(x))[0]
+            assert np.abs(x - ref.x).max() <= 1e-9 + 2.0 * off
+            assert abs(f - ref.fun) <= 8 * np.spacing(abs(f))
+
+    def test_hessian_matches_finite_differences(self):
+        gm = make_grid_gaussian_mixture(3)
+        h = 1e-6
+        for x in np.random.default_rng(0).uniform(-3.0, 3.0, size=(20, 2)):
+            fd = np.array([(gm.gradient(x + e) - gm.gradient(x - e)) / (2 * h)
+                           for e in np.eye(2) * h])
+            np.testing.assert_allclose(gm.hessian(x), fd, atol=1e-7)
+
+    def test_newton_search_failures_are_named(self, monkeypatch):
+        gm = GaussianMixture([1.0], [[0.0, 0.0]])
+        # More than 1 from the mean the Hessian is indefinite.
+        with pytest.raises(ValueError, match="not positive definite"):
+            gm.refine_minimum([1.5, 0.0])
+        monkeypatch.setattr(objectives, "_NEWTON_STEPS", 1)
+        with pytest.raises(ValueError, match="no convergence in 1 Newton steps"):
+            gm.refine_minimum([0.3, 0.0])
 
 
 class TestValidation:
