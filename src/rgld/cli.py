@@ -154,17 +154,21 @@ def _cmd_check(_args) -> int:
                 ok &= abs(fd - g[i]) <= max(tol, 1e-5 * np.linalg.norm(g))
     report("analytic gradients vs finite differences", ok)
 
-    # The batched loop and the lone-chain loop must give the same bytes.
-    gm = objs[1]
-    dom = SphericalShell(np.zeros(2), 0.9, 4.0)
-    configs = [ChainConfig(method="rgld", eta=0.05, beta=1.0, steps=500, seed=seed,
-                           enforce_step_bound=False) for seed in (3, 4)]
+    # The batched loop and the lone-chain loop must give the same bytes, on
+    # the mixture's shell and on gibbs1d's interval (the lone loop's
+    # one-coordinate path).
+    gibbs1d = harness.preset_gibbs1d()
+    cases = [(objs[1], SphericalShell(np.zeros(2), 0.9, 4.0), 0.05, 1.0),
+             (gibbs1d.objective, gibbs1d.domain, gibbs1d.eta, gibbs1d.beta)]
     fields = ("f_value", "boundary_events", "fallback_events", "final_point")
     ok = True
-    for batched, config in zip(run_batch(configs, gm, dom), configs):
-        lone = run_chain(config, gm, dom)
-        ok &= all(getattr(batched, f).tobytes() == getattr(lone, f).tobytes()
-                  for f in fields)
+    for obj, dom, eta, beta in cases:
+        configs = [ChainConfig(method="rgld", eta=eta, beta=beta, steps=500, seed=seed,
+                               enforce_step_bound=False) for seed in (3, 4)]
+        for batched, config in zip(run_batch(configs, obj, dom), configs):
+            lone = run_chain(config, obj, dom)
+            ok &= all(getattr(batched, f).tobytes() == getattr(lone, f).tobytes()
+                      for f in fields)
     report("chain determinism", ok)
 
     oracle = GibbsOracle(Quadratic(1.0, 1), Ball(np.zeros(1), 1.0), 2.0, 256)

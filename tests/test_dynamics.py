@@ -653,21 +653,82 @@ class TestRunBatch:
             run_batch([], QUAD2, BALL2)
 
 
+class TestOneCoordinate:
+    """At d = 1 a lone chain's update and membership test run on Python
+    floats; its record equals the batch loop's, which stays on numpy."""
+
+    @staticmethod
+    def assert_lone_matches_batch(config, obj, dom):
+        x0 = None if config.x0 is None else config.x0.copy()
+        lone = run_chain(config, obj, dom)
+        assert_same_record(lone, run_batch([config], obj, dom)[0])
+        if x0 is not None:
+            assert config.x0.tobytes() == x0.tobytes()
+        return lone
+
+    @pytest.mark.parametrize("center", [0.0, 0.7])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("noise", NOISE_KINDS)
+    @pytest.mark.parametrize("trajectory", [False, True])
+    @pytest.mark.parametrize("start", ["drawn", "given"])
+    def test_matches_run_batch(self, center, method, noise, trajectory, start):
+        # A flat quadratic and a hot chain: many updates leave the interval.
+        dom = Ball(np.array([center]), 1.0)
+        x0 = None if start == "drawn" else np.array([center - 0.3])
+        config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=300, seed=11,
+                             noise=noise, x0=x0, record_trajectory=trajectory)
+        rec = self.assert_lone_matches_batch(config, Quadratic(0.5, 1), dom)
+        assert rec.boundary_events.any() or method == "pg"
+
+    @pytest.mark.parametrize("obj,x0,final", [
+        (Quadratic(1.0, 1), 0.5, 5e-324), (Quadratic(1.0, 1), -0.5, -5e-324),
+        (Quadratic(1.0, 1), -0.0, 0.0), (Flat(1), -0.0, -0.0)])
+    def test_pg_stops_at_a_subnormal_or_signed_zero(self, obj, x0, final):
+        # Halving from +-0.5 ends at +-5e-324, where 0.5 * x rounds to a
+        # zero. From -0.0 the quadratic steps once, to 0.0 (-0.0 equals
+        # 0.0 but is not its fixed point); a zero gradient keeps -0.0.
+        config = ChainConfig(method="pg", eta=0.5, steps=2000, x0=np.array([x0]),
+                             record_trajectory=True)
+        rec = self.assert_lone_matches_batch(config, obj, Ball(np.zeros(1), 1.0))
+        assert rec.computed_steps < config.steps
+        assert rec.final_point.tobytes() == np.array([final]).tobytes()
+
+    def test_fallback(self):
+        # Kicks of sqrt(2 * 1.5 / 0.5) = 2.4 overshoot the interval by more
+        # than its length, which reflection cannot absorb, on some steps.
+        config = ChainConfig(method="rgld", eta=1.5, beta=0.5, steps=200, seed=2,
+                             enforce_step_bound=False)
+        rec = self.assert_lone_matches_batch(config, Quadratic(1.0, 1),
+                                             Ball(np.array([0.4]), 1.0))
+        assert rec.fallback_count > 0 and rec.reflection_events > 0
+
+    @pytest.mark.parametrize("method", ["rgld", "pgld"])
+    def test_noise_block_of_seven(self, method):
+        config = ChainConfig(method=method, eta=0.05, beta=4.0, steps=50, seed=4,
+                             x0=np.array([0.2]), noise="gaussian")
+        with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
+            self.assert_lone_matches_batch(config, Quadratic(2.0, 1), Ball(np.zeros(1), 1.0))
+
+
 class TestNonFiniteIterates:
     """An update whose ``eta * grad`` overflows raises, naming the chain."""
 
     @pytest.mark.parametrize("method", ["rgld", "pg"])
     @pytest.mark.parametrize("runner", ["chain", "batch"])
     def test_overflowing_update_raises(self, method, runner):
-        # eta * grad = 1e308 * 1.9 overflows to inf.
-        configs = [ChainConfig(method=method, eta=1e308, steps=50, seed=s,
-                               x0=np.array([1.9, 0.0]), enforce_step_bound=False)
-                   for s in (3, 4)]
-        with pytest.raises(ValueError, match=f"^{method} chain, seed 3: iterate 1 is not finite"):
-            if runner == "chain":
-                run_chain(configs[0], QUAD2, BALL2)
-            else:
-                run_batch(configs, QUAD2, BALL2)
+        # eta * grad = 1e308 * 1.9 overflows to inf, with no warning at
+        # d = 1, where a lone chain's update runs on Python floats.
+        for x0, obj, dom in [([1.9, 0.0], QUAD2, BALL2),
+                             ([1.9], Quadratic(1.0, 1), Ball(np.zeros(1), 2.0))]:
+            configs = [ChainConfig(method=method, eta=1e308, steps=50, seed=s,
+                                   x0=np.array(x0), enforce_step_bound=False)
+                       for s in (3, 4)]
+            with pytest.raises(ValueError,
+                               match=f"^{method} chain, seed 3: iterate 1 is not finite"):
+                if runner == "chain":
+                    run_chain(configs[0], obj, dom)
+                else:
+                    run_batch(configs, obj, dom)
 
     def test_non_finite_final_point_named_by_its_step(self):
         cfg = ChainConfig(method="pg", eta=1e308, steps=1, seed=5,
