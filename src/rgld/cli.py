@@ -155,11 +155,13 @@ def _cmd_check(_args) -> int:
     report("analytic gradients vs finite differences", ok)
 
     # The batched loop and the lone-chain loop must give the same bytes, on
-    # the mixture's shell and on gibbs1d's interval (the lone loop's
-    # one-coordinate path).
+    # the mixture's shell and on two intervals: gibbs1d's quadratic, whose
+    # one-coordinate loop passes it a float, and Rastrigin, which gets a
+    # (1,) array (a hot chain: about a third of its updates reflect).
     gibbs1d = harness.preset_gibbs1d()
     cases = [(objs[1], SphericalShell(np.zeros(2), 0.9, 4.0), 0.05, 1.0),
-             (gibbs1d.objective, gibbs1d.domain, gibbs1d.eta, gibbs1d.beta)]
+             (gibbs1d.objective, gibbs1d.domain, gibbs1d.eta, gibbs1d.beta),
+             (Rastrigin(1), Ball(np.zeros(1), 1.0), 0.01, 1.0)]
     fields = ("f_value", "boundary_events", "fallback_events", "final_point")
     ok = True
     for obj, dom, eta, beta in cases:

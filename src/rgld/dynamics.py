@@ -16,20 +16,21 @@ Gaussian noise is retained as the conventional alternative.
 Two loops run the update. ``run_batch`` advances the chains of one
 method together on a ``(B, d)`` array (the objective's
 ``value_and_gradient`` and the region's ``contains`` take the rows and
-give each the bits of its point call), and each chain draws its noise
-from its own generator in blocks of steps. ``run_chain`` runs a lone
-chain on one point, with the region's membership test inline; at
-``dim == 1`` the update and that test run on Python floats, whose IEEE
-double operations give the bits of numpy's on ``(1,)`` arrays without
-its per-call cost. Per step a lone chain costs a sixth of a batch of one
-on the 1-D quadratic (2.2-2.7 against 13-19 us) and half on the 2-D
-mixture (10-16 against 18-25 us), measured on one core of a 2-core
-x86-64 host. Both loops call the operator only for points outside the
-region, write ``(B, steps)`` arrays (``B = 1`` for ``run_chain``) and
-hand them to ``_records``, which completes early-stopped rows, rejects
-non-finite values, takes running minima and builds each row's
-``RunRecord``. A batched chain's record equals its lone record bit
-for bit.
+give each the bits of its point call). ``run_chain`` runs a lone chain
+on one point, with the region's membership test inline. Each chain
+draws its noise from its own generator in blocks of steps. At
+``dim == 1`` a lone chain's update and membership test run on Python
+floats, whose IEEE double operations give the bits of numpy's on
+``(1,)`` arrays without its per-call cost; a ``Quadratic`` takes the
+float itself, and a block's values and iterates are written once, from
+lists. Per step a lone chain costs 0.4-0.7 us on the 1-D quadratic
+(14-22 us as a batch of one) and 10-16 us on the 2-D mixture (22-30
+us), on one core of a 2-core x86-64 host. Both loops call the operator
+only for points outside the region, write ``(B, steps)`` arrays
+(``B = 1`` for ``run_chain``) and hand them to ``_records``, which
+completes early-stopped rows, rejects non-finite values, takes running
+minima and builds each row's ``RunRecord``. A batched chain's record
+equals its lone record bit for bit.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
@@ -41,7 +42,6 @@ point: every later step would repeat it, so its loop stops there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import struct
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rgld.geometry import FeasibleDomain
-from rgld.objectives import Objective
+from rgld.objectives import Objective, Quadratic
 
 __all__ = [
     "METHODS",
@@ -64,7 +64,7 @@ __all__ = [
 
 METHODS = ("rgld", "pgld", "pg")
 NOISE_KINDS = ("rademacher", "gaussian")
-# Steps of noise a batched chain draws at a time: the stream is the same
+# Steps of noise a chain draws at a time: the stream is the same
 # as one draw of every step, without holding it all.
 _NOISE_BLOCK = 4096
 _pack = struct.Struct("d").pack  # a float's bytes, as a float64 array's tobytes()
@@ -317,16 +317,18 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     x0 = x.copy()
 
     n, d = config.steps, domain.dim
-    method = config.method
-    is_rgld = method == "rgld"
-    if method == "pg":
-        noise = None
-    else:
-        noise = _noise_matrix(rng, n, d, config.noise)
-        noise *= math.sqrt(2.0 * config.eta / config.beta)
-    # A 0-d array multiplies a point with less call overhead than a float,
-    # and gives the same bits.
-    eta = np.array(config.eta)
+    is_rgld = config.method == "rgld"
+    scale = None if config.method == "pg" else math.sqrt(2.0 * config.eta / config.beta)
+
+    # The scaled noise of the block from step ``a``. pg adds -0.0, the
+    # identity of IEEE addition (+0.0 turns -0.0 into 0.0).
+    def kicks(a):
+        m = min(_NOISE_BLOCK, n - a)
+        if scale is None:
+            return np.full((m, d), -0.0)
+        block = _noise_matrix(rng, m, d, config.noise)
+        block *= scale
+        return block
 
     # A batch of one for ``_records``; the loop writes through row views.
     f_vals = np.empty((1, n), dtype=np.float64)
@@ -345,72 +347,84 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     center = domain.center if domain.center.any() else None
     in2 = domain.inner_radius * domain.inner_radius
     out2 = domain.outer_radius * domain.outer_radius
-    x_bytes = x.tobytes() if noise is None else None
+    x_bytes = x.tobytes() if scale is None else None
     computed = n
     if d == 1:
-        # ``point``, the objective's argument, is never the start array
-        # (maybe ``config.x0``). pg adds -0.0, the identity of IEEE addition
-        # (+0.0 turns -0.0 into 0.0). The other methods convert one block
-        # of kicks at a time: a list of every kick holds 32 bytes a step.
-        c, point, xf = domain.center.item(), np.empty(1), x.item()
-        kicks = itertools.repeat(-0.0, n) if noise is None else itertools.chain.from_iterable(
-            noise[s:s + _NOISE_BLOCK, 0].tolist() for s in range(0, n, _NOISE_BLOCK))
-        for k, kick in enumerate(kicks):
-            point[0] = xf
-            fx, g = value_and_gradient(point)
-            f_row[k] = fx
+        # A ``Quadratic`` takes the float itself; any other objective gets
+        # it in a ``(1,)`` array, never the start array (maybe ``config.x0``).
+        # Each block's values and iterates are written once, from lists.
+        c, xf, eta = domain.center.item(), x.item(), config.eta
+        if type(obj) is not Quadratic:
+            point, evaluate = np.empty(1), value_and_gradient
+
+            def value_and_gradient(xf):
+                point[0] = xf
+                fx, g = evaluate(point)
+                return fx, g.item()
+
+        for a in range(0, n, _NOISE_BLOCK):
+            fs, xs = [], []
+            for k, kick in enumerate(kicks(a)[:, 0].tolist(), a):
+                fx, g = value_and_gradient(xf)
+                fs.append(fx)
+                xs.append(xf)
+                x_raw = xf - eta * g + kick
+                v = x_raw - c
+                if in2 <= v * v <= out2:
+                    xf = x_raw
+                else:
+                    raw = np.array([x_raw])
+                    if is_rgld:
+                        y, reflected, fell_back = reflect_or_project(raw)
+                        event_row[k] = reflected or fell_back
+                        fallback_row[k] = fell_back
+                    else:
+                        y = project(raw)
+                        event_row[k] = y is not raw
+                    xf = y.item()
+                if x_bytes is not None:
+                    new_bytes = _pack(xf)  # bits, as below
+                    if new_bytes == x_bytes:
+                        computed = k + 1
+                        break
+                    x_bytes = new_bytes
+            f_row[a:a + len(fs)] = fs
             if traj_row is not None:
-                traj_row[k] = xf
-            x_raw = xf - config.eta * g.item() + kick
-            v = x_raw - c
-            if in2 <= v * v <= out2:
-                xf = x_raw
-            else:
-                raw = np.array([x_raw])
-                if is_rgld:
-                    y, reflected, fell_back = reflect_or_project(raw)
+                traj_row[a:a + len(xs), 0] = xs
+            if computed < n:
+                break
+        x = np.array([xf])
+    else:
+        # A 0-d array multiplies a point with less call overhead than a
+        # float, and gives the same bits.
+        eta = np.array(config.eta)
+        for a in range(0, n, _NOISE_BLOCK):
+            for k, kick in enumerate(kicks(a), a):
+                fx, g = value_and_gradient(x)
+                f_row[k] = fx
+                if traj_row is not None:
+                    traj_row[k] = x
+                x_raw = x - eta * g + kick
+                v = x_raw if center is None else x_raw - center
+                if in2 <= v.dot(v) <= out2:
+                    x = x_raw
+                elif is_rgld:
+                    x, reflected, fell_back = reflect_or_project(x_raw)
                     event_row[k] = reflected or fell_back
                     fallback_row[k] = fell_back
                 else:
-                    y = project(raw)
-                    event_row[k] = y is not raw
-                xf = y.item()
-            if x_bytes is not None:
-                new_bytes = _pack(xf)  # bits, as below
-                if new_bytes == x_bytes:
-                    computed = k + 1
-                    break
-                x_bytes = new_bytes
-        return _records([config], [bound_ok], x0[None], np.array([[xf]]), f_vals, events,
-                        fallbacks, traj, [computed])[0]
-
-    for k in range(n):
-        fx, g = value_and_gradient(x)
-        f_row[k] = fx
-        if traj_row is not None:
-            traj_row[k] = x
-        if noise is None:
-            x_raw = x - eta * g
-        else:
-            x_raw = x - eta * g + noise[k]
-        v = x_raw if center is None else x_raw - center
-        if in2 <= v.dot(v) <= out2:
-            x = x_raw
-        elif is_rgld:
-            x, reflected, fell_back = reflect_or_project(x_raw)
-            event_row[k] = reflected or fell_back
-            fallback_row[k] = fell_back
-        else:
-            x = project(x_raw)
-            event_row[k] = x is not x_raw
-        if x_bytes is not None:
-            # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat the
-            # same later bits.
-            new_bytes = x.tobytes()
-            if new_bytes == x_bytes:
-                computed = k + 1
+                    x = project(x_raw)
+                    event_row[k] = x is not x_raw
+                if x_bytes is not None:
+                    # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat
+                    # the same later bits.
+                    new_bytes = x.tobytes()
+                    if new_bytes == x_bytes:
+                        computed = k + 1
+                        break
+                    x_bytes = new_bytes
+            if computed < n:
                 break
-            x_bytes = new_bytes
     return _records([config], [bound_ok], x0[None], x[None], f_vals, events,
                     fallbacks, traj, [computed])[0]
 

@@ -21,17 +21,18 @@ with 17 significant digits so values round-trip exactly.
 
 Every CSV goes through one block-streamed writer. A row's text after
 its leading columns is formatted once per run of rows whose bits are
-equal in those columns (``cummin`` and the flags; the quartiles), so a
-row costs one ``%``-format of its step and ``f``, or one concatenation.
-Seeds that share one record get one formatted chain CSV and byte copies
-of it.
+equal in those columns (``cummin`` and the flags; the quartiles). A
+block of chain rows is then one ``%``-format of its steps, ``f`` values
+and tails, and the aggregate rows of a run within a block are one
+``join`` of their steps with the run's text. Seeds that share one record
+get one formatted chain CSV and byte copies of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-import operator
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -506,12 +507,12 @@ def run_chains(
     return {key: replace(records[chain_of[key]], config=c) for key, c in configs.items()}
 
 
-def _run_strings(fmt: str, columns) -> np.ndarray:
-    """``fmt % row`` of every row of equal-length, non-empty columns, as an
-    object array.
+def _run_strings(fmt: str, columns) -> tuple[list, list]:
+    """The runs of rows whose bits are equal in every column of
+    equal-length, non-empty columns: the first row of each run followed by
+    the row count, and ``fmt % row`` of each run.
 
-    Each run of rows whose bits are equal in every column is formatted
-    once. Runs are split on bit patterns, not ``==``, so ``-0.0`` next to
+    Runs are split on bit patterns, not ``==``, so ``-0.0`` next to
     ``0.0`` still prints as ``-0`` and ``0``.
     """
     n = len(columns[0])
@@ -521,9 +522,8 @@ def _run_strings(fmt: str, columns) -> np.ndarray:
         bits = c.view(f"u{c.itemsize}")
         starts[1:] |= bits[1:] != bits[:-1]
     starts = np.flatnonzero(starts)
-    rows = zip(*(c[starts].tolist() for c in columns))
-    strings = np.array([fmt % row for row in rows], dtype=object)
-    return np.repeat(strings, np.diff(starts, append=n))
+    strings = [fmt % row for row in zip(*(c[starts].tolist() for c in columns))]
+    return starts.tolist() + [n], strings
 
 
 def _write_csv(path, header: str, n: int, rows) -> None:
@@ -541,22 +541,37 @@ def _write_csv(path, header: str, n: int, rows) -> None:
 
 def _write_chain_csv(path, record: RunRecord) -> None:
     """One row per step: the step and ``f``, then a tail formatted once per
-    run of equal ``cummin`` and flags."""
+    run of equal ``cummin`` and flags. A block of rows is one ``%`` call."""
     f = record.f_value
-    tails = _run_strings(",%.17g,%d,%d\n", [
+    bounds, tails = _run_strings(",%.17g,%d,%d\n", [
         record.cumulative_min, record.boundary_events, record.fallback_events,
     ])
-    row = "%d,%.17g%s".__mod__
-    _write_csv(path, "step,f,cummin,reflected,fallback", f.size, lambda a, b: map(
-        row, zip(range(a, b), f[a:b].tolist(), tails[a:b].tolist())))
+    tails = np.repeat(np.array(tails, dtype=object), np.diff(bounds))
+
+    def rows(a, b):
+        args = [None] * (3 * (b - a))
+        args[0::3] = range(a, b)
+        args[1::3] = f[a:b].tolist()
+        args[2::3] = tails[a:b].tolist()
+        return ("%d,%.17g%s" * (b - a) % tuple(args),)
+
+    _write_csv(path, "step,f,cummin,reflected,fallback", f.size, rows)
 
 
 def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
     """One row per step: the step, then its quartiles formatted once per
-    run of equal quartiles."""
-    tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
-    _write_csv(path, "step,q25,q50,q75", tails.size, lambda a, b: map(
-        operator.add, map(str, range(a, b)), tails[a:b].tolist()))
+    run of equal quartiles. The rows of a run within a block are one join
+    of their steps."""
+    bounds, tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
+
+    def rows(a, b):
+        # Runs i .. j-1 meet rows a .. b-1.
+        i, j = bisect.bisect_right(bounds, a) - 1, bisect.bisect_left(bounds, b)
+        cuts = [a, *bounds[i + 1:j], b]
+        return (tails[r].join(map(str, range(lo, hi))) + tails[r]
+                for r, lo, hi in zip(range(i, j), cuts, cuts[1:]))
+
+    _write_csv(path, "step,q25,q50,q75", bounds[-1], rows)
 
 
 def tv_over_prefixes(
@@ -621,11 +636,10 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
                 shutil.copyfile(shared, p)
             paths.append(p)
         if spec.aggregation == "median-with-quartiles":
-            curve = AggregateCurve.from_records(
-                [records[(method, s)] for s in spec.seeds], spec.min_f
-            )
+            # The curve is not kept: the TV histograms below reuse its memory.
             p = out / f"{spec.name}_{method}_aggregate.csv"
-            _write_aggregate_csv(p, curve)
+            _write_aggregate_csv(p, AggregateCurve.from_records(
+                [records[(method, s)] for s in spec.seeds], spec.min_f))
             paths.append(p)
     if oracle is not None:
         row = "%d,%.17g\n".__mod__

@@ -648,6 +648,19 @@ class TestRunBatch:
         with pytest.raises(ChainConfigError, match=f"^{field}"):
             run_batch(configs, QUAD2, BALL2)
 
+    @pytest.mark.parametrize("method", ["rgld", "pgld"])
+    @pytest.mark.parametrize("noise", NOISE_KINDS)
+    def test_lone_chain_draws_noise_in_blocks(self, method, noise):
+        # Blocks of seven steps give the noise of one draw (the batch's
+        # default block covers all 50 steps), in two coordinates too.
+        obj, dom = Quadratic(0.5, 2), Ball(np.zeros(2), 1.0)
+        config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=50, seed=4,
+                             noise=noise, record_trajectory=True)
+        batched = run_batch([config], obj, dom)[0]
+        with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
+            assert_same_record(run_chain(config, obj, dom), batched)
+        assert batched.boundary_events.any()
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="^configs"):
             run_batch([], QUAD2, BALL2)
@@ -672,13 +685,17 @@ class TestOneCoordinate:
     @pytest.mark.parametrize("trajectory", [False, True])
     @pytest.mark.parametrize("start", ["drawn", "given"])
     def test_matches_run_batch(self, center, method, noise, trajectory, start):
-        # A flat quadratic and a hot chain: many updates leave the interval.
+        # A hot chain: many updates leave the interval. The quadratic takes
+        # the loop's float; the other objectives get a (1,) array.
         dom = Ball(np.array([center]), 1.0)
         x0 = None if start == "drawn" else np.array([center - 0.3])
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=300, seed=11,
-                             noise=noise, x0=x0, record_trajectory=trajectory)
-        rec = self.assert_lone_matches_batch(config, Quadratic(0.5, 1), dom)
-        assert rec.boundary_events.any() or method == "pg"
+                             noise=noise, x0=x0, record_trajectory=trajectory,
+                             enforce_step_bound=False)
+        for obj in (Quadratic(0.5, 1), Rastrigin(1),
+                    GaussianMixture([1.0, 0.6], [[-0.4], [0.9]])):
+            rec = self.assert_lone_matches_batch(config, obj, dom)
+            assert rec.boundary_events.any() or method == "pg"
 
     @pytest.mark.parametrize("obj,x0,final", [
         (Quadratic(1.0, 1), 0.5, 5e-324), (Quadratic(1.0, 1), -0.5, -5e-324),
@@ -708,6 +725,19 @@ class TestOneCoordinate:
                              x0=np.array([0.2]), noise="gaussian")
         with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
             self.assert_lone_matches_batch(config, Quadratic(2.0, 1), Ball(np.zeros(1), 1.0))
+
+    @pytest.mark.parametrize("steps", [1076, 2000])
+    def test_pg_stops_in_a_later_noise_block(self, steps):
+        # Halving from 0.5 reaches its fixed point 5e-324 at update 1074, in
+        # block 154 of seven steps: the last one, of five steps, when there
+        # are 1076; a block in the middle when there are 2000.
+        config = ChainConfig(method="pg", eta=0.5, steps=steps, x0=np.array([0.5]),
+                             record_trajectory=True)
+        with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
+            rec = self.assert_lone_matches_batch(config, Quadratic(1.0, 1),
+                                                 Ball(np.zeros(1), 1.0))
+        assert rec.computed_steps == 1074
+        assert rec.trajectory[1073:, 0].tolist() == [5e-324] * (steps - 1073)
 
 
 class TestNonFiniteIterates:
