@@ -180,6 +180,22 @@ def _cmd_check(_args) -> int:
         f"sum={float(np.sum(oracle.probabilities)):.3e}",
     )
 
+    # The CSV writers print floats from digits found with numpy's uint64
+    # wrap-around, np.rint and np.log10; a build that differs fails here.
+    powers = 10.0 ** np.arange(-8, 18)
+    ties = rng.integers(10**15, 2**51, 100).astype(np.float64)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, ties + 0.25, ties + 0.75,
+        [0.01, 0.001, 1e-14, 0.0, 5e-324, np.inf, np.nan],
+        rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64),
+        np.exp2(rng.uniform(-31.0, 51.0, 5000)),
+    ])
+    values = np.concatenate([values, -values])
+    heads, bodies = harness._float_text(values)
+    bad = sum(f"{h}{b}" != "%.17g" % v for h, b, v in zip(heads, bodies, values.tolist()))
+    report("CSV float text", bad == 0, f"{bad} of {values.size} values differ from %.17g")
+
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 

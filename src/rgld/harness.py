@@ -22,15 +22,17 @@ with 17 significant digits so values round-trip exactly.
 Every CSV goes through one block-streamed writer. A row's text after
 its leading columns is formatted once per run of rows whose bits are
 equal in those columns (``cummin`` and the flags; the quartiles). A
-block of chain rows is then one ``%``-format of its steps, ``f`` values
-and tails, and the aggregate rows of a run within a block are one
-``join`` of their steps with the run's text. Seeds that share one record
-get one formatted chain CSV and byte copies of it.
+block of chain rows is then one ``%``-format of its steps, ``f`` texts
+and tails, where most ``f`` values are a head string and an int found
+by integer arithmetic (``_float_text``): 0.4-0.5 s for gibbs1d's 10**6
+rows on a 2-core x86-64 host. The aggregate rows of a run within a
+block are one byte matrix, the steps' digits and the run's text: about
+0.1 s for 10**6 rows. Seeds that share one record get one formatted
+chain CSV and byte copies of it.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import shutil
@@ -79,7 +81,7 @@ GM_OBJECTIVE_SEED = 6
 AGGREGATIONS = ("none", "median-with-quartiles")
 # Rows per CSV write and columns per percentile call: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -526,22 +528,105 @@ def _run_strings(fmt: str, columns) -> tuple[list, list]:
     return starts.tolist() + [n], strings
 
 
+# Exact powers of ten and five, and powers of ten as doubles, for the
+# digits of ``_float_text``.
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)
+_POW10_F = 10.0 ** np.arange(28)
+
+
+def _digits17(a: np.ndarray, x: np.ndarray):
+    """``floor(a * 10**(16 - x))`` for doubles ``a`` in [2**-31, 2**51),
+    with ``d`` and ``r`` such that the exact product is that floor plus
+    ``d mod 2**r`` over ``2**r``.
+
+    With ``a = m * 2**e`` (``m`` an integer below 2**53) and ``t = 16 - x``,
+    the product is ``m * 5**t / 2**r`` for ``r = -(e + t)``, which is at
+    least 1 on this range. The double estimate ``qh = rint(a * 10**t)`` is
+    within a few units of it, so ``d = m * 5**t - qh * 2**r`` is below
+    2**63 in magnitude and exact in wrapping uint64 arithmetic, though
+    ``m * 5**t`` is not.
+    """
+    t = 16 - x
+    mant, exp = np.frexp(a)
+    m = (mant * 2.0**53).astype(np.uint64)
+    r = 53 - exp - t
+    qh = np.rint(a * _POW10_F[t]).astype(np.uint64)
+    d = (m * _POW5[t] - (qh << r.astype(np.uint64))).view(np.int64)
+    return qh.view(np.int64) + (d >> r), d, r
+
+
+def _float_text(v: np.ndarray) -> tuple[list, list]:
+    """Heads and bodies with ``"%s%s" % (heads[i], bodies[i])`` equal to
+    ``"%.17g" % v[i]`` for every ``i``.
+
+    A value of magnitude in [2**-31, 2**51) whose text is in fixed
+    notation (decimal exponent -4 .. 16) gets its 17 significant digits by
+    integer arithmetic. Its head is the sign, integer part, point and
+    leading fraction zeros, one string per distinct head, and its body the
+    other fraction digits as an int, or "" when it has none. Any other
+    value's head is Python's own text, with an empty body.
+    """
+    a = np.abs(v)
+    exact = (a >= 2.0**-31) & (a < 2.0**51)
+    a = np.where(exact, a, 1.0)  # the other rows get digits that are not used
+    x = np.floor(np.log10(a)).astype(np.int64)
+    q, d, r = _digits17(a, x)
+    # np.log10 can miss the decade next to a power of ten: the unrounded
+    # digits tell, since they lie in [10**16, 10**17) at the right exponent.
+    off = (q >= _POW10[17]).astype(np.int64) - (q < _POW10[16])
+    moved = np.flatnonzero(off)
+    if moved.size:
+        x[moved] += off[moved]
+        q[moved], d[moved], r[moved] = _digits17(a[moved], x[moved])
+    # Round half to even. No double in [2**-31, 2**51) rounds up to
+    # 10**17: the largest below each power of ten is too far from it.
+    rest, half = d & ((1 << r) - 1), 1 << (r - 1)
+    q += (rest > half) | ((rest == half) & (q & 1 == 1))
+    fixed = exact & (x >= -4)
+    # s is q without its trailing zeros, z their count.
+    s, z = q.copy(), np.zeros_like(q)
+    i = np.flatnonzero(fixed & (s % 10 == 0))
+    while i.size:
+        s[i] //= 10
+        z[i] += 1
+        i = i[s[i] % 10 == 0]
+    shown = np.maximum(16 - x - z, 0)  # fraction digits printed
+    body = s % _POW10[np.minimum(shown, 18)]
+    whole = q // _POW10[np.minimum(16 - x, 18)]
+    # 0: no point; else 1 + the leading zeros of the fraction.
+    point = np.where(shown > 0, shown + 1 - np.searchsorted(_POW10, body, "right"), 0)
+    keys, inverse = np.unique((whole * 2 + (v < 0)) * 32 + point, return_inverse=True)
+    table = np.array([("-" if k & 32 else "") + str(k >> 6)
+                      + ("." + "0" * ((k & 31) - 1) if k & 31 else "")
+                      for k in keys.tolist()], dtype=object)
+    heads, bodies = table[inverse].tolist(), body.tolist()
+    other = np.flatnonzero(~fixed)
+    for i, value in zip(other.tolist(), v[other].tolist()):
+        heads[i], bodies[i] = "%.17g" % value, ""
+    for i in np.flatnonzero(fixed & (shown == 0)).tolist():
+        bodies[i] = ""
+    return heads, bodies
+
+
 def _write_csv(path, header: str, n: int, rows) -> None:
     """Write ``header`` and ``n`` rows to ``path``, streamed in blocks.
 
     ``rows(a, b)`` returns the text of rows ``a .. b-1``, each ending in a
-    newline, as an iterable of strings, so no more than one block of text
-    is held in memory at a time.
+    newline, as one ASCII ``str`` or bytes-like object, so no more than
+    one block of text is held in memory at a time.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for a in range(0, n, _BLOCK_ROWS):
-            fh.write("".join(rows(a, min(a + _BLOCK_ROWS, n))))
+            block = rows(a, min(a + _BLOCK_ROWS, n))
+            fh.write(block.encode() if isinstance(block, str) else block)
 
 
 def _write_chain_csv(path, record: RunRecord) -> None:
-    """One row per step: the step and ``f``, then a tail formatted once per
-    run of equal ``cummin`` and flags. A block of rows is one ``%`` call."""
+    """One row per step: the step and ``f`` (``_float_text``), then a tail
+    formatted once per run of equal ``cummin`` and flags. A block of rows
+    is one ``%`` call."""
     f = record.f_value
     bounds, tails = _run_strings(",%.17g,%d,%d\n", [
         record.cumulative_min, record.boundary_events, record.fallback_events,
@@ -549,29 +634,50 @@ def _write_chain_csv(path, record: RunRecord) -> None:
     tails = np.repeat(np.array(tails, dtype=object), np.diff(bounds))
 
     def rows(a, b):
-        args = [None] * (3 * (b - a))
-        args[0::3] = range(a, b)
-        args[1::3] = f[a:b].tolist()
-        args[2::3] = tails[a:b].tolist()
-        return ("%d,%.17g%s" * (b - a) % tuple(args),)
+        args = [None] * (4 * (b - a))
+        args[0::4] = range(a, b)
+        args[1::4], args[2::4] = _float_text(f[a:b])
+        args[3::4] = tails[a:b].tolist()
+        return "%d,%s%s%s" * (b - a) % tuple(args)
 
     _write_csv(path, "step,f,cummin,reflected,fallback", f.size, rows)
 
 
 def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
     """One row per step: the step, then its quartiles formatted once per
-    run of equal quartiles. The rows of a run within a block are one join
-    of their steps."""
+    run of equal quartiles. The rows of a block whose steps have one width
+    are one byte array, in which the rows of each run are a matrix of the
+    steps' digits, computed once, and the run's text."""
     bounds, tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
+    bounds = np.array(bounds)
+    tails = [np.frombuffer(t.encode(), dtype=np.uint8) for t in tails]
+    sizes = np.array([t.size for t in tails])
 
     def rows(a, b):
-        # Runs i .. j-1 meet rows a .. b-1.
-        i, j = bisect.bisect_right(bounds, a) - 1, bisect.bisect_left(bounds, b)
-        cuts = [a, *bounds[i + 1:j], b]
-        return (tails[r].join(map(str, range(lo, hi))) + tails[r]
-                for r, lo, hi in zip(range(i, j), cuts, cuts[1:]))
+        parts = []
+        cuts = [a, *(c for c in _POW10.tolist() if a < c < b), b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # Runs i .. j-1 meet rows lo .. hi-1, whose steps have w digits.
+            i, j = np.searchsorted(bounds, lo, "right") - 1, np.searchsorted(bounds, hi)
+            w = len(str(lo))
+            digits = np.empty((hi - lo, w), dtype=np.uint8)
+            step = np.arange(lo, hi)
+            for c in range(w - 1, -1, -1):
+                digits[:, c] = step % 10 + 48
+                step //= 10
+            # The rows c .. e-1 of a run are the bytes o .. p-1 of text.
+            ends = np.clip(bounds[i:j + 1], lo, hi) - lo
+            offsets = np.cumsum([0, *np.diff(ends) * (w + sizes[i:j])]).tolist()
+            ends = ends.tolist()
+            text = np.empty(offsets[-1], dtype=np.uint8)
+            for k, c, e, o, p in zip(range(i, j), ends, ends[1:], offsets, offsets[1:]):
+                run = text[o:p].reshape(e - c, -1)
+                run[:, :w] = digits[c:e]
+                run[:, w:] = tails[k]
+            parts.append(text)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    _write_csv(path, "step,q25,q50,q75", bounds[-1], rows)
+    _write_csv(path, "step,q25,q50,q75", int(bounds[-1]), rows)
 
 
 def tv_over_prefixes(
@@ -647,7 +753,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
             for seed in spec.seeds:
                 tvs = tv_over_prefixes(spec, records[(method, seed)], oracle)
                 p = out / f"{spec.name}_{method}_tv_seed{seed}.csv"
-                _write_csv(p, "prefix,tv", len(tvs), lambda a, b: map(
-                    row, zip(spec.tv_prefixes[a:b], tvs[a:b])))
+                _write_csv(p, "prefix,tv", len(tvs), lambda a, b: "".join(map(
+                    row, zip(spec.tv_prefixes[a:b], tvs[a:b]))))
                 paths.append(p)
     return paths

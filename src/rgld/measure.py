@@ -217,5 +217,5 @@ def export_cells_csv(path, oracle: GibbsOracle, histogram: Histogram | None = No
         columns.append(histogram.counts)
         row += ",%d"
     row = (row + "\n").__mod__
-    _write_csv(path, header, oracle.n_cells, lambda a, b: map(
-        row, zip(range(a, b), *(c[a:b].tolist() for c in columns))))
+    _write_csv(path, header, oracle.n_cells, lambda a, b: "".join(map(
+        row, zip(range(a, b), *(c[a:b].tolist() for c in columns)))))

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -226,6 +227,53 @@ def csv_columns(draw):
     return f, c, ev, fb, draw(st.integers(1, n + 1))
 
 
+def awkward_text_table():
+    """Values whose ``%.17g`` text is easy to get wrong, with their negatives."""
+    powers = 10.0 ** np.arange(-8, 18)
+    ties = np.array([10**15, 10**15 + 1, 1999999999999999, 2**50, 2**50 + 3,
+                     2222222222222222, 2**51 - 2, 2**51 - 1], dtype=np.float64)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        # Below the exact power of ten, and printed as it: the decade moves.
+        [1e-14, 1e-305, 1e98, 9.9999999999999995e-08],
+        # Exact ties, printed half to even: 1000000000000000.2.
+        ties + 0.25, ties + 0.75,
+        [0.01, 0.001, 0.1, 0.5, 0.0001, 0.00012, 1.0, 7.0, 10.0, 120.0, 2.0**51, 2.0**53,
+         12345678901234567.0, 2.0**-31, np.nextafter(2.0**-31, 0.0),
+         np.nextafter(2.0**51, 0.0), 0.0, 5e-324, 2.2250738585072009e-308, np.inf, np.nan],
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestFloatText:
+    """``_float_text`` heads and bodies against ``"%.17g" % v``, with every
+    warning an error, so no cast of inf or nan to an integer can warn."""
+
+    def check(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            heads, bodies = harness._float_text(values)
+        assert [f"{h}{b}" for h, b in zip(heads, bodies)] == [
+            "%.17g" % v for v in values.tolist()]
+
+    def test_awkward_table(self):
+        self.check(awkward_text_table())
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        self.check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(2.0**-31, 2.0**51, exclude_max=True) | st.floats(-31.0, 51.0).map(
+            lambda e: min(2.0**e, np.nextafter(2.0**51, 0.0))),
+        st.booleans()), min_size=1, max_size=40))
+    def test_integer_digit_range(self, drawn):
+        self.check([-a if neg else a for a, neg in drawn])
+
+
 class TestStreamedWriter:
     """The chain and aggregate writers of ``run_experiment`` against the
     text of the former per-row f-string writers."""
@@ -277,6 +325,18 @@ class TestStreamedWriter:
         ev = np.zeros(n, dtype=bool)
         ev[harness._BLOCK_ROWS - 1: harness._BLOCK_ROWS + 1] = True
         self.check(tmp_path / "c.csv", f, c, ev, ~ev)
+
+    @pytest.mark.parametrize("texts", [(1.5, 2.5), (0.5, 0.125)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("cuts", [(5, 50, 150, 1500, 15000), (10, 100, 1000, 10000, 10010)],
+                             ids=["inside-runs", "at-run-edges"])
+    @pytest.mark.parametrize("block", [7, 10])
+    def test_step_width_changes(self, tmp_path, monkeypatch, block, cuts, texts):
+        """Steps from 9 -> 10 to 9999 -> 10000, inside a quartile run or at
+        its edge, inside a block (7 rows) or at its edge (10 rows), in runs
+        whose texts have equal or unequal lengths."""
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
+        lengths = np.diff((0, *cuts))
+        self.check_values(tmp_path, np.repeat(np.resize(texts, lengths.size), lengths))
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(csv_columns())
@@ -703,6 +763,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_check_battery_fails_on_wrong_float_digits(self, capsys, monkeypatch):
+        # As if the uint64 products of a numpy build did not wrap.
+        monkeypatch.setattr(harness, "_POW5", np.minimum(harness._POW5, 2**40))
+        assert cli.main(["check"]) == 1
+        assert "FAIL CSV float text" in capsys.readouterr().out
 
     def test_dim_flag(self, tmp_path):
         rc = cli.main([
