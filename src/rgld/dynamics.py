@@ -18,12 +18,13 @@ method together on a ``(B, d)`` array (the objective's
 ``value_and_gradient`` and the region's ``contains`` take the rows and
 give each the bits of its point call). ``run_chain`` runs a lone chain
 on one point, with the region's membership test inline. Each chain
-draws its noise from its own generator in blocks of steps. At
-``dim == 1`` a lone chain's update and membership test run on Python
-floats, whose IEEE double operations give the bits of numpy's on
-``(1,)`` arrays without its per-call cost; a ``Quadratic`` takes the
-float itself, and a block's values and iterates are written once, from
-lists. Per step a lone chain costs 0.4-0.7 us on the 1-D quadratic
+draws its noise from its own generator in blocks of steps. A lone
+chain on a one-dimensional ``Quadratic`` (gibbs1d) runs its update,
+objective and membership test on Python floats, whose IEEE double
+operations give the bits of numpy's on ``(1,)`` arrays without its
+per-call cost, and writes a block's values and iterates once, from
+lists; any other objective takes the array loop at every dimension.
+Per step a lone chain costs 0.4-0.7 us on the 1-D quadratic
 (14-22 us as a batch of one) and 10-16 us on the 2-D mixture (22-30
 us), on one core of a 2-core x86-64 host. Both loops call the operator
 only for points outside the region, write ``(B, steps)`` arrays
@@ -349,19 +350,10 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     out2 = domain.outer_radius * domain.outer_radius
     x_bytes = x.tobytes() if scale is None else None
     computed = n
-    if d == 1:
-        # A ``Quadratic`` takes the float itself; any other objective gets
-        # it in a ``(1,)`` array, never the start array (maybe ``config.x0``).
-        # Each block's values and iterates are written once, from lists.
+    if d == 1 and type(obj) is Quadratic:
+        # The quadratic takes the float itself. Each block's values and
+        # iterates are written once, from lists.
         c, xf, eta = domain.center.item(), x.item(), config.eta
-        if type(obj) is not Quadratic:
-            point, evaluate = np.empty(1), value_and_gradient
-
-            def value_and_gradient(xf):
-                point[0] = xf
-                fx, g = evaluate(point)
-                return fx, g.item()
-
         for a in range(0, n, _NOISE_BLOCK):
             fs, xs = [], []
             for k, kick in enumerate(kicks(a)[:, 0].tolist(), a):

@@ -16,8 +16,9 @@ Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
 holds the objective and running minimum at iterate ``k`` and the flags
 for the update leaving iterate ``k``. Aggregate CSV schema:
 ``step,q25,q50,q75`` of the optimization error (running minimum minus
-the known minimum over the region) across seeds. Floats are printed
-with 17 significant digits so values round-trip exactly.
+the known minimum over the region) across seeds. Oracle CSV schema
+(``export_cells_csv``): ``cell,mid_0[,mid_1],probability``. Floats are
+printed with 17 significant digits so values round-trip exactly.
 
 Every CSV goes through one block-streamed writer. A row's text after
 its leading columns is formatted once per run of rows whose bits are
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rgld.dynamics import ChainConfig, RunRecord, run_batch, run_chain
+from rgld.dynamics import ChainConfig, RunRecord, _validate, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle, bin_samples, tv_distance
 from rgld.objectives import (
@@ -69,6 +70,7 @@ __all__ = [
     "run_experiment",
     "run_chains",
     "rastrigin_min_on_shell",
+    "export_cells_csv",
 ]
 
 # 20 seeds give stable medians for the comparative criteria.
@@ -78,7 +80,6 @@ DEFAULT_SEEDS = tuple(range(20))
 # minimum far above the dominant mode (not every draw traps it).
 GM_OBJECTIVE_SEED = 6
 
-AGGREGATIONS = ("none", "median-with-quartiles")
 # Rows per CSV write and columns per percentile call: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
 _BLOCK_ROWS = 1 << 14
@@ -98,10 +99,8 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     x0: np.ndarray | None = None
     noise: str = "rademacher"
-    aggregation: str = "median-with-quartiles"
     min_f: float | None = None
     enforce_step_bound: bool = True
-    record_trajectory: bool = False
     # Stationarity presets pair the chain with a quadrature oracle and
     # report total variation over growing trajectory prefixes.
     oracle_bins: int | None = None
@@ -116,7 +115,7 @@ class ExperimentSpec:
             seed=seed,
             noise=self.noise,
             x0=self.x0,
-            record_trajectory=self.record_trajectory or self.oracle_bins is not None,
+            record_trajectory=self.oracle_bins is not None,
             enforce_step_bound=self.enforce_step_bound,
         )
 
@@ -175,48 +174,36 @@ def preset_gm2d(
     )
 
 
-def preset_gm2d_pgld_vs_rgld(
-    eta: float = 0.05, beta: float = 1.0, steps: int = 10_000, seeds=DEFAULT_SEEDS
-) -> ExperimentSpec:
+def preset_gm2d_pgld_vs_rgld() -> ExperimentSpec:
     """The reflection-versus-projection comparison on the mixture problem."""
-    spec = preset_gm2d(eta=eta, beta=beta, steps=steps, seeds=seeds,
-                       methods=("pgld", "rgld"))
-    return replace(spec, name="gm2d-pgld-vs-rgld")
+    return replace(preset_gm2d(methods=("pgld", "rgld")), name="gm2d-pgld-vs-rgld")
 
 
 def preset_rosenbrock(
-    dim: int = 4,
-    eta: float | None = None,
-    steps: int = 200_000,
-    seeds=DEFAULT_SEEDS,
-    beta: float | None = None,
+    dim: int = 4, steps: int = 200_000, seeds=DEFAULT_SEEDS
 ) -> ExperimentSpec:
     """Rosenbrock on the shell between radii ``0.5 sqrt(d)`` and ``2 sqrt(d)``.
 
-    ``eta`` defaults to ``min(5e-4, 2e-3 / d)`` and ``beta`` to
-    ``0.25 * d``. The benchmark grid uses d in {4, 10, 20}; any d >= 2 is
-    accepted for custom runs. The step shrinks with d because the
-    gradient grows with the shell: at 5e-4, d = 10 falls back to
-    projection on most rgld steps, while ``2e-3 / d`` keeps d = 10 and
-    20 free of fallbacks and leaves d <= 4 at 5e-4. Initial points are
+    ``eta`` is ``min(5e-4, 2e-3 / d)`` and ``beta`` is ``0.25 * d``. The
+    benchmark grid uses d in {4, 10, 20}; any d >= 2 is accepted for
+    custom runs. The step shrinks with d because the gradient grows with
+    the shell: at 5e-4, d = 10 falls back to projection on most rgld
+    steps, while ``2e-3 / d`` keeps d = 10 and 20 free of fallbacks and
+    leaves d <= 4 at 5e-4. Initial points are
     drawn uniformly from the region per seed. The huge worst-case
     gradient bound of this objective fails the conservative step-size
     check even so, so the check is disabled (see gm2d).
     """
     if dim < 2:
         raise ValueError(f"invalid dimension {dim}: Rosenbrock requires d >= 2")
-    if eta is None:
-        eta = min(5e-4, 2e-3 / dim)
-    if beta is None:
-        beta = 0.25 * dim
     root_d = math.sqrt(dim)
     return ExperimentSpec(
         name=f"rosenbrock{dim}",
         objective=Rosenbrock(dim),
         domain=SphericalShell(np.zeros(dim), 0.5 * root_d, 2.0 * root_d),
         methods=("pg", "rgld"),
-        eta=eta,
-        beta=beta,
+        eta=min(5e-4, 2e-3 / dim),
+        beta=0.25 * dim,
         steps=steps,
         seeds=tuple(seeds),
         x0=None,
@@ -226,15 +213,11 @@ def preset_rosenbrock(
 
 
 def preset_rastrigin(
-    dim: int = 2,
-    eta: float = 5e-4,
-    steps: int = 200_000,
-    seeds=DEFAULT_SEEDS,
-    beta: float | None = None,
+    dim: int = 2, steps: int = 200_000, seeds=DEFAULT_SEEDS
 ) -> ExperimentSpec:
     """Rastrigin on the shell between radii 0.9 and 5.12.
 
-    ``beta`` defaults to ``0.05 * d``; the benchmark grid uses d in
+    ``eta`` is 5e-4 and ``beta`` is ``0.05 * d``; the benchmark grid uses d in
     {2, 3, 5, 10, 20, 30}. The origin (the unconstrained minimizer) lies
     in the excluded cavity, so the error baseline is the constrained
     minimum, reached by moving a single coordinate to the nearest
@@ -242,16 +225,14 @@ def preset_rastrigin(
     """
     if dim < 2:
         raise ValueError(f"invalid dimension {dim}: the shell requires d >= 2")
-    if beta is None:
-        beta = 0.05 * dim
     domain = SphericalShell(np.zeros(dim), 0.9, 5.12)
     return ExperimentSpec(
         name=f"rastrigin{dim}",
         objective=Rastrigin(dim),
         domain=domain,
         methods=("pg", "rgld"),
-        eta=eta,
-        beta=beta,
+        eta=5e-4,
+        beta=0.05 * dim,
         steps=steps,
         seeds=tuple(seeds),
         x0=None,
@@ -260,9 +241,7 @@ def preset_rastrigin(
     )
 
 
-def preset_gibbs1d(
-    steps: int = 2_000_000, seeds=(0,), oracle_bins: int = 256
-) -> ExperimentSpec:
+def preset_gibbs1d(steps: int = 2_000_000, seeds=(0,)) -> ExperimentSpec:
     """Stationarity validation on a one-dimensional quadratic.
 
     A reflected chain on the unit interval domain with beta 2 and eta
@@ -284,7 +263,7 @@ def preset_gibbs1d(
         x0=None,
         min_f=0.0,
         enforce_step_bound=True,
-        oracle_bins=oracle_bins,
+        oracle_bins=256,
         tv_prefixes=prefixes,
     )
 
@@ -328,8 +307,8 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
 # domain kind; ``kind`` itself is required in those two trees.
 _SPEC_KEYS = (
     ("objective", "domain", "methods", "eta", "beta", "steps"),
-    ("name", "seeds", "x0", "noise", "aggregation", "min_f",
-     "enforce_step_bound", "oracle_bins", "tv_prefixes"),
+    ("name", "seeds", "x0", "noise", "min_f", "enforce_step_bound",
+     "oracle_bins", "tv_prefixes"),
 )
 _OBJECTIVE_KEYS = {
     "quadratic": (("dim",), ("scale",)),
@@ -358,7 +337,7 @@ _NULLABLE = ("x0", "min_f", "oracle_bins")
 # The other typed keys of the spec tree and the JSON type each must have.
 _TYPED_KEYS = {
     "name": (str, "a string"), "noise": (str, "a string"),
-    "aggregation": (str, "a string"), "enforce_step_bound": (bool, "true or false"),
+    "enforce_step_bound": (bool, "true or false"),
     "methods": (list, "a list of strings"),
 }
 
@@ -402,6 +381,8 @@ def _objective_from_dict(d: dict) -> Objective:
     if kind == "quadratic":
         return Quadratic(scale=d.get("scale", 1.0), dim=d["dim"])
     if kind == "grid-gaussian-mixture":
+        if d.get("seed", 0) < 0:
+            raise ValueError(f"objective.seed: must be a non-negative integer, got {d['seed']}")
         return make_grid_gaussian_mixture(d.get("seed", GM_OBJECTIVE_SEED))
     if kind == "gaussian-mixture":
         return GaussianMixture(d["weights"], d["means"])
@@ -426,20 +407,17 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
     Required keys: ``objective``, ``domain``, ``methods``, ``eta``,
     ``beta``, ``steps``. Optional: ``name``, ``seeds``, ``x0``,
-    ``noise``, ``aggregation``, ``min_f``, ``enforce_step_bound``,
-    ``oracle_bins``, ``tv_prefixes``. Unknown and missing keys, at the
+    ``noise``, ``min_f``, ``enforce_step_bound``, ``oracle_bins``,
+    ``tv_prefixes``. Unknown and missing keys, at the
     top level and in the objective and domain trees, raise a
     ``ValueError`` that names each of them, and so does a numeric field
     that is not a JSON number (integers for ``dim``, ``steps``, ``seeds``,
     ``seed``, ``oracle_bins`` and ``tv_prefixes``; ``true`` and
     ``false`` are not numbers). ``methods`` must be a list of strings,
-    ``enforce_step_bound`` ``true`` or ``false``, and ``name``, ``noise``
-    and ``aggregation`` strings.
+    ``enforce_step_bound`` ``true`` or ``false``, and ``name`` and
+    ``noise`` strings. A mixture's ``seed`` must not be negative.
     """
     _check_keys("spec", d, *_SPEC_KEYS)
-    aggregation = d.get("aggregation", "median-with-quartiles")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     x0 = d.get("x0")
     return ExperimentSpec(
         name=d.get("name", "custom"),
@@ -452,7 +430,6 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         seeds=tuple(d.get("seeds", DEFAULT_SEEDS)),
         x0=None if x0 is None else np.asarray(x0, dtype=np.float64),
         noise=d.get("noise", "rademacher"),
-        aggregation=aggregation,
         min_f=d.get("min_f"),
         enforce_step_bound=d.get("enforce_step_bound", True),
         oracle_bins=d.get("oracle_bins"),
@@ -484,13 +461,17 @@ def run_chains(
     Each distinct chain runs once: seeds whose chains ignore the seed
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
     under its own config. A job is one method's distinct chains: a batch
-    of two or more, or a lone chain. The arrays are marked read-only.
+    of two or more, or a lone chain. Every distinct chain is validated
+    before the first job runs. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
     by_method: dict[str, dict[tuple, ChainConfig]] = {}
     for key, config in configs.items():
         by_method.setdefault(key[0], {}).setdefault(chain_of[key], config)
+    for distinct in by_method.values():
+        for config in distinct.values():
+            _validate(config, spec.objective, spec.domain)
     jobs = [(spec, list(distinct.values())) for distinct in by_method.values()]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -680,6 +661,17 @@ def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
     _write_csv(path, "step,q25,q50,q75", int(bounds[-1]), rows)
 
 
+def export_cells_csv(path, oracle: GibbsOracle) -> None:
+    """Write one row per oracle cell: its index, midpoint coordinates and
+    probability."""
+    dim = len(oracle.edges)
+    header = "cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"
+    columns = [oracle.midpoints[:, i] for i in range(dim)] + [oracle.probabilities]
+    row = ("%d" + ",%.17g" * (dim + 1) + "\n").__mod__
+    _write_csv(path, header, oracle.n_cells, lambda a, b: "".join(map(
+        row, zip(range(a, b), *(c[a:b].tolist() for c in columns)))))
+
+
 def tv_over_prefixes(
     spec: ExperimentSpec, record: RunRecord, oracle: GibbsOracle
 ) -> list[float]:
@@ -696,8 +688,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     """Run the experiment and write its CSV files; returns the paths.
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
-    (unless aggregation is "none"), and, for stationarity presets, one
-    total-variation CSV per seed. Seeds and methods must be distinct, and
+    and, for stationarity presets, one total-variation CSV per seed.
+    Seeds and methods must be distinct, ``min_f`` finite when set, and
     ``tv_prefixes`` needs ``oracle_bins``. The settings and the oracle are
     checked before any chain runs, and every chain runs before
     ``out_dir`` is created, so a bad setting or a chain that raises (a
@@ -714,6 +706,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
         raise ValueError(f"methods: duplicate {repeats[0]!r}")
     if spec.steps < 1:
         raise ValueError(f"steps: must be at least 1, got {spec.steps}")
+    if spec.min_f is not None and not math.isfinite(spec.min_f):
+        raise ValueError(f"min_f: must be finite, got {spec.min_f}")
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
@@ -741,12 +735,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
             else:
                 shutil.copyfile(shared, p)
             paths.append(p)
-        if spec.aggregation == "median-with-quartiles":
-            # The curve is not kept: the TV histograms below reuse its memory.
-            p = out / f"{spec.name}_{method}_aggregate.csv"
-            _write_aggregate_csv(p, AggregateCurve.from_records(
-                [records[(method, s)] for s in spec.seeds], spec.min_f))
-            paths.append(p)
+        # The curve is not kept: the TV histograms below reuse its memory.
+        p = out / f"{spec.name}_{method}_aggregate.csv"
+        _write_aggregate_csv(p, AggregateCurve.from_records(
+            [records[(method, s)] for s in spec.seeds], spec.min_f))
+        paths.append(p)
     if oracle is not None:
         row = "%d,%.17g\n".__mod__
         for method in spec.methods:

@@ -10,7 +10,8 @@ makes convergence under grid refinement directly testable.
 
 Cells are classified in/out of the region by their midpoint, so boundary
 cells are approximated; at 128+ cells per axis that error is far below
-the total variation tolerances used in the tests.
+the total variation tolerances used in the tests. The harness writes the
+cells as CSV (``rgld.harness.export_cells_csv``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "tv_distance",
     "total_variation",
     "near_optimality_bound",
-    "export_cells_csv",
 ]
 
 MIN_CELLS_PER_AXIS = 32
@@ -198,24 +198,3 @@ def near_optimality_bound(d: int, beta: float, r: float, R: float, L: float) -> 
             raise ValueError(f"{name} must be positive, got {v}")
     arg = 2.0 * R * max(2.0 / r, L * beta * (r + math.sqrt(r * r + R * R)) / (r * math.log(2.0)))
     return (d / beta) * math.log(arg)
-
-
-def export_cells_csv(path, oracle: GibbsOracle, histogram: Histogram | None = None) -> None:
-    """Write one row per cell: index, midpoint coordinates, probability,
-    and (when a histogram is given) the sample count."""
-    if histogram is not None and not oracle.same_partition(histogram.edges):
-        raise ValueError("histogram and oracle use different cell partitions")
-    # Imported here: the harness imports this module.
-    from rgld.harness import _write_csv
-
-    dim = len(oracle.edges)
-    header = "cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"
-    columns = [oracle.midpoints[:, i] for i in range(dim)] + [oracle.probabilities]
-    row = "%d" + ",%.17g" * (dim + 1)
-    if histogram is not None:
-        header += ",count"
-        columns.append(histogram.counts)
-        row += ",%d"
-    row = (row + "\n").__mod__
-    _write_csv(path, header, oracle.n_cells, lambda a, b: "".join(map(
-        row, zip(range(a, b), *(c[a:b].tolist() for c in columns)))))

@@ -8,11 +8,13 @@ budgets are asserted against the actual compute, not fixture reuse.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rgld.dynamics import run_chain
+from rgld.cli import check_geometry, check_gradient, margin_points
+from rgld.dynamics import run_batch, run_chain
 from rgld.geometry import Ball, SphericalShell
 from rgld.harness import (
     preset_gibbs1d,
@@ -67,12 +69,15 @@ def gm_records():
 
 @pytest.fixture(scope="module")
 def coupling_records():
+    # One batch per method, as run_chains runs them, with trajectories.
     spec = preset_gm2d_pgld_vs_rgld()
-    from dataclasses import replace
-
-    spec = replace(spec, record_trajectory=True)
     with timed("coupling"):
-        recs = run_chains(spec)
+        recs = {}
+        for m in spec.methods:
+            configs = [replace(spec.chain_config(m, s), record_trajectory=True)
+                       for s in spec.seeds]
+            batch = run_batch(configs, spec.objective, spec.domain)
+            recs.update(((m, s), r) for s, r in zip(spec.seeds, batch))
     note_fallbacks("gm2d-pgld-vs-rgld", recs)
     return spec, recs
 
@@ -95,44 +100,16 @@ def gibbs_record():
     return spec, recs[("rgld", 0)]
 
 
-def margin_points(domain, count, seed):
-    rng = np.random.default_rng(seed)
-    span = domain.outer_radius + domain.reflection_margin
-    pts = []
-    while len(pts) < count:
-        x = domain.center + rng.uniform(-1.05 * span, 1.05 * span, size=domain.dim)
-        if domain.distance_to_set(x) <= domain.reflection_margin:
-            pts.append(x)
-    return pts
-
-
 def test_geometry_suite():
-    # Projection idempotence, reflection isometry and feasibility, and
-    # normal alignment on 10^4 seeded points per domain.
+    # The geometry battery of ``rgld check`` on 10^4 seeded points per domain.
     domains = [Ball(np.zeros(2), 2.0), SphericalShell(np.zeros(2), 0.9, 4.0)]
     with timed("geometry"):
-        worst_idem = worst_iso = worst_align = 0.0
-        for dom in domains:
-            for x in margin_points(dom, 10_000, seed=2024):
-                p = dom.project(x)
-                assert dom.contains(p)
-                worst_idem = max(worst_idem, float(np.linalg.norm(dom.project(p) - p)))
-                r, _ = dom.reflect(x)
-                assert dom.contains(r)
-                worst_iso = max(
-                    worst_iso,
-                    abs(np.linalg.norm(r - p) - np.linalg.norm(x - p)),
-                )
-                d = np.linalg.norm(x - p)
-                if d > 0:
-                    n = dom.outward_normal(p)
-                    worst_align = max(worst_align, abs(float((x - p) @ n) - d))
-    ok = worst_idem <= 1e-12 and worst_iso <= 1e-12 and worst_align <= 1e-10
-    ok = ok and DURATIONS["geometry"] < 5.0
+        results = [check_geometry(dom, margin_points(dom, 10_000, seed=2024))
+                   for dom in domains]
+    ok = not any(failed for failed, _ in results) and DURATIONS["geometry"] < 5.0
     report(
         "geometry-suite", ok,
-        f"idem {worst_idem:.2e}, iso {worst_iso:.2e}, align {worst_align:.2e}, "
-        f"{DURATIONS['geometry']:.1f}s",
+        "; ".join(detail for _, detail in results) + f", {DURATIONS['geometry']:.1f}s",
     )
 
 
@@ -143,31 +120,16 @@ def test_gradient_suite():
         (Rosenbrock(4), SphericalShell(np.zeros(4), 1.0, 4.0)),
         (Rastrigin(2), SphericalShell(np.zeros(2), 0.9, 5.12)),
     ]
-    h = 1e-5
     with timed("gradient"):
-        ok = True
-        worst = 0.0
+        results = []
         for obj, dom in cases:
             rng = np.random.default_rng(4096)
-            for _ in range(100):
-                x = dom.sample_uniform(rng)
-                g = obj.gradient(x)
-                fd = np.empty_like(g)
-                for i in range(obj.dim):
-                    e = np.zeros(obj.dim)
-                    e[i] = h
-                    fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
-                norm = np.linalg.norm(g)
-                err = np.linalg.norm(fd - g)
-                if norm < 1e-2:
-                    ok &= err <= 1e-7
-                else:
-                    worst = max(worst, err / norm)
-                    ok &= err <= 1e-5 * norm
-    ok = ok and DURATIONS["gradient"] < 5.0
+            results.append(check_gradient(obj, [dom.sample_uniform(rng) for _ in range(100)]))
+    ok = all(passed for passed, _ in results) and DURATIONS["gradient"] < 5.0
     report(
         "gradient-suite", ok,
-        f"worst relative error {worst:.2e}, {DURATIONS['gradient']:.1f}s",
+        f"worst relative error {max(w for _, w in results):.2e}, "
+        f"{DURATIONS['gradient']:.1f}s",
     )
 
 
@@ -300,8 +262,6 @@ def test_rgld_pgld_coupling(coupling_records):
 
 
 def test_determinism_byte_identical(tmp_path):
-    from dataclasses import replace
-
     with timed("determinism"):
         specs = [
             replace(preset_gm2d(), steps=2000, seeds=(0, 1)),

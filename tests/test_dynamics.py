@@ -667,8 +667,9 @@ class TestRunBatch:
 
 
 class TestOneCoordinate:
-    """At d = 1 a lone chain's update and membership test run on Python
-    floats; its record equals the batch loop's, which stays on numpy."""
+    """At d = 1 a lone chain on a quadratic runs on Python floats, and any
+    other objective takes the array loop; either record equals the batch
+    loop's, which stays on numpy."""
 
     @staticmethod
     def assert_lone_matches_batch(config, obj, dom):
@@ -686,7 +687,7 @@ class TestOneCoordinate:
     @pytest.mark.parametrize("start", ["drawn", "given"])
     def test_matches_run_batch(self, center, method, noise, trajectory, start):
         # A hot chain: many updates leave the interval. The quadratic takes
-        # the loop's float; the other objectives get a (1,) array.
+        # the float loop; the other objectives take the array loop.
         dom = Ball(np.array([center]), 1.0)
         x0 = None if start == "drawn" else np.array([center - 0.3])
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=300, seed=11,

@@ -1,5 +1,6 @@
 """Geometry: membership, projection, reflection, normals."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgld.cli import check_geometry, margin_points
 from rgld.geometry import (
     Ball,
     ReflectionUndefinedError,
@@ -17,19 +19,6 @@ from rgld.geometry import (
 SHELL = SphericalShell(np.zeros(2), 0.9, 4.0)
 BALL = Ball(np.zeros(2), 2.0)
 SHELL3 = SphericalShell(np.zeros(3), 1.0, 3.0)
-
-
-def margin_points(domain, count, seed):
-    """Seeded points with distance_to_set <= reflection_margin (a mix of
-    members and exterior points)."""
-    rng = np.random.default_rng(seed)
-    span = domain.outer_radius + domain.reflection_margin
-    pts = []
-    while len(pts) < count:
-        x = domain.center + rng.uniform(-1.05 * span, 1.05 * span, size=domain.dim)
-        if domain.distance_to_set(x) <= domain.reflection_margin:
-            pts.append(x)
-    return pts
 
 
 class TestContains:
@@ -201,42 +190,29 @@ class TestConstruction:
         assert wide.reflection_margin == pytest.approx(0.5)
 
 
+@functools.cache
+def battery(domain, seed):
+    """``rgld check``'s geometry battery on 10^4 margin points, run once
+    per domain for the three tests below; and how many are exterior."""
+    points = margin_points(domain, 10_000, seed)
+    return (*check_geometry(domain, points), sum(not domain.contains(x) for x in points))
+
+
 @pytest.mark.parametrize("domain,seed", [(BALL, 11), (SHELL, 12), (SHELL3, 13)])
 class TestProperties:
-    N = 10_000
-
     def test_projection_idempotent_and_feasible(self, domain, seed):
-        for x in margin_points(domain, self.N, seed):
-            p = domain.project(x)
-            assert domain.contains(p)
-            assert np.linalg.norm(domain.project(p) - p) <= 1e-12
+        failed, detail, _ = battery(domain, seed)
+        assert "projection" not in failed, detail
 
     def test_reflection_isometry_and_feasibility(self, domain, seed):
-        for x in margin_points(domain, self.N, seed + 100):
-            p = domain.project(x)
-            r, moved = domain.reflect(x)
-            assert abs(
-                np.linalg.norm(r - p) - np.linalg.norm(x - p)
-            ) <= 1e-12
-            assert domain.contains(r)
-            if domain.contains(x):
-                assert not moved
-                assert np.array_equal(r, x)
-            else:
-                assert moved
+        failed, detail, _ = battery(domain, seed)
+        assert "reflection" not in failed, detail
 
     def test_normal_alignment(self, domain, seed):
         # <x - P(x), n(P(x))> equals ||x - P(x)|| for exterior points.
-        count = 0
-        for x in margin_points(domain, self.N, seed + 200):
-            d = domain.distance_to_set(x)
-            if d == 0.0:
-                continue
-            count += 1
-            p = domain.project(x)
-            n = domain.outward_normal(p)
-            assert abs(float((x - p) @ n) - d) <= 1e-10
-        assert count > self.N // 20
+        failed, detail, exterior = battery(domain, seed)
+        assert "alignment" not in failed, detail
+        assert exterior > 10_000 // 20
 
 
 @pytest.mark.parametrize("domain", [BALL, SHELL, SHELL3])

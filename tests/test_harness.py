@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rgld import cli, harness
 from rgld.dynamics import ChainConfigError, run_chain
-from rgld.geometry import Ball, SphericalShell
+from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.harness import (
     AggregateCurve,
     preset_gibbs1d,
@@ -508,11 +508,13 @@ class TestInputChecks:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("tree,field", [
-        ("objective", "means"),
-        ("domain", "center"),
-    ])
-    def test_cli_rejects_non_finite_spec_values(self, tree, field, tmp_path, capsys):
+    @pytest.mark.parametrize("tree,field,value", [
+        ("objective", "means", [[math.nan, 0.0]]),
+        ("domain", "center", [math.nan, 0.0]),
+        (None, "min_f", math.nan),  # every aggregate quartile would be NaN
+        (None, "min_f", math.inf),
+    ], ids=["objective-means", "domain-center", "min_f-nan", "min_f-inf"])
+    def test_cli_rejects_non_finite_spec_values(self, tree, field, value, tmp_path, capsys):
         # json.load accepts NaN and Infinity; neither may reach a chain.
         spec = {
             "objective": {"kind": "gaussian-mixture", "weights": [1.0],
@@ -521,13 +523,13 @@ class TestInputChecks:
             "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
             "seeds": [0],
         }
-        spec[tree][field] = [[math.nan, 0.0]] if field == "means" else [math.nan, 0.0]
+        (spec if tree is None else spec[tree])[field] = value
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        assert "NaN" in path.read_text()
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert field in capsys.readouterr().err
+        assert f"{field}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tree,field,value", [
@@ -558,7 +560,6 @@ class TestInputChecks:
         ("enforce_step_bound", "false"),
         ("enforce_step_bound", 0),
         ("noise", 1),
-        ("aggregation", None),
         ("name", 5),
     ])
     def test_spec_rejects_mistyped_fields(self, field, value):
@@ -570,6 +571,20 @@ class TestInputChecks:
         }
         with pytest.raises(ValueError, match=f"^spec.{field}: expected .*{re.escape(repr(value))}$"):
             spec_from_dict(spec)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"noise": "gausian"}, "noise: expected one of"),
+        ({"beta": 0.0}, "beta: must be positive, got 0.0"),
+        ({"enforce_step_bound": True}, "eta: step-size bound"),
+    ], ids=["noise", "beta", "step-bound"])
+    def test_every_method_validated_before_any_chain(self, change, message, monkeypatch):
+        # pg reads none of these settings: the rgld chains fail before pg runs.
+        fail = lambda *args: pytest.fail("a chain ran")
+        monkeypatch.setattr(harness, "run_chain", fail)
+        monkeypatch.setattr(harness, "run_batch", fail)
+        spec = replace(preset_rosenbrock(4, steps=10, seeds=(0, 1, 2)), **change)
+        with pytest.raises(ChainConfigError, match=f"^{message}"):
+            harness.run_chains(spec)
 
     def test_cli_rejects_non_finite_iterates(self, tmp_path, capsys):
         # eta * grad = 1e308 * 1.9 overflows on the first update.
@@ -666,6 +681,13 @@ class TestConfigFiles:
         bad = self.spec_dict()
         bad["objective"]["scale"] = 2.0
         with pytest.raises(ValueError, match="^objective: unknown key 'scale'"):
+            spec_from_dict(bad)
+
+    def test_negative_mixture_seed_rejected(self):
+        bad = self.spec_dict()
+        bad["objective"] = {"kind": "grid-gaussian-mixture", "seed": -1}
+        with pytest.raises(ValueError, match="^objective.seed: must be a non-negative "
+                                             "integer, got -1$"):
             spec_from_dict(bad)
 
     def test_validation_failure_reports_field(self, tmp_path):
@@ -769,6 +791,14 @@ class TestCli:
         monkeypatch.setattr(harness, "_POW5", np.minimum(harness._POW5, 2**40))
         assert cli.main(["check"]) == 1
         assert "FAIL CSV float text" in capsys.readouterr().out
+
+    def test_check_battery_fails_on_a_geometry_fault(self, capsys, monkeypatch):
+        # Reflection that leaves exterior points where they are.
+        reflect_or_project = FeasibleDomain.reflect_or_project
+        monkeypatch.setattr(FeasibleDomain, "reflect_or_project", lambda self, x: (
+            (x, False, False) if not self.contains(x) else reflect_or_project(self, x)))
+        assert cli.main(["check"]) == 1
+        assert "FAIL geometry projection/reflection invariants" in capsys.readouterr().out
 
     def test_dim_flag(self, tmp_path):
         rc = cli.main([

@@ -7,11 +7,11 @@ import pytest
 
 from rgld import harness
 from rgld.geometry import Ball, SphericalShell
+from rgld.harness import export_cells_csv
 from rgld.measure import (
     GibbsOracle,
     Histogram,
     bin_samples,
-    export_cells_csv,
     gibbs_mean_f,
     near_optimality_bound,
     total_variation,
@@ -215,17 +215,13 @@ class TestNearOptimalityBound:
             near_optimality_bound(1, 1.0, -1.0, 1.0, 1.0)
 
 
-def old_cells_text(oracle, histogram=None):
+def old_cells_text(oracle):
     """The text of the former per-cell f-string writer."""
     dim = len(oracle.edges)
-    header = "cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"
-    lines = [header + (",count" if histogram is not None else "")]
+    lines = ["cell," + ",".join(f"mid_{i}" for i in range(dim)) + ",probability"]
     for c in range(oracle.n_cells):
         coords = ",".join(f"{v:.17g}" for v in oracle.midpoints[c])
-        row = f"{c},{coords},{oracle.probabilities[c]:.17g}"
-        if histogram is not None:
-            row += f",{int(histogram.counts[c])}"
-        lines.append(row)
+        lines.append(f"{c},{coords},{oracle.probabilities[c]:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,30 +239,22 @@ class TestCellClassification:
 
 class TestExport:
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("with_histogram", [False, True])
-    def test_same_bytes_as_per_cell_rows(self, dim, with_histogram, tmp_path, monkeypatch):
+    def test_same_bytes_as_per_cell_rows(self, dim, tmp_path, monkeypatch):
         # Blocks of 1000 rows: the 2-D grid of 64^2 cells spans five.
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 1000)
         domain = UNIT_BALL1 if dim == 1 else GM_SHELL
         obj = Quadratic(1.0, 1) if dim == 1 else make_grid_gaussian_mixture(6)
         oracle = GibbsOracle(obj, domain, 2.0, 64)
-        rng = np.random.default_rng(3)
-        hist = None
-        if with_histogram:
-            hist = bin_samples(oracle, np.array([domain.sample_uniform(rng) for _ in range(500)]))
         path = tmp_path / "cells.csv"
-        export_cells_csv(path, oracle, hist)
-        assert path.read_bytes() == old_cells_text(oracle, hist).encode("utf-8")
+        export_cells_csv(path, oracle)
+        assert path.read_bytes() == old_cells_text(oracle).encode("utf-8")
 
     def test_cells_csv_roundtrip(self, tmp_path):
         oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
-        hist = bin_samples(oracle, np.array([0.0, 0.1, 0.1]))
         path = tmp_path / "cells.csv"
-        export_cells_csv(path, oracle, hist)
+        export_cells_csv(path, oracle)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cell,mid_0,probability,count"
+        assert lines[0] == "cell,mid_0,probability"
         assert len(lines) == 1 + oracle.n_cells
-        total = sum(int(row.rsplit(",", 1)[1]) for row in lines[1:])
-        assert total == 3
         probs = [float(row.split(",")[2]) for row in lines[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)

@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize
 
 from rgld import objectives
+from rgld.cli import check_gradient
 from rgld.geometry import Ball, SphericalShell
 from rgld.objectives import (
     DOMINANT_MODE,
@@ -29,15 +30,6 @@ VARIANTS = [
     (Rosenbrock(4), RB_SHELL4),
     (Rastrigin(2), RT_SHELL),
 ]
-
-
-def finite_difference_gradient(obj, x, h=1e-5):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
-    return g
 
 
 class TestValues:
@@ -153,18 +145,10 @@ class TestGradients:
 
     @pytest.mark.parametrize("obj,dom", VARIANTS, ids=lambda v: type(v).__name__)
     def test_matches_finite_differences(self, obj, dom):
-        # 100 seeded interior points per variant; relative 1e-5, absolute
-        # 1e-7 where the gradient is nearly zero.
+        # rgld check's gradient check on 100 seeded interior points per variant.
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            x = dom.sample_uniform(rng)
-            g = obj.gradient(x)
-            fd = finite_difference_gradient(obj, x)
-            norm = np.linalg.norm(g)
-            if norm < 1e-2:
-                assert np.linalg.norm(fd - g) <= 1e-7
-            else:
-                assert np.linalg.norm(fd - g) <= 1e-5 * norm
+        ok, worst = check_gradient(obj, [dom.sample_uniform(rng) for _ in range(100)])
+        assert ok, f"worst relative error {worst:.2e}"
 
     def test_value_and_gradient_consistent(self):
         rng = np.random.default_rng(9)
