@@ -9,10 +9,11 @@ oracle <preset>
     Build the quadrature oracle paired with a preset (dimension <= 2)
     and export its cells as CSV.
 check
-    Run a compact invariant battery (geometry, gradients, batched and
-    lone chains giving the same bytes, oracle normalization, CSV float
-    text) and exit non-zero on any failure. The test suites run its
-    geometry and gradient checks on their own domains, seeds and points.
+    Run a compact invariant battery (geometry, the 1-D operators on
+    Python floats, gradients, batched and lone chains giving the same
+    bytes, oracle normalization, CSV float text) and exit non-zero on any
+    failure. The test suites run its geometry, 1-D operator and gradient
+    checks on their own domains, seeds and points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from rgld import harness
 from rgld.dynamics import ChainConfig, run_batch, run_chain
-from rgld.geometry import Ball, SphericalShell
+from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle
 from rgld.objectives import Quadratic, Rastrigin, Rosenbrock, make_grid_gaussian_mixture
 
@@ -144,6 +145,22 @@ def check_geometry(domain, points) -> tuple[list[str], str]:
             ", ".join(f"{n} {w:.2e}" for n, w in zip(names, worst)))
 
 
+def check_float_operators(domain, points) -> int:
+    """How many of the ``(1,)`` points fail to get, from ``project`` and
+    ``reflect_or_project`` on their Python float, floats with the bits of
+    the point calls, the same flags, and the argument itself back exactly
+    when the point call returns its argument."""
+    bad = 0
+    for x in points:
+        xf = x.item()
+        p, pf = domain.project(x), domain.project(xf)
+        (r, *flags), (rf, *flags_f) = domain.reflect_or_project(x), domain.reflect_or_project(xf)
+        bad += not (type(pf) is float and type(rf) is float and flags == flags_f
+                    and (pf is xf) == (p is x) and (rf is xf) == (r is x)
+                    and np.array([pf, rf]).tobytes() == np.concatenate([p, r]).tobytes())
+    return bad
+
+
 def check_gradient(obj, points) -> tuple[bool, float]:
     """Central differences (step 1e-5) against ``obj.gradient`` at each
     point: the error norm is at most 1e-5 ``||g||``, or 1e-7 where
@@ -174,6 +191,21 @@ def _cmd_check(_args) -> int:
     domains = [Ball(np.zeros(2), 2.0), SphericalShell(np.zeros(2), 0.9, 4.0)]
     report("geometry projection/reflection invariants",
            not any(check_geometry(dom, margin_points(dom, 2000, 7))[0] for dom in domains))
+
+    # A lone 1-D chain constrains Python floats. The unit interval and a
+    # 1-D shell (two intervals, built directly: ``SphericalShell`` needs
+    # dim >= 2) give both walls and the nudge onto the inner one; the
+    # centers and points 3.5 and 1e200 away (whose square overflows) fall
+    # back to projection.
+    bad = total = 0
+    for dom in (Ball(np.zeros(1), 1.0), FeasibleDomain(np.array([0.7]), 0.3, 1.0, 0.35, 0.3)):
+        c = dom.center.item()
+        points = margin_points(dom, 2000, 7) + [
+            np.array([c + t]) for t in (0.0, 3.5, -3.5, 1e200, -1e200)]
+        with np.errstate(over="ignore"):  # the (1,) call squares 1e200
+            bad += check_float_operators(dom, points)
+        total += len(points)
+    report("1-D float operator", bad == 0, f"{bad} of {total} points differ from the (1,) call")
 
     rng = np.random.default_rng(7)
     objs = [

@@ -19,18 +19,19 @@ method together on a ``(B, d)`` array (the objective's
 give each the bits of its point call). ``run_chain`` runs a lone chain
 on one point, with the region's membership test inline. Each chain
 draws its noise from its own generator in blocks of steps. A lone
-chain on a one-dimensional ``Quadratic`` (gibbs1d) runs its update,
-objective and membership test on Python floats, whose IEEE double
-operations give the bits of numpy's on ``(1,)`` arrays without its
-per-call cost, and writes a block's values and iterates once, from
-lists; any other objective takes the array loop at every dimension.
-Per step a lone chain costs 0.4-0.7 us on the 1-D quadratic
-(14-22 us as a batch of one) and 10-16 us on the 2-D mixture (22-30
-us), on one core of a 2-core x86-64 host. Both loops call the operator
-only for points outside the region, write ``(B, steps)`` arrays
-(``B = 1`` for ``run_chain``) and hand them to ``_records``, which
-completes early-stopped rows, rejects non-finite values, takes running
-minima and builds each row's ``RunRecord``. A batched chain's record
+chain on a one-dimensional ``Quadratic`` (gibbs1d) carries only its
+iterate, a Python float: the gradient, the update, the membership test
+and, at the walls, the region's operators run on floats, whose IEEE
+double operations give the bits of numpy's on ``(1,)`` arrays without
+its per-call cost; a block's values are one ``value_many`` call on its
+iterates. Any other objective takes the array loop at every dimension.
+Per step a lone chain costs 0.2-0.25 us on the 1-D quadratic, noise
+draw included (14-22 us as a batch of one), and 10-16 us on the 2-D
+mixture (22-30 us), on one core of a 2-core x86-64 host. Both loops
+call the operator only for points outside the region, write
+``(B, steps)`` arrays (``B = 1`` for ``run_chain``) and hand them to
+``_records``, which completes early-stopped rows, rejects non-finite
+values, takes running minima and builds each row's ``RunRecord``. A batched chain's record
 equals its lone record bit for bit.
 
 A record depends on the chain's seed only when the method draws noise
@@ -351,38 +352,36 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     x_bytes = x.tobytes() if scale is None else None
     computed = n
     if d == 1 and type(obj) is Quadratic:
-        # The quadratic takes the float itself. Each block's values and
-        # iterates are written once, from lists.
-        c, xf, eta = domain.center.item(), x.item(), config.eta
+        # The step carries only the iterate, a float. The gradient is the
+        # quadratic's ``scale * x``; the operators take the float at the
+        # walls. A block's values are one rows call, which gives each the
+        # bits of its point call.
+        c, xf, eta, q = domain.center.item(), x.item(), config.eta, obj.scale
         for a in range(0, n, _NOISE_BLOCK):
-            fs, xs = [], []
+            xs = []
             for k, kick in enumerate(kicks(a)[:, 0].tolist(), a):
-                fx, g = value_and_gradient(xf)
-                fs.append(fx)
                 xs.append(xf)
-                x_raw = xf - eta * g + kick
+                x_raw = xf - eta * (q * xf) + kick
                 v = x_raw - c
                 if in2 <= v * v <= out2:
                     xf = x_raw
+                elif is_rgld:
+                    xf, reflected, fell_back = reflect_or_project(x_raw)
+                    event_row[k] = reflected or fell_back
+                    fallback_row[k] = fell_back
                 else:
-                    raw = np.array([x_raw])
-                    if is_rgld:
-                        y, reflected, fell_back = reflect_or_project(raw)
-                        event_row[k] = reflected or fell_back
-                        fallback_row[k] = fell_back
-                    else:
-                        y = project(raw)
-                        event_row[k] = y is not raw
-                    xf = y.item()
+                    xf = project(x_raw)
+                    event_row[k] = xf is not x_raw
                 if x_bytes is not None:
                     new_bytes = _pack(xf)  # bits, as below
                     if new_bytes == x_bytes:
                         computed = k + 1
                         break
                     x_bytes = new_bytes
-            f_row[a:a + len(fs)] = fs
+            X = np.array(xs)[:, None]
+            f_row[a:a + len(xs)] = obj.value_many(X)
             if traj_row is not None:
-                traj_row[a:a + len(xs), 0] = xs
+                traj_row[a:a + len(xs)] = X
             if computed < n:
                 break
         x = np.array([xf])
@@ -470,7 +469,9 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
             j = k % _NOISE_BLOCK
             if j == 0:
                 m = min(_NOISE_BLOCK, n - k)
-                noise = np.stack([_noise_matrix(r, m, d, first.noise) for r in rngs], axis=1)
+                noise = np.empty((m, B, d))
+                for i, r in enumerate(rngs):
+                    noise[:, i] = _noise_matrix(r, m, d, first.noise)
                 noise *= scale
             x_raw = x - eta * g + noise[j]
         else:

@@ -10,8 +10,12 @@ and cheap to evaluate inside a sampler loop. One implementation serves
 the convex ball and the non-convex shell alike.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
-``(B, dim)`` array (batched chains, quadrature grids) through
-``sq_norm``; the other operators take one point and use ``v.dot(v)``.
+``(B, dim)`` array (batched chains, quadrature grids); ``project`` and
+``reflect_or_project`` take one point, or a Python float at ``dim == 1``
+(a lone one-dimensional chain), and so do ``reflect`` and
+``distance_to_set``, which are built on them. All of these measure
+through ``sq_norm``; the other operators take one point and use
+``v.dot(v)``.
 
 All domain objects are immutable after construction and every operation
 is a pure function, so instances can be shared freely across threads.
@@ -40,13 +44,18 @@ BOUNDARY_TOL = 1e-9
 _FLOAT64 = np.dtype(np.float64)
 
 
-def sq_norm(V: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the last axis: ``V.dot(V)`` for a point
-    (the cheaper call), ``np.vecdot`` per row of a ``(B, dim)`` array.
+def sq_norm(V):
+    """Squared Euclidean norm over the last axis: ``V * V`` for a Python
+    float, ``V.dot(V)`` for a point (the cheaper call), ``np.vecdot`` per
+    row of a ``(B, dim)`` array.
 
-    The two agree per C-contiguous row; a strided row, like a strided
-    point, can round differently from its contiguous copy.
+    All three agree: a float has the bits of its ``(1,)`` point (the BLAS
+    dot of one term is the product), and a point those of its row when
+    the rows are C-contiguous; a strided row, like a strided point, can
+    round differently from its contiguous copy.
     """
+    if type(V) is float:
+        return V * V
     return V.dot(V) if V.ndim == 1 else np.vecdot(V, V)
 
 
@@ -129,16 +138,25 @@ class FeasibleDomain:
         rho2 = sq_norm(as_point(x, self.dim, rows=True) - self.center)
         return (self._in2 <= rho2) & (rho2 <= self._out2)
 
-    def project(self, x) -> np.ndarray:
-        """Nearest point of the region.
+    def _point(self, x):
+        """``x`` and the center: Python floats for a float at ``dim == 1``,
+        whose IEEE operations give the bits of the ``(1,)`` call without
+        numpy's per-call cost, float64 arrays (``as_point``) otherwise."""
+        if type(x) is float and self.dim == 1:
+            return x, self.center.item()
+        return as_point(x, self.dim), self.center
 
-        Members come back as the very same array object when ``x`` is a
-        float64 array, so ``project(x) is not x`` tells an exterior point
-        without a second radius computation.
+    def project(self, x):
+        """Nearest point of the region: an array for a point, a float for a
+        Python float at ``dim == 1``, with the bits of the ``(1,)`` call.
+
+        Members come back as the very same object when ``x`` is a float64
+        array or a float, so ``project(x) is not x`` tells an exterior
+        point without a second radius computation.
         """
-        x = as_point(x, self.dim)
-        v = x - self.center
-        rho2 = float(v.dot(v))
+        x, c = self._point(x)
+        v = x - c
+        rho2 = float(sq_norm(v))
         if self._in2 <= rho2 <= self._out2:
             return x
         if rho2 < self._in2:
@@ -147,7 +165,7 @@ class FeasibleDomain:
                 # tie-break along the first canonical axis.
                 p = self.center.copy()
                 p[0] += self.inner_radius
-                return p
+                return p.item() if type(x) is float else p
             radius, r2, sign, toward = self.inner_radius, self._in2, -1.0, math.inf
         else:
             radius, r2, sign, toward = self.outer_radius, self._out2, 1.0, 0.0
@@ -155,17 +173,17 @@ class FeasibleDomain:
                 # ``v`` may be finite with a squared norm that overflows:
                 # scale it down first, or it would be sent to the center.
                 v = v / float(np.max(np.abs(v)))
-                rho2 = float(v.dot(v))
+                rho2 = float(sq_norm(v))
         s = radius / math.sqrt(rho2)
-        p = self.center + s * v
-        w = p - self.center
+        p = c + s * v
+        w = p - c
         # Rounding can leave the scaled point an ulp short of the sphere it
         # was scaled onto (``sign`` flips the test for the inner one); nudge
         # the scale toward the region until the exact membership test holds.
-        while sign * float(w.dot(w)) > sign * r2:
+        while sign * float(sq_norm(w)) > sign * r2:
             s = math.nextafter(s, toward)
-            p = self.center + s * v
-            w = p - self.center
+            p = c + s * v
+            w = p - c
         return p
 
     def outward_normal(self, x) -> np.ndarray:
@@ -187,22 +205,22 @@ class FeasibleDomain:
             f"{self.inner_radius:.12g}, {self.outer_radius:.12g})"
         )
 
-    def reflect_or_project(self, x: np.ndarray) -> tuple[np.ndarray, bool, bool]:
-        """Constrain a point array of shape ``(dim,)``; returns
-        ``(point, reflected, fallback)``.
+    def reflect_or_project(self, x) -> tuple[np.ndarray | float, bool, bool]:
+        """Constrain a point array of shape ``(dim,)``, or a Python float at
+        ``dim == 1`` (as ``project``); returns ``(point, reflected, fallback)``.
 
         Members come back unchanged with both flags false. Exterior
         points are reflected to ``2 * project(x) - x``; when that lands
         outside the region (an overshoot beyond what the shape can
         absorb) the projection is returned instead with ``fallback`` set.
         """
-        x = as_point(x, self.dim)
+        x, c = self._point(x)
         p = self.project(x)
         if p is x:
             return x, False, False
         r = 2.0 * p - x
-        w = r - self.center  # the membership test of ``contains``, inline
-        if self._in2 <= float(w.dot(w)) <= self._out2:
+        w = r - c  # the membership test of ``contains``, inline
+        if self._in2 <= float(sq_norm(w)) <= self._out2:
             return r, True, False
         return p, False, True
 
@@ -225,10 +243,11 @@ class FeasibleDomain:
         return point, reflected
 
     def distance_to_set(self, x) -> float:
-        """Euclidean distance to the region (0 for members)."""
-        x = as_point(x, self.dim)
+        """Euclidean distance to the region (0 for members); takes what
+        ``project`` takes."""
+        x, _ = self._point(x)
         d = x - self.project(x)
-        return math.sqrt(float(d.dot(d)))
+        return math.sqrt(float(sq_norm(d)))
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point uniformly from the region.

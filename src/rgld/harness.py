@@ -22,14 +22,16 @@ printed with 17 significant digits so values round-trip exactly.
 
 Every CSV goes through one block-streamed writer. A row's text after
 its leading columns is formatted once per run of rows whose bits are
-equal in those columns (``cummin`` and the flags; the quartiles). A
-block of chain rows is then one ``%``-format of its steps, ``f`` texts
-and tails, where most ``f`` values are a head string and an int found
-by integer arithmetic (``_float_text``): 0.4-0.5 s for gibbs1d's 10**6
-rows on a 2-core x86-64 host. The aggregate rows of a run within a
-block are one byte matrix, the steps' digits and the run's text: about
-0.1 s for 10**6 rows. Seeds that share one record get one formatted
-chain CSV and byte copies of it.
+equal in those columns (``cummin`` and the flags; the quartiles). Both
+row writers take the steps' digits from one uint8 matrix per block
+(``_step_digits``). A block of chain rows is then one ``%``-format of
+its ``f`` texts and tails into a template that holds the digits, where
+most ``f`` values are a head string and an int found by integer
+arithmetic (``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a
+2-core x86-64 host. The aggregate rows of a run within a block are one
+byte matrix, the steps' digits and the run's text: about 0.1 s for
+10**6 rows. Seeds that share one record get one formatted chain CSV and
+byte copies of it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ DEFAULT_SEEDS = tuple(range(20))
 # minimum far above the dominant mode (not every draw traps it).
 GM_OBJECTIVE_SEED = 6
 
-# Rows per CSV write and columns per percentile call: large enough to
+# Rows per CSV write and errors per percentile call: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
 _BLOCK_ROWS = 1 << 14
 
@@ -135,10 +137,13 @@ class AggregateCurve:
         n = records[0].cumulative_min.shape[0]
         q = np.empty((3, n))
         # Percentiles along axis 0 are independent per column, so column
-        # blocks give the same bits as one call with far less scratch.
-        for a in range(0, n, _BLOCK_ROWS):
-            errs = np.stack([r.cumulative_min[a:a + _BLOCK_ROWS] - base for r in records])
-            q[:, a:a + _BLOCK_ROWS] = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
+        # blocks give the same bits as one call with far less scratch: at
+        # most ``_BLOCK_ROWS`` errors per call (or one column), whatever the
+        # seed count.
+        cols = max(1, _BLOCK_ROWS // len(records))
+        for a in range(0, n, cols):
+            errs = np.stack([r.cumulative_min[a:a + cols] - base for r in records])
+            q[:, a:a + cols] = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
         return cls(q25=q[0], q50=q[1], q75=q[2], seed_count=len(records))
 
 
@@ -541,12 +546,14 @@ def _float_text(v: np.ndarray) -> tuple[list, list]:
     """Heads and bodies with ``"%s%s" % (heads[i], bodies[i])`` equal to
     ``"%.17g" % v[i]`` for every ``i``.
 
-    A value of magnitude in [2**-31, 2**51) whose text is in fixed
-    notation (decimal exponent -4 .. 16) gets its 17 significant digits by
-    integer arithmetic. Its head is the sign, integer part, point and
-    leading fraction zeros, one string per distinct head, and its body the
-    other fraction digits as an int, or "" when it has none. Any other
-    value's head is Python's own text, with an empty body.
+    A value of magnitude in [2**-31, 2**51) gets its 17 significant digits
+    by integer arithmetic. In fixed notation (decimal exponent -4 .. 16)
+    its head is the sign, integer part, point and leading fraction zeros,
+    one string per distinct head, and its body the other fraction digits
+    as an int, or "" when it has none. Below 10**-4 the same split of its
+    mantissa (the digits at exponent 0) is followed by ``e`` and the
+    exponent, in the body. Any other value's head is Python's own text,
+    with an empty body.
     """
     a = np.abs(v)
     exact = (a >= 2.0**-31) & (a < 2.0**51)
@@ -564,17 +571,20 @@ def _float_text(v: np.ndarray) -> tuple[list, list]:
     # 10**17: the largest below each power of ten is too far from it.
     rest, half = d & ((1 << r) - 1), 1 << (r - 1)
     q += (rest > half) | ((rest == half) & (q & 1 == 1))
-    fixed = exact & (x >= -4)
+    # Exponents -10 .. -5 are printed in scientific notation: the mantissa
+    # is the text of the same digits at exponent 0.
+    expo = exact & (x < -4)
+    xm = np.where(expo, 0, x)
     # s is q without its trailing zeros, z their count.
     s, z = q.copy(), np.zeros_like(q)
-    i = np.flatnonzero(fixed & (s % 10 == 0))
+    i = np.flatnonzero(exact & (s % 10 == 0))
     while i.size:
         s[i] //= 10
         z[i] += 1
         i = i[s[i] % 10 == 0]
-    shown = np.maximum(16 - x - z, 0)  # fraction digits printed
+    shown = np.maximum(16 - xm - z, 0)  # fraction digits printed
     body = s % _POW10[np.minimum(shown, 18)]
-    whole = q // _POW10[np.minimum(16 - x, 18)]
+    whole = q // _POW10[np.minimum(16 - xm, 18)]
     # 0: no point; else 1 + the leading zeros of the fraction.
     point = np.where(shown > 0, shown + 1 - np.searchsorted(_POW10, body, "right"), 0)
     keys, inverse = np.unique((whole * 2 + (v < 0)) * 32 + point, return_inverse=True)
@@ -582,11 +592,13 @@ def _float_text(v: np.ndarray) -> tuple[list, list]:
                       + ("." + "0" * ((k & 31) - 1) if k & 31 else "")
                       for k in keys.tolist()], dtype=object)
     heads, bodies = table[inverse].tolist(), body.tolist()
-    other = np.flatnonzero(~fixed)
+    for i in np.flatnonzero(exact & (shown == 0)).tolist():
+        bodies[i] = ""
+    for i, e in zip(np.flatnonzero(expo).tolist(), x[expo].tolist()):
+        bodies[i] = "%se%03d" % (bodies[i], e)  # e-05, as %.17g writes it
+    other = np.flatnonzero(~exact)
     for i, value in zip(other.tolist(), v[other].tolist()):
         heads[i], bodies[i] = "%.17g" % value, ""
-    for i in np.flatnonzero(fixed & (shown == 0)).tolist():
-        bodies[i] = ""
     return heads, bodies
 
 
@@ -604,10 +616,28 @@ def _write_csv(path, header: str, n: int, rows) -> None:
             fh.write(block.encode() if isinstance(block, str) else block)
 
 
+def _step_digits(a: int, b: int, tail: bytes = b""):
+    """The steps ``a .. b-1`` as ASCII digits, each followed by ``tail``,
+    cut where the width grows (at powers of ten): ``(lo, hi, rows)`` per
+    piece, ``rows`` a uint8 matrix with one row per step."""
+    cuts = [a, *(c for c in _POW10.tolist() if a < c < b), b]
+    for lo, hi in zip(cuts, cuts[1:]):
+        w = len(str(lo))
+        rows = np.empty((hi - lo, w + len(tail)), dtype=np.uint8)
+        rows[:, w:] = np.frombuffer(tail, dtype=np.uint8)
+        # The digit of place p holds for p steps at a time: one value per
+        # such run, repeated over the run's steps within lo .. hi-1.
+        for c in range(w):
+            p = 10 ** (w - 1 - c)
+            run = np.arange(lo // p, (hi - 1) // p + 2)
+            rows[:, c] = np.repeat(run[:-1] % 10 + 48, np.diff(np.clip(run * p, lo, hi)))
+        yield lo, hi, rows
+
+
 def _write_chain_csv(path, record: RunRecord) -> None:
     """One row per step: the step and ``f`` (``_float_text``), then a tail
     formatted once per run of equal ``cummin`` and flags. A block of rows
-    is one ``%`` call."""
+    is one ``%`` call, whose template holds the steps' digits."""
     f = record.f_value
     bounds, tails = _run_strings(",%.17g,%d,%d\n", [
         record.cumulative_min, record.boundary_events, record.fallback_events,
@@ -615,11 +645,11 @@ def _write_chain_csv(path, record: RunRecord) -> None:
     tails = np.repeat(np.array(tails, dtype=object), np.diff(bounds))
 
     def rows(a, b):
-        args = [None] * (4 * (b - a))
-        args[0::4] = range(a, b)
-        args[1::4], args[2::4] = _float_text(f[a:b])
-        args[3::4] = tails[a:b].tolist()
-        return "%d,%s%s%s" * (b - a) % tuple(args)
+        fmt = b"".join(t.tobytes() for _, _, t in _step_digits(a, b, b",%s%s%s"))
+        args = [None] * (3 * (b - a))
+        args[0::3], args[1::3] = _float_text(f[a:b])
+        args[2::3] = tails[a:b].tolist()
+        return fmt.decode() % tuple(args)
 
     _write_csv(path, "step,f,cummin,reflected,fallback", f.size, rows)
 
@@ -628,7 +658,7 @@ def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
     """One row per step: the step, then its quartiles formatted once per
     run of equal quartiles. The rows of a block whose steps have one width
     are one byte array, in which the rows of each run are a matrix of the
-    steps' digits, computed once, and the run's text."""
+    steps' digits (``_step_digits``) and the run's text."""
     bounds, tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
     bounds = np.array(bounds)
     tails = [np.frombuffer(t.encode(), dtype=np.uint8) for t in tails]
@@ -636,16 +666,10 @@ def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
 
     def rows(a, b):
         parts = []
-        cuts = [a, *(c for c in _POW10.tolist() if a < c < b), b]
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi, digits in _step_digits(a, b):
             # Runs i .. j-1 meet rows lo .. hi-1, whose steps have w digits.
             i, j = np.searchsorted(bounds, lo, "right") - 1, np.searchsorted(bounds, hi)
-            w = len(str(lo))
-            digits = np.empty((hi - lo, w), dtype=np.uint8)
-            step = np.arange(lo, hi)
-            for c in range(w - 1, -1, -1):
-                digits[:, c] = step % 10 + 48
-                step //= 10
+            w = digits.shape[1]
             # The rows c .. e-1 of a run are the bytes o .. p-1 of text.
             ends = np.clip(bounds[i:j + 1], lo, hi) - lo
             offsets = np.cumsum([0, *np.diff(ends) * (w + sizes[i:j])]).tolist()

@@ -75,8 +75,7 @@ class Objective:
         ``(dim,)`` array at one point, or ``(B,)`` values and ``(B, dim)``
         gradients at the rows of a ``(B, dim)`` array. Row ``i`` has the
         bits of the call at ``X[i]`` when ``X`` is C-contiguous: each BLAS
-        call of the point formula runs once per row. ``Quadratic`` also
-        takes a Python float at ``dim == 1`` and returns two floats."""
+        call of the point formula runs once per row."""
         raise NotImplementedError
 
     def value_many(self, X) -> np.ndarray:
@@ -104,13 +103,7 @@ class Objective:
 
 
 class Quadratic(Objective):
-    """``f(x) = scale * ||x||^2 / 2``.
-
-    At ``dim == 1`` ``value_and_gradient`` also takes a Python float and
-    returns floats with the bits of the ``(1,)`` call: the formula is
-    products alone, each rounded once either way (the BLAS dot of one term
-    is ``x * x``).
-    """
+    """``f(x) = scale * ||x||^2 / 2``."""
 
     def __init__(self, scale: float = 1.0, dim: int = 1):
         if not 0 < scale < math.inf:
@@ -122,8 +115,6 @@ class Quadratic(Objective):
         self._scale = np.array(self.scale)
 
     def value_and_gradient(self, x):
-        if type(x) is float and self.dim == 1:
-            return 0.5 * self.scale * (x * x), self.scale * x
         x = as_point(x, self.dim, rows=True)
         s = x.dot(x) if x.ndim == 1 else sq_norm(x)  # a point skips a call
         return 0.5 * self.scale * s, self._scale * x

@@ -19,7 +19,7 @@ from rgld.dynamics import (
     run_chain,
     step_size_bound,
 )
-from rgld.geometry import Ball, SphericalShell
+from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.objectives import (
     GaussianMixture,
     Objective,
@@ -697,6 +697,22 @@ class TestOneCoordinate:
                     GaussianMixture([1.0, 0.6], [[-0.4], [0.9]])):
             rec = self.assert_lone_matches_batch(config, obj, dom)
             assert rec.boundary_events.any() or method == "pg"
+
+    @pytest.mark.parametrize("center", [0.0, 0.1])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shell_with_a_cavity(self, center, method):
+        # The two intervals 0.3 <= |x - center| <= 1 (a 1-D shell, built
+        # directly: SphericalShell needs dim >= 2). The quadratic's
+        # minimizer lies in the cavity, so every method meets the inner
+        # wall, and the noisy ones the outer wall too.
+        dom = FeasibleDomain(np.array([center]), 0.3, 1.0, 0.35, 0.3)
+        config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=2000, seed=5,
+                             record_trajectory=True, enforce_step_bound=False)
+        rec = self.assert_lone_matches_batch(config, Quadratic(2.0, 1), dom)
+        moved = np.abs(rec.trajectory[1:, 0][rec.boundary_events[:-1]] - center)
+        assert (moved < 0.65).any()
+        assert (moved > 0.65).any() or method == "pg"
+        self.assert_lone_matches_batch(config, Rastrigin(1), dom)
 
     @pytest.mark.parametrize("obj,x0,final", [
         (Quadratic(1.0, 1), 0.5, 5e-324), (Quadratic(1.0, 1), -0.5, -5e-324),

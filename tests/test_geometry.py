@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgld.cli import check_geometry, margin_points
+from rgld.cli import check_float_operators, check_geometry, margin_points
 from rgld.geometry import (
     Ball,
+    FeasibleDomain,
     ReflectionUndefinedError,
     SphericalShell,
     sq_norm,
@@ -123,6 +124,9 @@ class TestReflect:
             SHELL.reflect([7.5, 0.0])
         with pytest.raises(ReflectionUndefinedError):
             BALL.reflect([6.5, 0.0])
+        # A Python float at dim 1, as a lone 1-D chain passes it.
+        with pytest.raises(ReflectionUndefinedError, match="at distance 2.5 from"):
+            Ball(np.zeros(1), 1.0).reflect(3.5)
 
 
 class TestOutwardNormal:
@@ -286,7 +290,38 @@ def regions_and_far_points(draw):
     return dom, dom.center + draw(st.floats(1e155, 1e300)) * (u / np.linalg.norm(u))
 
 
+def shell_1d(center: float, inner: float, outer: float) -> FeasibleDomain:
+    """The two intervals ``inner <= |x - center| <= outer``, with the
+    derived radii of ``SphericalShell``, which needs dim >= 2."""
+    inscribed = 0.5 * (outer - inner)
+    return FeasibleDomain(np.array([center]), inner, outer, inscribed, min(inner, inscribed))
+
+
+@st.composite
+def intervals_and_points(draw):
+    """An interval or a 1-D shell and a ``(1,)`` point drawn as above up to
+    3 margins out, at the center, or so far out that its square overflows."""
+    c = draw(st.floats(-3.0, 3.0))
+    inner = draw(st.sampled_from([0.0]) | st.floats(0.1, 5.0))
+    outer = inner + draw(st.floats(0.1, 5.0))
+    dom = Ball(np.array([c]), outer) if inner == 0.0 else shell_1d(c, inner, outer)
+    where = draw(st.sampled_from(["near", "center", "far"]))
+    if where == "near":
+        return dom, _point(draw, dom, 3.0)
+    far = draw(st.floats(1e155, 1e300)) * draw(st.sampled_from([-1.0, 1.0]))
+    return dom, np.array([c + (far if where == "far" else 0.0)])
+
+
 class TestRegionProperties:
+    @PROPERTIES
+    @given(intervals_and_points())
+    def test_float_operators_have_the_point_bits(self, case):
+        # A Python float at dim 1 gets a float with the bits and flags of
+        # the (1,) call, and itself back exactly when the point does.
+        dom, x = case
+        with np.errstate(over="ignore"):
+            assert check_float_operators(dom, [x]) == 0
+
     @PROPERTIES
     @given(regions_and_far_points())
     def test_projection_of_overflowing_points(self, case):

@@ -326,6 +326,17 @@ class TestStreamedWriter:
         ev[harness._BLOCK_ROWS - 1: harness._BLOCK_ROWS + 1] = True
         self.check(tmp_path / "c.csv", f, c, ev, ~ev)
 
+    def test_steps_widen_inside_real_blocks(self, tmp_path):
+        # In blocks of the real size, steps 9 -> 10 .. 9999 -> 10000 widen
+        # inside the first block and 99999 -> 100000 inside the seventh.
+        n, block = 100_003, harness._BLOCK_ROWS
+        assert 99_999 // block == 100_000 // block == (n - 1) // block
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=n)
+        ev = rng.random(n) < 0.05
+        self.check(tmp_path / "c.csv", f, np.minimum.accumulate(f), ev,
+                   ev & (rng.random(n) < 0.2))
+
     @pytest.mark.parametrize("texts", [(1.5, 2.5), (0.5, 0.125)], ids=["equal", "unequal"])
     @pytest.mark.parametrize("cuts", [(5, 50, 150, 1500, 15000), (10, 100, 1000, 10000, 10010)],
                              ids=["inside-runs", "at-run-edges"])
@@ -346,14 +357,17 @@ class TestStreamedWriter:
             self.check(tmp_path_factory.mktemp("w") / "c.csv", f, c, ev, fb)
 
     def test_aggregate_blocks_match_one_call(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BLOCK_ROWS", 1000)
         rng = np.random.default_rng(2)
         cummins = [np.minimum.accumulate(rng.standard_normal(2500)) for _ in range(5)]
         records = [SimpleNamespace(cumulative_min=c) for c in cummins]
-        curve = AggregateCurve.from_records(records, -1.5)
         want = np.percentile(np.stack([c + 1.5 for c in cummins]), [25.0, 50.0, 75.0], axis=0)
-        got = np.stack([curve.q25, curve.q50, curve.q75])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # 200 columns a call, and one column when there are more seeds
+        # than errors a call.
+        for block in (1000, 3):
+            monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
+            curve = AggregateCurve.from_records(records, -1.5)
+            got = np.stack([curve.q25, curve.q50, curve.q75])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_shared_record_is_formatted_once(self, tmp_path, monkeypatch):
         # gm2d's pg chain reads no seed: one record serves seeds 0, 1 and 2.
@@ -796,9 +810,41 @@ class TestCli:
         # Reflection that leaves exterior points where they are.
         reflect_or_project = FeasibleDomain.reflect_or_project
         monkeypatch.setattr(FeasibleDomain, "reflect_or_project", lambda self, x: (
-            (x, False, False) if not self.contains(x) else reflect_or_project(self, x)))
+            (x, False, False) if self.project(x) is not x else reflect_or_project(self, x)))
         assert cli.main(["check"]) == 1
         assert "FAIL geometry projection/reflection invariants" in capsys.readouterr().out
+
+    def test_check_battery_fails_on_a_float_operator_fault(self, capsys, monkeypatch):
+        # As if a Python float met the center one ulp off: the (1,) calls
+        # keep their bits, the float calls at the walls move.
+        point = FeasibleDomain._point
+        monkeypatch.setattr(FeasibleDomain, "_point", lambda self, x: (
+            (x, math.nextafter(self.center.item(), math.inf)) if type(x) is float
+            else point(self, x)))
+        assert cli.main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"FAIL 1-D float operator \(\d+ of 4010 points differ", out)
+
+    def test_float_operator_points_cover_both_walls_nudges_and_fallbacks(self, monkeypatch):
+        cases = []
+        check = cli.check_float_operators
+        monkeypatch.setattr(cli, "check_float_operators",
+                            lambda dom, points: cases.append((dom, points)) or check(dom, points))
+        assert cli.main(["check"]) == 0
+        nudges = []
+        nextafter = math.nextafter
+        monkeypatch.setattr(math, "nextafter", lambda a, b: nudges.append(b) or nextafter(a, b))
+        walls, fallbacks = set(), 0
+        for dom, points in cases:
+            c, in2 = dom.center.item(), dom.inner_radius ** 2
+            for x in points:
+                v = x.item() - c
+                _, reflected, fell_back = dom.reflect_or_project(x.item())
+                if reflected or fell_back:
+                    walls.add(("inner" if v * v < in2 else "outer", v > 0))
+                fallbacks += fell_back
+        assert len(cases) == 2 and len(walls) == 4
+        assert nudges and fallbacks
 
     def test_dim_flag(self, tmp_path):
         rc = cli.main([
