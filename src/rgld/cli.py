@@ -31,7 +31,8 @@ from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle
 from rgld.objectives import Quadratic, Rastrigin, Rosenbrock, make_grid_gaussian_mixture
 
-PRESET_DIM_DEFAULTS = {"rosenbrock": 4, "rastrigin": 2}
+# The presets that take ``--dim``; each factory holds its default.
+DIM_PRESETS = ("rosenbrock", "rastrigin")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -55,19 +56,18 @@ def _positive_int(text: str) -> int:
 
 def _resolve_spec(args) -> harness.ExperimentSpec:
     target = args.target
-    if target in harness.PRESETS:
-        factory = harness.PRESETS[target]
-        kwargs = {}
-        if target in PRESET_DIM_DEFAULTS:
-            kwargs["dim"] = PRESET_DIM_DEFAULTS[target] if args.dim is None else args.dim
-        elif args.dim is not None:
-            raise SystemExit(f"--dim is not applicable to preset {target!r}")
-        spec = factory(**kwargs)
-    elif Path(target).exists():
-        spec = harness.spec_from_file(target)
-    else:
+    if target not in harness.PRESETS and not Path(target).exists():
         known = ", ".join(sorted(harness.PRESETS))
         raise SystemExit(f"unknown preset or missing file {target!r} (presets: {known})")
+    if args.dim is not None and target not in DIM_PRESETS:
+        kind = "preset" if target in harness.PRESETS else "spec file"
+        raise SystemExit(f"--dim is not applicable to {kind} {target!r}")
+    if target not in harness.PRESETS:
+        spec = harness.spec_from_file(target)
+    elif args.dim is None:
+        spec = harness.PRESETS[target]()
+    else:
+        spec = harness.PRESETS[target](dim=args.dim)
 
     # ``oracle`` takes only ``--beta``; ``run`` also takes the chain flags.
     flags = vars(args)
@@ -75,6 +75,7 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
         key: flags[key] for key in ("eta", "beta", "steps", "seeds")
         if flags.get(key) is not None
     }
+    # A new chain length keeps the TV prefixes below it and ends them at it.
     if "steps" in overrides and spec.tv_prefixes:
         steps = overrides["steps"]
         overrides["tv_prefixes"] = tuple(p for p in spec.tv_prefixes if p < steps) + (steps,)

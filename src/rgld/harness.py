@@ -60,7 +60,6 @@ __all__ = [
     "ExperimentSpec",
     "AggregateCurve",
     "PRESETS",
-    "DEFAULT_SEEDS",
     "GM_OBJECTIVE_SEED",
     "preset_gm2d",
     "preset_gm2d_pgld_vs_rgld",
@@ -75,8 +74,6 @@ __all__ = [
     "export_cells_csv",
 ]
 
-# 20 seeds give stable medians for the comparative criteria.
-DEFAULT_SEEDS = tuple(range(20))
 # Pinned seed of the benchmark mixture's weights, chosen so that plain
 # projected descent from the benchmark start gets trapped in a local
 # minimum far above the dominant mode (not every draw traps it).
@@ -98,7 +95,8 @@ class ExperimentSpec:
     eta: float
     beta: float
     steps: int
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    # 20 seeds give stable medians for the comparative criteria.
+    seeds: tuple[int, ...] = tuple(range(20))
     x0: np.ndarray | None = None
     noise: str = "rademacher"
     min_f: float | None = None
@@ -147,32 +145,25 @@ class AggregateCurve:
         return cls(q25=q[0], q50=q[1], q75=q[2], seed_count=len(records))
 
 
-def preset_gm2d(
-    eta: float = 0.05,
-    beta: float = 1.0,
-    steps: int = 10_000,
-    seeds=DEFAULT_SEEDS,
-    methods: tuple[str, ...] = ("pg", "rgld"),
-) -> ExperimentSpec:
+def preset_gm2d() -> ExperimentSpec:
     """Grid Gaussian mixture on the planar shell between radii 0.9 and 4.
 
-    Defaults follow the published benchmark: eta 0.05, beta 1.0, start
-    at (0.5, 0.5). Sweep variants use beta in {1.0, 8.0} and eta around
-    the default; pass overrides for those. The published hyperparameters
-    violate the conservative worst-case step-size bound (the mixture's
-    gradient bound is loose), so the admissibility check is disabled and
-    safety is asserted post-hoc via the fallback counter.
+    The published benchmark: eta 0.05, beta 1.0, start at (0.5, 0.5).
+    Sweep variants use beta in {1.0, 8.0} and eta around 0.05. The
+    published hyperparameters violate the conservative worst-case
+    step-size bound (the mixture's gradient bound is loose), so the
+    admissibility check is disabled and safety is asserted post-hoc via
+    the fallback counter.
     """
     gm = make_grid_gaussian_mixture(GM_OBJECTIVE_SEED)
     return ExperimentSpec(
         name="gm2d",
         objective=gm,
         domain=SphericalShell(np.zeros(2), 0.9, 4.0),
-        methods=tuple(methods),
-        eta=eta,
-        beta=beta,
-        steps=steps,
-        seeds=tuple(seeds),
+        methods=("pg", "rgld"),
+        eta=0.05,
+        beta=1.0,
+        steps=10_000,
         x0=np.array([0.5, 0.5]),
         min_f=gm.global_min_value,
         enforce_step_bound=False,
@@ -181,12 +172,10 @@ def preset_gm2d(
 
 def preset_gm2d_pgld_vs_rgld() -> ExperimentSpec:
     """The reflection-versus-projection comparison on the mixture problem."""
-    return replace(preset_gm2d(methods=("pgld", "rgld")), name="gm2d-pgld-vs-rgld")
+    return replace(preset_gm2d(), name="gm2d-pgld-vs-rgld", methods=("pgld", "rgld"))
 
 
-def preset_rosenbrock(
-    dim: int = 4, steps: int = 200_000, seeds=DEFAULT_SEEDS
-) -> ExperimentSpec:
+def preset_rosenbrock(dim: int = 4) -> ExperimentSpec:
     """Rosenbrock on the shell between radii ``0.5 sqrt(d)`` and ``2 sqrt(d)``.
 
     ``eta`` is ``min(5e-4, 2e-3 / d)`` and ``beta`` is ``0.25 * d``. The
@@ -209,17 +198,13 @@ def preset_rosenbrock(
         methods=("pg", "rgld"),
         eta=min(5e-4, 2e-3 / dim),
         beta=0.25 * dim,
-        steps=steps,
-        seeds=tuple(seeds),
-        x0=None,
+        steps=200_000,
         min_f=0.0,  # the all-ones minimizer has norm sqrt(d), inside the shell
         enforce_step_bound=False,
     )
 
 
-def preset_rastrigin(
-    dim: int = 2, steps: int = 200_000, seeds=DEFAULT_SEEDS
-) -> ExperimentSpec:
+def preset_rastrigin(dim: int = 2) -> ExperimentSpec:
     """Rastrigin on the shell between radii 0.9 and 5.12.
 
     ``eta`` is 5e-4 and ``beta`` is ``0.05 * d``; the benchmark grid uses d in
@@ -238,24 +223,18 @@ def preset_rastrigin(
         methods=("pg", "rgld"),
         eta=5e-4,
         beta=0.05 * dim,
-        steps=steps,
-        seeds=tuple(seeds),
-        x0=None,
+        steps=200_000,
         min_f=rastrigin_min_on_shell(domain),
-        enforce_step_bound=True,
     )
 
 
-def preset_gibbs1d(steps: int = 2_000_000, seeds=(0,)) -> ExperimentSpec:
+def preset_gibbs1d() -> ExperimentSpec:
     """Stationarity validation on a one-dimensional quadratic.
 
     A reflected chain on the unit interval domain with beta 2 and eta
     1e-3, paired with a quadrature oracle; total variation is reported
     over growing trajectory prefixes.
     """
-    prefixes = tuple(p for p in (10_000, 100_000, 1_000_000, 2_000_000) if p <= steps)
-    if not prefixes or prefixes[-1] != steps:
-        prefixes = prefixes + (steps,)
     return ExperimentSpec(
         name="gibbs1d",
         objective=Quadratic(scale=1.0, dim=1),
@@ -263,13 +242,11 @@ def preset_gibbs1d(steps: int = 2_000_000, seeds=(0,)) -> ExperimentSpec:
         methods=("rgld",),
         eta=1e-3,
         beta=2.0,
-        steps=steps,
-        seeds=tuple(seeds),
-        x0=None,
+        steps=2_000_000,
+        seeds=(0,),
         min_f=0.0,
-        enforce_step_bound=True,
         oracle_bins=256,
-        tv_prefixes=prefixes,
+        tv_prefixes=(10_000, 100_000, 1_000_000, 2_000_000),
     )
 
 
@@ -407,6 +384,14 @@ def _domain_from_dict(d: dict) -> FeasibleDomain:
     return SphericalShell(d["center"], d["inner_radius"], d["outer_radius"])
 
 
+# How a set key of the spec tree becomes its field; the rest pass as they are.
+_SPEC_VALUE = {
+    "objective": _objective_from_dict, "domain": _domain_from_dict,
+    "methods": tuple, "seeds": tuple, "tv_prefixes": tuple, "eta": float, "beta": float,
+    "x0": lambda v: None if v is None else np.asarray(v, dtype=np.float64),
+}
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Build a custom experiment from a plain key/value tree.
 
@@ -423,23 +408,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     ``noise`` strings. A mixture's ``seed`` must not be negative.
     """
     _check_keys("spec", d, *_SPEC_KEYS)
-    x0 = d.get("x0")
-    return ExperimentSpec(
-        name=d.get("name", "custom"),
-        objective=_objective_from_dict(d["objective"]),
-        domain=_domain_from_dict(d["domain"]),
-        methods=tuple(d["methods"]),
-        eta=float(d["eta"]),
-        beta=float(d["beta"]),
-        steps=d["steps"],
-        seeds=tuple(d.get("seeds", DEFAULT_SEEDS)),
-        x0=None if x0 is None else np.asarray(x0, dtype=np.float64),
-        noise=d.get("noise", "rademacher"),
-        min_f=d.get("min_f"),
-        enforce_step_bound=d.get("enforce_step_bound", True),
-        oracle_bins=d.get("oracle_bins"),
-        tv_prefixes=tuple(d.get("tv_prefixes", ())),
-    )
+    # Only the keys the tree sets: the other fields keep their
+    # ``ExperimentSpec`` defaults. The objective is built before the domain.
+    fields = {key: _SPEC_VALUE.get(key, lambda v: v)(d[key])
+              for key in _SPEC_KEYS[0] + _SPEC_KEYS[1] if key in d}
+    return ExperimentSpec(**{"name": "custom", **fields})
 
 
 def spec_from_file(path) -> ExperimentSpec:
@@ -714,8 +687,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     and, for stationarity presets, one total-variation CSV per seed.
     Seeds and methods must be distinct, ``min_f`` finite when set, and
-    ``tv_prefixes`` needs ``oracle_bins``. The settings and the oracle are
-    checked before any chain runs, and every chain runs before
+    ``tv_prefixes`` and ``oracle_bins`` set together. The settings and
+    the oracle are checked before any chain runs, and every chain runs before
     ``out_dir`` is created, so a bad setting or a chain that raises (a
     non-finite iterate, say) leaves no files behind.
     """
@@ -735,11 +708,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
-    oracle = None
-    if spec.oracle_bins is not None:
-        oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, spec.oracle_bins)
-    elif spec.tv_prefixes:
+    if spec.tv_prefixes and spec.oracle_bins is None:
         raise ValueError("tv_prefixes: needs oracle_bins")
+    # Without prefixes the oracle would only make every chain keep its
+    # trajectory, for TV files that hold a header alone.
+    if spec.oracle_bins is not None and not spec.tv_prefixes:
+        raise ValueError("oracle_bins: needs tv_prefixes")
+    oracle = None if spec.oracle_bins is None else GibbsOracle(
+        spec.objective, spec.domain, spec.beta, spec.oracle_bins)
     records = run_chains(spec, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

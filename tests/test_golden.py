@@ -33,7 +33,8 @@ def golden_specs():
         "rosenbrock4": replace(preset_rosenbrock(4), steps=2000, seeds=(0, 1)),
         "rastrigin2": replace(preset_rastrigin(2), steps=2000, seeds=(0, 1)),
         "gibbs1d": replace(preset_gibbs1d(), steps=20_000, tv_prefixes=(10_000, 20_000)),
-        "gibbs1d-200k": preset_gibbs1d(steps=200_000),
+        "gibbs1d-200k": replace(preset_gibbs1d(), steps=200_000,
+                                tv_prefixes=(10_000, 100_000, 200_000)),
     }
 
 

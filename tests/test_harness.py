@@ -1,12 +1,13 @@
 """Presets, the experiment runner, CSV contracts, and the CLI."""
 
+import inspect
 import json
 import math
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -29,7 +30,28 @@ from rgld.harness import (
     run_experiment,
     spec_from_dict,
 )
-from rgld.objectives import Quadratic, Rastrigin
+from rgld.objectives import Objective, Quadratic, Rastrigin
+
+
+def spec_fields(spec):
+    """Every field of ``spec``, with arrays as bytes and the objective and
+    domain as their attributes, so two specs compare field for field."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, (Objective, FeasibleDomain)):
+            return type(v), {k: plain(a) for k, a in vars(v).items()}
+        return v
+    return {f.name: plain(getattr(spec, f.name)) for f in fields(spec)}
+
+
+def resolved_spec(argv, monkeypatch):
+    """The spec ``rgld run`` resolves from ``argv``; no chain runs."""
+    specs = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda spec, out, workers: specs.append(spec) or [])
+    assert cli.main(["run", *argv]) == 0
+    return specs[0]
 
 
 class TestPresetPins:
@@ -45,9 +67,26 @@ class TestPresetPins:
         assert spec.seeds == tuple(range(20))
         assert spec.objective.n_modes == 25
 
-    def test_gm2d_beta_sweep_variant(self):
-        spec = preset_gm2d(beta=8.0)
-        assert spec.beta == 8.0
+    def test_gm2d_beta_sweep_variant(self, monkeypatch):
+        spec = resolved_spec(["gm2d", "--beta", "8.0"], monkeypatch)
+        assert spec_fields(spec) == spec_fields(replace(preset_gm2d(), beta=8.0))
+
+    def test_factories_take_no_parameter_but_dim(self):
+        params = {name: list(inspect.signature(factory).parameters)
+                  for name, factory in harness.PRESETS.items()}
+        assert params == {"gm2d": [], "gm2d-pgld-vs-rgld": [], "rosenbrock": ["dim"],
+                          "rastrigin": ["dim"], "gibbs1d": []}
+        assert cli.DIM_PRESETS == tuple(name for name, p in params.items() if p)
+
+    @pytest.mark.parametrize("steps,prefixes", [
+        (5_000, (5_000,)),
+        (150_000, (10_000, 100_000, 150_000)),
+        (1_000_000, (10_000, 100_000, 1_000_000)),
+    ])
+    def test_steps_flag_cuts_gibbs1d_prefixes(self, steps, prefixes, monkeypatch):
+        spec = resolved_spec(["gibbs1d", "--steps", str(steps)], monkeypatch)
+        want = replace(preset_gibbs1d(), steps=steps, tv_prefixes=prefixes)
+        assert spec_fields(spec) == spec_fields(want)
 
     def test_gm2d_pgld_vs_rgld(self):
         spec = preset_gm2d_pgld_vs_rgld()
@@ -107,14 +146,12 @@ class TestPresetPins:
 
 
 def tiny_gm2d(**overrides):
-    defaults = dict(steps=400, seeds=(0, 1))
-    defaults.update(overrides)
-    return preset_gm2d(**defaults)
+    return replace(preset_gm2d(), **{"steps": 400, "seeds": (0, 1), **overrides})
 
 
 class TestRunExperiment:
     def test_file_contract_single_seed(self, tmp_path):
-        spec = preset_gm2d(steps=300, seeds=(0,))
+        spec = replace(preset_gm2d(), steps=300, seeds=(0,))
         paths = run_experiment(spec, tmp_path)
         names = sorted(p.name for p in paths)
         assert names == [
@@ -141,7 +178,7 @@ class TestRunExperiment:
         assert set(r[4] for r in rows) <= {"0", "1"}
 
     def test_floats_round_trip(self, tmp_path):
-        spec = preset_gm2d(steps=50, seeds=(3,))
+        spec = replace(preset_gm2d(), steps=50, seeds=(3,))
         run_experiment(spec, tmp_path)
         rec = harness.run_chains(spec)[("rgld", 3)]
         text = (tmp_path / "gm2d_rgld_seed3.csv").read_text().splitlines()
@@ -180,7 +217,7 @@ class TestRunExperiment:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_gibbs_preset_emits_tv_files(self, tmp_path):
-        spec = preset_gibbs1d(steps=20_000, seeds=(0,))
+        spec = replace(preset_gibbs1d(), steps=20_000, tv_prefixes=(10_000, 20_000))
         paths = run_experiment(spec, tmp_path)
         tv = [p for p in paths if "tv" in p.name]
         assert len(tv) == 1
@@ -419,7 +456,7 @@ class TestDistinctChains:
             assert not rec.f_value.flags.writeable
 
     def test_drawn_start_runs_pg_once_per_seed(self, monkeypatch):
-        spec = preset_rosenbrock(4, steps=50, seeds=(0, 1, 2))
+        spec = replace(preset_rosenbrock(4), steps=50, seeds=(0, 1, 2))
         calls = spy_on_jobs(monkeypatch)
         records = harness.run_chains(spec)
         assert calls == [("batch", m, (0, 1, 2)) for m in ("pg", "rgld")]
@@ -463,6 +500,7 @@ class TestInputChecks:
         ("seeds", [0, 0], "seeds: duplicate seed 0"),
         ("methods", ["rgld", "rgld"], "methods: duplicate 'rgld'"),
         ("tv_prefixes", [5], "tv_prefixes: needs oracle_bins"),
+        ("oracle_bins", 256, "oracle_bins: needs tv_prefixes"),
     ])
     def test_cli_rejects_repeats_in_a_spec_file(self, field, values, message,
                                                 tmp_path, capsys):
@@ -502,7 +540,7 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
 
     def test_tv_prefix_above_steps_rejected(self, tmp_path):
-        spec = replace(preset_gibbs1d(steps=1000), tv_prefixes=(500, 5000))
+        spec = replace(preset_gibbs1d(), steps=1000, tv_prefixes=(500, 5000))
         with pytest.raises(ValueError, match="^tv_prefixes.*5000"):
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -512,12 +550,13 @@ class TestInputChecks:
         ({"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
          "quadrature oracle supports dimension 1 or 2 only"),
         ({"oracle_bins": None}, "tv_prefixes: needs oracle_bins"),
-    ], ids=["bins", "dimension", "no-oracle"])
+        ({"tv_prefixes": ()}, "oracle_bins: needs tv_prefixes"),
+    ], ids=["bins", "dimension", "no-oracle", "no-prefixes"])
     def test_oracle_settings_rejected_before_any_chain(self, change, message,
                                                        tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "run_chains",
                             lambda *args, **kwargs: pytest.fail("a chain ran"))
-        spec = replace(preset_gibbs1d(steps=1000), **change)
+        spec = replace(preset_gibbs1d(), **{"steps": 1000, "tv_prefixes": (1000,), **change})
         with pytest.raises(ValueError, match=f"^{message}"):
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -596,7 +635,7 @@ class TestInputChecks:
         fail = lambda *args: pytest.fail("a chain ran")
         monkeypatch.setattr(harness, "run_chain", fail)
         monkeypatch.setattr(harness, "run_batch", fail)
-        spec = replace(preset_rosenbrock(4, steps=10, seeds=(0, 1, 2)), **change)
+        spec = replace(preset_rosenbrock(4), steps=10, seeds=(0, 1, 2), **change)
         with pytest.raises(ChainConfigError, match=f"^{message}"):
             harness.run_chains(spec)
 
@@ -853,6 +892,21 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "rosenbrock6_pg_seed0.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_dim_rejected_for_a_spec_file(self, command, tmp_path, monkeypatch):
+        fail = lambda *args, **kwargs: pytest.fail("a chain or an oracle ran")
+        monkeypatch.setattr(harness, "run_chains", fail)
+        monkeypatch.setattr(cli, "GibbsOracle", fail)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+        }))
+        with pytest.raises(SystemExit, match="^--dim is not applicable to spec file"):
+            cli.main([command, str(path), "--dim", "7", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_readme_rosenbrock_example_never_falls_back(self, tmp_path):
         # At eta 5e-4, d = 10 falls back on about 3 of 4 rgld steps.
