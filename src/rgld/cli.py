@@ -94,14 +94,10 @@ def _cmd_oracle(args) -> int:
     if spec.domain.dim > 2:
         print("oracle requires a preset of dimension <= 2", file=sys.stderr)
         return 2
-    # ``is None``, not ``or``: ``--bins 0`` is an error, not the default.
-    bins = args.bins if args.bins is not None else spec.oracle_bins
-    if bins is None:
-        bins = 256
-    oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, bins)
+    oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, args.bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{spec.name}_oracle_{bins}.csv"
+    path = out / f"{spec.name}_oracle_{args.bins}.csv"
     harness.export_cells_csv(path, oracle)
     print(f"{spec.name}: oracle with {oracle.n_cells} cells, "
           f"Z={oracle.normalizing_constant:.12g}, wrote {path}")
@@ -288,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_or = sub.add_parser("oracle", help="export the Gibbs quadrature oracle")
     p_or.add_argument("target", help="preset name or path to a JSON spec")
-    p_or.add_argument("--bins", type=int, default=None)
+    p_or.add_argument("--bins", type=int, default=harness.TV_BINS)
     p_or.add_argument("--dim", type=int, default=None)
     p_or.add_argument("--beta", type=float, default=None)
     p_or.add_argument("--out", default="results")

@@ -61,6 +61,7 @@ __all__ = [
     "AggregateCurve",
     "PRESETS",
     "GM_OBJECTIVE_SEED",
+    "TV_BINS",
     "preset_gm2d",
     "preset_gm2d_pgld_vs_rgld",
     "preset_rosenbrock",
@@ -78,6 +79,9 @@ __all__ = [
 # projected descent from the benchmark start gets trapped in a local
 # minimum far above the dominant mode (not every draw traps it).
 GM_OBJECTIVE_SEED = 6
+
+# Oracle cells per axis for total variation.
+TV_BINS = 256
 
 # Rows per CSV write and errors per percentile call: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
@@ -101,9 +105,8 @@ class ExperimentSpec:
     noise: str = "rademacher"
     min_f: float | None = None
     enforce_step_bound: bool = True
-    # Stationarity presets pair the chain with a quadrature oracle and
-    # report total variation over growing trajectory prefixes.
-    oracle_bins: int | None = None
+    # Trajectory prefixes to score by total variation against a quadrature
+    # oracle of ``TV_BINS`` cells per axis; none means no oracle and no TV.
     tv_prefixes: tuple[int, ...] = ()
 
     def chain_config(self, method: str, seed: int) -> ChainConfig:
@@ -115,7 +118,7 @@ class ExperimentSpec:
             seed=seed,
             noise=self.noise,
             x0=self.x0,
-            record_trajectory=self.oracle_bins is not None,
+            record_trajectory=bool(self.tv_prefixes),
             enforce_step_bound=self.enforce_step_bound,
         )
 
@@ -127,7 +130,6 @@ class AggregateCurve:
     q25: np.ndarray
     q50: np.ndarray
     q75: np.ndarray
-    seed_count: int
 
     @classmethod
     def from_records(cls, records: list[RunRecord], min_f: float | None) -> "AggregateCurve":
@@ -142,7 +144,7 @@ class AggregateCurve:
         for a in range(0, n, cols):
             errs = np.stack([r.cumulative_min[a:a + cols] - base for r in records])
             q[:, a:a + cols] = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
-        return cls(q25=q[0], q50=q[1], q75=q[2], seed_count=len(records))
+        return cls(q25=q[0], q50=q[1], q75=q[2])
 
 
 def preset_gm2d() -> ExperimentSpec:
@@ -245,7 +247,6 @@ def preset_gibbs1d() -> ExperimentSpec:
         steps=2_000_000,
         seeds=(0,),
         min_f=0.0,
-        oracle_bins=256,
         tv_prefixes=(10_000, 100_000, 1_000_000, 2_000_000),
     )
 
@@ -285,23 +286,33 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
 # Config files
 
 
-# (required, optional) keys of the spec tree and of each objective and
-# domain kind; ``kind`` itself is required in those two trees.
+# (required, optional) keys of the spec tree.
 _SPEC_KEYS = (
     ("objective", "domain", "methods", "eta", "beta", "steps"),
-    ("name", "seeds", "x0", "noise", "min_f", "enforce_step_bound",
-     "oracle_bins", "tv_prefixes"),
+    ("name", "seeds", "x0", "noise", "min_f", "enforce_step_bound", "tv_prefixes"),
 )
-_OBJECTIVE_KEYS = {
-    "quadratic": (("dim",), ("scale",)),
-    "grid-gaussian-mixture": ((), ("seed",)),
-    "gaussian-mixture": (("weights", "means"), ()),
-    "rosenbrock": (("dim",), ()),
-    "rastrigin": (("dim",), ()),
-}
-_DOMAIN_KEYS = {
-    "ball": (("center", "radius"), ()),
-    "shell": (("center", "inner_radius", "outer_radius"), ()),
+
+
+def _grid_mixture(seed: int = GM_OBJECTIVE_SEED) -> GaussianMixture:
+    if seed < 0:
+        raise ValueError(f"objective.seed: must be a non-negative integer, got {seed}")
+    return make_grid_gaussian_mixture(seed)
+
+
+# kind -> (required, optional, build) of the objective and domain trees,
+# whose keys other than ``kind`` (always required) are ``build``'s arguments.
+_KINDS = {
+    "objective": {
+        "quadratic": (("dim",), ("scale",), Quadratic),
+        "grid-gaussian-mixture": ((), ("seed",), _grid_mixture),
+        "gaussian-mixture": (("weights", "means"), (), GaussianMixture),
+        "rosenbrock": (("dim",), (), Rosenbrock),
+        "rastrigin": (("dim",), (), Rastrigin),
+    },
+    "domain": {
+        "ball": (("center", "radius"), (), Ball),
+        "shell": (("center", "inner_radius", "outer_radius"), (), SphericalShell),
+    },
 }
 
 
@@ -309,13 +320,13 @@ _DOMAIN_KEYS = {
 # only: a string, or a bool (a Python int), is an error. The keys in
 # _NULLABLE may also be null, meaning "not set".
 _NUMERIC_KEYS = {
-    "dim": (True, 0), "steps": (True, 0), "seed": (True, 0), "oracle_bins": (True, 0),
+    "dim": (True, 0), "steps": (True, 0), "seed": (True, 0),
     "seeds": (True, 1), "tv_prefixes": (True, 1),
     "radius": (False, 0), "inner_radius": (False, 0), "outer_radius": (False, 0),
     "scale": (False, 0), "eta": (False, 0), "beta": (False, 0), "min_f": (False, 0),
     "center": (False, 1), "x0": (False, 1), "weights": (False, 1), "means": (False, 2),
 }
-_NULLABLE = ("x0", "min_f", "oracle_bins")
+_NULLABLE = ("x0", "min_f")
 # The other typed keys of the spec tree and the JSON type each must have.
 _TYPED_KEYS = {
     "name": (str, "a string"), "noise": (str, "a string"),
@@ -354,39 +365,20 @@ def _check_keys(field: str, d: dict, required, optional) -> None:
                 raise ValueError(f"{field}.{key}: expected {want}, got {value!r}")
 
 
-def _objective_from_dict(d: dict) -> Objective:
+def _from_dict(field: str, d: dict) -> Objective | FeasibleDomain:
+    """The objective or domain (``field``) of one tree of ``_KINDS``."""
     kind = d.get("kind")
-    if kind not in _OBJECTIVE_KEYS:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    required, optional = _OBJECTIVE_KEYS[kind]
-    _check_keys("objective", d, ("kind",) + required, optional)
-    if kind == "quadratic":
-        return Quadratic(scale=d.get("scale", 1.0), dim=d["dim"])
-    if kind == "grid-gaussian-mixture":
-        if d.get("seed", 0) < 0:
-            raise ValueError(f"objective.seed: must be a non-negative integer, got {d['seed']}")
-        return make_grid_gaussian_mixture(d.get("seed", GM_OBJECTIVE_SEED))
-    if kind == "gaussian-mixture":
-        return GaussianMixture(d["weights"], d["means"])
-    if kind == "rosenbrock":
-        return Rosenbrock(d["dim"])
-    return Rastrigin(d["dim"])
-
-
-def _domain_from_dict(d: dict) -> FeasibleDomain:
-    kind = d.get("kind")
-    if kind not in _DOMAIN_KEYS:
-        raise ValueError(f"unknown domain kind {kind!r}")
-    required, optional = _DOMAIN_KEYS[kind]
-    _check_keys("domain", d, ("kind",) + required, optional)
-    if kind == "ball":
-        return Ball(d["center"], d["radius"])
-    return SphericalShell(d["center"], d["inner_radius"], d["outer_radius"])
+    if kind not in _KINDS[field]:
+        raise ValueError(f"unknown {field} kind {kind!r}")
+    required, optional, build = _KINDS[field][kind]
+    _check_keys(field, d, ("kind",) + required, optional)
+    return build(**{key: value for key, value in d.items() if key != "kind"})
 
 
 # How a set key of the spec tree becomes its field; the rest pass as they are.
 _SPEC_VALUE = {
-    "objective": _objective_from_dict, "domain": _domain_from_dict,
+    "objective": lambda d: _from_dict("objective", d),
+    "domain": lambda d: _from_dict("domain", d),
     "methods": tuple, "seeds": tuple, "tv_prefixes": tuple, "eta": float, "beta": float,
     "x0": lambda v: None if v is None else np.asarray(v, dtype=np.float64),
 }
@@ -397,12 +389,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
     Required keys: ``objective``, ``domain``, ``methods``, ``eta``,
     ``beta``, ``steps``. Optional: ``name``, ``seeds``, ``x0``,
-    ``noise``, ``min_f``, ``enforce_step_bound``, ``oracle_bins``,
-    ``tv_prefixes``. Unknown and missing keys, at the
-    top level and in the objective and domain trees, raise a
-    ``ValueError`` that names each of them, and so does a numeric field
-    that is not a JSON number (integers for ``dim``, ``steps``, ``seeds``,
-    ``seed``, ``oracle_bins`` and ``tv_prefixes``; ``true`` and
+    ``noise``, ``min_f``, ``enforce_step_bound``, ``tv_prefixes``.
+    Unknown and missing keys, at the top level and in the objective and
+    domain trees, raise a ``ValueError`` that names each of them, and so
+    does a numeric field that is not a JSON number (integers for ``dim``,
+    ``steps``, ``seeds``, ``seed`` and ``tv_prefixes``; ``true`` and
     ``false`` are not numbers). ``methods`` must be a list of strings,
     ``enforce_step_bound`` ``true`` or ``false``, and ``name`` and
     ``noise`` strings. A mixture's ``seed`` must not be negative.
@@ -685,22 +676,25 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     """Run the experiment and write its CSV files; returns the paths.
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
-    and, for stationarity presets, one total-variation CSV per seed.
-    Seeds and methods must be distinct, ``min_f`` finite when set, and
-    ``tv_prefixes`` and ``oracle_bins`` set together. The settings and
-    the oracle are checked before any chain runs, and every chain runs before
-    ``out_dir`` is created, so a bad setting or a chain that raises (a
-    non-finite iterate, say) leaves no files behind.
+    and, when ``tv_prefixes`` is set, one total-variation CSV per seed
+    against an oracle of ``TV_BINS`` cells per axis. Seeds, methods and
+    TV prefixes must be distinct, seeds and methods non-empty, and
+    ``min_f`` finite when set. The settings and the oracle are checked
+    before any chain runs, and every chain runs before ``out_dir`` is
+    created, so a bad setting or a chain that raises (a non-finite
+    iterate, say) leaves no files behind.
     """
-    if not spec.seeds:
-        raise ValueError("seeds: at least one seed is required")
-    # A repeated seed or method would name one output file twice.
-    repeats = [s for i, s in enumerate(spec.seeds) if s in spec.seeds[:i]]
-    if repeats:
-        raise ValueError(f"seeds: duplicate seed {repeats[0]}")
-    repeats = [m for i, m in enumerate(spec.methods) if m in spec.methods[:i]]
-    if repeats:
-        raise ValueError(f"methods: duplicate {repeats[0]!r}")
+    for field, noun in (("seeds", "seed"), ("methods", "method")):
+        if not getattr(spec, field):
+            raise ValueError(f"{field}: at least one {noun} is required")
+    # A repeated seed or method would name one output file twice, and a
+    # repeated prefix would write two TV rows with one label.
+    for field, values, text in (("seeds", spec.seeds, "seed {}"),
+                                ("methods", spec.methods, "{!r}"),
+                                ("tv_prefixes", spec.tv_prefixes, "{}")):
+        repeats = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeats:
+            raise ValueError(f"{field}: duplicate " + text.format(repeats[0]))
     if spec.steps < 1:
         raise ValueError(f"steps: must be at least 1, got {spec.steps}")
     if spec.min_f is not None and not math.isfinite(spec.min_f):
@@ -708,14 +702,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
-    if spec.tv_prefixes and spec.oracle_bins is None:
-        raise ValueError("tv_prefixes: needs oracle_bins")
-    # Without prefixes the oracle would only make every chain keep its
-    # trajectory, for TV files that hold a header alone.
-    if spec.oracle_bins is not None and not spec.tv_prefixes:
-        raise ValueError("oracle_bins: needs tv_prefixes")
-    oracle = None if spec.oracle_bins is None else GibbsOracle(
-        spec.objective, spec.domain, spec.beta, spec.oracle_bins)
+    oracle = (GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)
+              if spec.tv_prefixes else None)
     records = run_chains(spec, workers=workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -735,7 +723,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
             else:
                 shutil.copyfile(shared, p)
             paths.append(p)
-        # The curve is not kept: the TV histograms below reuse its memory.
+        # The curve is not kept: the TV cell counts below reuse its memory.
         p = out / f"{spec.name}_{method}_aggregate.csv"
         _write_aggregate_csv(p, AggregateCurve.from_records(
             [records[(method, s)] for s in spec.seeds], spec.min_f))

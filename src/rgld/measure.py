@@ -4,9 +4,9 @@ The stationary law of the constrained Langevin diffusion has density
 proportional to ``exp(-beta * f)`` restricted to the feasible region.
 On one- and two-dimensional domains that density is representable by
 midpoint-rule quadrature on a tensor grid, giving a deterministic
-reference against which empirical chain histograms can be scored with
-total variation distance. The midpoint rule (rather than Monte Carlo)
-makes convergence under grid refinement directly testable.
+reference against which a chain's cell counts (``bin_samples``) can be
+scored with total variation distance. The midpoint rule (rather than
+Monte Carlo) makes convergence under grid refinement directly testable.
 
 Cells are classified in/out of the region by their midpoint, so boundary
 cells are approximated; at 128+ cells per axis that error is far below
@@ -17,7 +17,6 @@ cells as CSV (``rgld.harness.export_cells_csv``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from rgld.objectives import Objective
 
 __all__ = [
     "GibbsOracle",
-    "Histogram",
     "bin_samples",
     "gibbs_mean_f",
     "tv_distance",
@@ -116,29 +114,10 @@ class GibbsOracle:
     def n_cells(self) -> int:
         return self.midpoints.shape[0]
 
-    def same_partition(self, edges: tuple[np.ndarray, ...]) -> bool:
-        return len(edges) == len(self.edges) and all(
-            e.shape == f.shape and np.array_equal(e, f)
-            for e, f in zip(edges, self.edges)
-        )
 
-
-@dataclass
-class Histogram:
-    """Sample counts on the same cell partition as an oracle."""
-
-    edges: tuple[np.ndarray, ...]
-    counts: np.ndarray
-    total: int
-
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / self.total
-
-
-def bin_samples(oracle: GibbsOracle, samples) -> Histogram:
-    """Bin points into the oracle's cell partition.
+def bin_samples(oracle: GibbsOracle, samples) -> np.ndarray:
+    """The number of points in each of the oracle's cells, shape
+    ``(n_cells,)``.
 
     ``samples`` has shape ``(n,)`` for one-dimensional domains or
     ``(n, dim)`` otherwise. Points on or beyond the outermost edges are
@@ -159,8 +138,7 @@ def bin_samples(oracle: GibbsOracle, samples) -> Histogram:
         i = np.floor((samples[:, axis] - e[0]) / width).astype(np.int64)
         idx.append(np.clip(i, 0, n - 1))
     flat = np.ravel_multi_index(tuple(idx), oracle.shape)
-    counts = np.bincount(flat, minlength=oracle.n_cells)
-    return Histogram(edges=oracle.edges, counts=counts, total=samples.shape[0])
+    return np.bincount(flat, minlength=oracle.n_cells)
 
 
 def total_variation(p, q) -> float:
@@ -172,11 +150,16 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.sum(np.abs(p - q)))
 
 
-def tv_distance(hist: Histogram, oracle: GibbsOracle) -> float:
-    """Total variation between a histogram and the oracle on shared cells."""
-    if not oracle.same_partition(hist.edges):
-        raise ValueError("histogram and oracle use different cell partitions")
-    return total_variation(hist.frequencies(), oracle.probabilities)
+def tv_distance(counts, oracle: GibbsOracle) -> float:
+    """Total variation between the frequencies of the oracle's cell counts
+    (``bin_samples``) and its probabilities."""
+    counts = np.asarray(counts)
+    if counts.shape != (oracle.n_cells,):
+        raise ValueError(f"counts: expected {oracle.n_cells} cells, got shape {counts.shape}")
+    total = counts.sum()
+    if not total > 0:
+        raise ValueError("counts: no sample")
+    return total_variation(counts / total, oracle.probabilities)
 
 
 def gibbs_mean_f(oracle: GibbsOracle) -> float:

@@ -17,6 +17,7 @@ from rgld.cli import check_geometry, check_gradient, margin_points
 from rgld.dynamics import run_batch, run_chain
 from rgld.geometry import Ball, SphericalShell
 from rgld.harness import (
+    TV_BINS,
     preset_gibbs1d,
     preset_gm2d,
     preset_gm2d_pgld_vs_rgld,
@@ -161,7 +162,7 @@ def test_known_minima():
 def test_stationarity_gibbs1d(gibbs_record):
     spec, rec = gibbs_record
     with timed("gibbs1d"):
-        oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, spec.oracle_bins)
+        oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)
         tvs = tv_over_prefixes(spec, rec, oracle)
     inversions = sum(1 for a, b in zip(tvs, tvs[1:]) if b > a)
     ok = tvs[-1] <= 0.05 and inversions <= 1 and DURATIONS["gibbs1d"] < 60.0

@@ -1,8 +1,10 @@
 """Presets, the experiment runner, CSV contracts, and the CLI."""
 
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rgld
 from rgld import cli, harness
 from rgld.dynamics import ChainConfigError, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
@@ -116,7 +119,6 @@ class TestPresetPins:
         assert spec.eta == 1e-3
         assert spec.beta == 2.0
         assert spec.steps == 2_000_000
-        assert spec.oracle_bins == 256
         assert spec.tv_prefixes == (10_000, 100_000, 1_000_000, 2_000_000)
         assert spec.methods == ("rgld",)
 
@@ -200,7 +202,6 @@ class TestRunExperiment:
         records = [harness.run_chains(spec)[("rgld", s)] for s in spec.seeds]
         curve = AggregateCurve.from_records(records, spec.min_f)
         assert np.all(curve.q25 >= 0)
-        assert curve.seed_count == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = tiny_gm2d()
@@ -227,6 +228,13 @@ class TestRunExperiment:
         assert prefixes == [10_000, 20_000]
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0 <= v <= 1 for v in values)
+
+    def test_no_tv_prefixes_means_no_oracle_and_no_trajectory(self, tmp_path, monkeypatch):
+        spec = replace(preset_gibbs1d(), steps=1000, tv_prefixes=())
+        assert not spec.chain_config("rgld", 0).record_trajectory
+        monkeypatch.setattr(harness, "GibbsOracle", None)
+        paths = run_experiment(spec, tmp_path)
+        assert [p.name for p in paths] == ["gibbs1d_rgld_seed0.csv", "gibbs1d_rgld_aggregate.csv"]
 
 
 def old_row_text(header, columns, float_columns):
@@ -471,9 +479,17 @@ class TestInputChecks:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_empty_methods_rejected_before_any_chain(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_chains", None)
+        spec = replace(tiny_gm2d(), methods=())
+        with pytest.raises(ValueError, match="^methods: at least one method is required$"):
+            run_experiment(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,values,message", [
         ("seeds", (0, 1, 0), "seeds: duplicate seed 0"),
         ("methods", ("rgld", "pg", "rgld"), "methods: duplicate 'rgld'"),
+        ("tv_prefixes", (3, 5, 3), "tv_prefixes: duplicate 3"),
     ])
     def test_repeats_rejected_before_any_chain(self, field, values, message,
                                                tmp_path, monkeypatch):
@@ -499,8 +515,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("field,values,message", [
         ("seeds", [0, 0], "seeds: duplicate seed 0"),
         ("methods", ["rgld", "rgld"], "methods: duplicate 'rgld'"),
-        ("tv_prefixes", [5], "tv_prefixes: needs oracle_bins"),
-        ("oracle_bins", 256, "oracle_bins: needs tv_prefixes"),
+        ("tv_prefixes", [5, 5], "tv_prefixes: duplicate 5"),
+        ("methods", [], "methods: at least one method is required"),
     ])
     def test_cli_rejects_repeats_in_a_spec_file(self, field, values, message,
                                                 tmp_path, capsys):
@@ -530,7 +546,7 @@ class TestInputChecks:
             "objective": {"kind": "quadratic", "dim": 1},
             "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
             "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 0,
-            "oracle_bins": 256, "tv_prefixes": [5],
+            "tv_prefixes": [5],
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -545,17 +561,16 @@ class TestInputChecks:
             run_experiment(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("change,message", [
-        ({"oracle_bins": 10}, "n_per_axis must be at least 32, got 10"),
-        ({"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
+    @pytest.mark.parametrize("bins,change,message", [
+        (10, {}, "n_per_axis must be at least 32, got 10"),
+        (harness.TV_BINS, {"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
          "quadrature oracle supports dimension 1 or 2 only"),
-        ({"oracle_bins": None}, "tv_prefixes: needs oracle_bins"),
-        ({"tv_prefixes": ()}, "oracle_bins: needs tv_prefixes"),
-    ], ids=["bins", "dimension", "no-oracle", "no-prefixes"])
-    def test_oracle_settings_rejected_before_any_chain(self, change, message,
+    ], ids=["bins", "dimension"])
+    def test_oracle_settings_rejected_before_any_chain(self, bins, change, message,
                                                        tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "run_chains",
                             lambda *args, **kwargs: pytest.fail("a chain ran"))
+        monkeypatch.setattr(harness, "TV_BINS", bins)
         spec = replace(preset_gibbs1d(), **{"steps": 1000, "tv_prefixes": (1000,), **change})
         with pytest.raises(ValueError, match=f"^{message}"):
             run_experiment(spec, tmp_path / "out")
@@ -970,3 +985,10 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(rgld.__path__)])
+def test_every_exported_name_exists(module):
+    # A name left in ``__all__`` breaks ``from rgld.<module> import *``.
+    mod = importlib.import_module(f"rgld.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -1,4 +1,4 @@
-"""Gibbs quadrature oracle, histograms, total variation, gap bound."""
+"""Gibbs quadrature oracle, cell counts, total variation, gap bound."""
 
 import math
 
@@ -10,7 +10,6 @@ from rgld.geometry import Ball, SphericalShell
 from rgld.harness import export_cells_csv
 from rgld.measure import (
     GibbsOracle,
-    Histogram,
     bin_samples,
     gibbs_mean_f,
     near_optimality_bound,
@@ -118,8 +117,7 @@ class TestHistogramAndTV:
         rng = np.random.default_rng(0)
         total = 2 * 10**6
         counts = rng.multinomial(total, oracle.probabilities)
-        hist = Histogram(edges=oracle.edges, counts=counts, total=total)
-        tv = tv_distance(hist, oracle)
+        tv = tv_distance(counts, oracle)
         assert tv <= 0.5 * math.sqrt(oracle.n_cells / total) + 0.01
         assert tv < 0.05 / 5
 
@@ -131,8 +129,7 @@ class TestHistogramAndTV:
         center_cell = int(np.argmax(oracle.probabilities))
         counts = np.zeros(oracle.n_cells, dtype=np.int64)
         counts[center_cell] = 1000
-        hist = Histogram(edges=oracle.edges, counts=counts, total=1000)
-        assert tv_distance(hist, oracle) < 1e-6
+        assert tv_distance(counts, oracle) < 1e-6
 
     def test_disjoint_supports(self):
         p = np.array([1.0, 0.0, 0.0])
@@ -142,16 +139,22 @@ class TestHistogramAndTV:
     def test_binning_counts_and_feasibility(self):
         oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         samples = np.array([-0.999, -0.5, 0.0, 0.25, 0.9999, 1.0])
-        hist = bin_samples(oracle, samples)
-        assert hist.total == samples.size
-        assert int(hist.counts.sum()) == samples.size
+        counts = bin_samples(oracle, samples)
+        assert counts.shape == (oracle.n_cells,)
+        assert int(counts.sum()) == samples.size
+        # Every sample lands in a cell, so the frequencies divide by the
+        # sample count itself.
+        assert tv_distance(counts, oracle) == total_variation(
+            counts / samples.size, oracle.probabilities)
 
     def test_partition_mismatch_rejected(self):
         a = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         b = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 128)
-        hist = bin_samples(b, np.array([0.0]))
-        with pytest.raises(ValueError, match="partition"):
-            tv_distance(hist, a)
+        counts = bin_samples(b, np.array([0.0]))
+        with pytest.raises(ValueError, match="^counts: expected 64 cells, got shape \\(128,\\)$"):
+            tv_distance(counts, a)
+        with pytest.raises(ValueError, match="^counts: no sample$"):
+            tv_distance(np.zeros(a.n_cells, dtype=np.int64), a)
 
     def test_metric_properties_on_probability_vectors(self):
         rng = np.random.default_rng(15)
