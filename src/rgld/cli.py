@@ -56,12 +56,12 @@ def _positive_int(text: str) -> int:
 
 def _resolve_spec(args) -> harness.ExperimentSpec:
     target = args.target
-    if target not in harness.PRESETS and not Path(target).exists():
+    if target not in harness.PRESETS and not Path(target).is_file():
         known = ", ".join(sorted(harness.PRESETS))
-        raise SystemExit(f"unknown preset or missing file {target!r} (presets: {known})")
+        raise ValueError(f"unknown preset or missing file {target!r} (presets: {known})")
     if args.dim is not None and target not in DIM_PRESETS:
         kind = "preset" if target in harness.PRESETS else "spec file"
-        raise SystemExit(f"--dim is not applicable to {kind} {target!r}")
+        raise ValueError(f"--dim is not applicable to {kind} {target!r}")
     if target not in harness.PRESETS:
         spec = harness.spec_from_file(target)
     elif args.dim is None:
@@ -84,7 +84,7 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
 
 def _cmd_run(args) -> int:
     spec = _resolve_spec(args)
-    paths = harness.run_experiment(spec, args.out, workers=args.workers)
+    paths = harness.run_experiment(spec, args.out)
     print(f"{spec.name}: wrote {len(paths)} files to {args.out}")
     return 0
 
@@ -279,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--dim", type=int, default=None,
                        help="dimension for rosenbrock/rastrigin presets")
     p_run.add_argument("--out", default="results")
-    p_run.add_argument("--workers", type=_positive_int, default=1)
+    # One process runs every chain: 1 is the only value.
+    p_run.add_argument("--workers", type=int, choices=(1,), default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_or = sub.add_parser("oracle", help="export the Gibbs quadrature oracle")

@@ -365,13 +365,12 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                 v = x_raw - c
                 if in2 <= v * v <= out2:
                     xf = x_raw
-                elif is_rgld:
-                    xf, reflected, fell_back = reflect_or_project(x_raw)
-                    event_row[k] = reflected or fell_back
-                    fallback_row[k] = fell_back
                 else:
-                    xf = project(x_raw)
-                    event_row[k] = xf is not x_raw
+                    event_row[k] = True
+                    if is_rgld:
+                        xf, _, fallback_row[k] = reflect_or_project(x_raw)
+                    else:
+                        xf = project(x_raw)
                 if x_bytes is not None:
                     new_bytes = _pack(xf)  # bits, as below
                     if new_bytes == x_bytes:
@@ -399,13 +398,12 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                 v = x_raw if center is None else x_raw - center
                 if in2 <= v.dot(v) <= out2:
                     x = x_raw
-                elif is_rgld:
-                    x, reflected, fell_back = reflect_or_project(x_raw)
-                    event_row[k] = reflected or fell_back
-                    fallback_row[k] = fell_back
                 else:
-                    x = project(x_raw)
-                    event_row[k] = x is not x_raw
+                    event_row[k] = True
+                    if is_rgld:
+                        x, _, fallback_row[k] = reflect_or_project(x_raw)
+                    else:
+                        x = project(x_raw)
                 if x_bytes is not None:
                     # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat
                     # the same later bits.
@@ -477,15 +475,12 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
         else:
             x_raw = x - eta * g
         for i in np.flatnonzero(~contains(x_raw)).tolist():
-            b, row = rows[i], x_raw[i]
+            b = rows[i]
+            events[b, k] = True
             if is_rgld:
-                x_raw[i], reflected, fell_back = reflect_or_project(row)
-                events[b, k] = reflected or fell_back
-                fallbacks[b, k] = fell_back
+                x_raw[i], _, fallbacks[b, k] = reflect_or_project(x_raw[i])
             else:
-                p = project(row)
-                events[b, k] = p is not row
-                x_raw[i] = p
+                x_raw[i] = project(x_raw[i])
         if not noisy:
             # Bytes, not ``==``, as in ``run_chain``.
             fixed = (x_raw.view(np.int64) == x.view(np.int64)).all(axis=1)

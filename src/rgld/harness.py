@@ -4,13 +4,13 @@ Presets pin the feasible region, objective, and hyperparameters of the
 benchmark problems. ``run_experiment`` executes every distinct (method,
 seed) chain (a chain that reads no seed runs once for all seeds), writes
 one CSV per (method, seed) plus one aggregate CSV per method, and is
-byte-deterministic for a fixed spec regardless of worker count: all
-output is written by a single collector after the chains complete.
+byte-deterministic for a fixed spec: all output is written after the
+chains complete.
 
-Chains execute as one job per method: the method's distinct chains run
-together as one batch (``dynamics.run_batch``), and a lone chain (one
-seed, or a seed-free chain shared by all seeds) runs the scalar loop of
-``dynamics.run_chain``. Both give the same bytes.
+Chains run in this process, one method at a time: a method's distinct
+chains run together as one batch (``dynamics.run_batch``), and a lone
+chain (one seed, or a seed-free chain shared by all seeds) runs the
+scalar loop of ``dynamics.run_chain``. Both give the same bytes.
 
 Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
 holds the objective and running minimum at iterate ``k`` and the flags
@@ -134,6 +134,10 @@ class AggregateCurve:
     @classmethod
     def from_records(cls, records: list[RunRecord], min_f: float | None) -> "AggregateCurve":
         base = 0.0 if min_f is None else min_f
+        if len(records) == 1:
+            # The percentiles of one value are that value, bit for bit.
+            err = records[0].cumulative_min - base
+            return cls(q25=err, q50=err, q75=err)
         n = records[0].cumulative_min.shape[0]
         q = np.empty((3, n))
         # Percentiles along axis 0 are independent per column, so column
@@ -415,23 +419,14 @@ def spec_from_file(path) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # Execution and emission
 
-def _run_job(args) -> list[RunRecord]:
-    spec, configs = args
-    if len(configs) == 1:
-        return [run_chain(configs[0], spec.objective, spec.domain)]
-    return run_batch(configs, spec.objective, spec.domain)
-
-
-def run_chains(
-    spec: ExperimentSpec, workers: int = 1
-) -> dict[tuple[str, int], RunRecord]:
+def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     """Run every (method, seed) chain of the spec and return the records.
 
     Each distinct chain runs once: seeds whose chains ignore the seed
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
-    under its own config. A job is one method's distinct chains: a batch
-    of two or more, or a lone chain. Every distinct chain is validated
-    before the first job runs. The arrays are marked read-only.
+    under its own config. A method's distinct chains run as a batch of
+    two or more, or as a lone chain. Every distinct chain is validated
+    before the first one runs. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
@@ -441,17 +436,14 @@ def run_chains(
     for distinct in by_method.values():
         for config in distinct.values():
             _validate(config, spec.objective, spec.domain)
-    jobs = [(spec, list(distinct.values())) for distinct in by_method.values()]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers are all forked at the first submit: start no more than jobs.
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            batches = list(pool.map(_run_job, jobs))
-    else:
-        batches = [_run_job(job) for job in jobs]
-    records = {key: record for distinct, batch in zip(by_method.values(), batches)
-               for key, record in zip(distinct, batch)}
+    records = {}
+    for distinct in by_method.values():
+        chains = list(distinct.values())
+        if len(chains) == 1:
+            batch = [run_chain(chains[0], spec.objective, spec.domain)]
+        else:
+            batch = run_batch(chains, spec.objective, spec.domain)
+        records.update(zip(distinct, batch))
     for record in records.values():
         for value in vars(record).values():
             if isinstance(value, np.ndarray):
@@ -672,17 +664,18 @@ def tv_over_prefixes(
     ]
 
 
-def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path]:
+def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     """Run the experiment and write its CSV files; returns the paths.
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     and, when ``tv_prefixes`` is set, one total-variation CSV per seed
     against an oracle of ``TV_BINS`` cells per axis. Seeds, methods and
     TV prefixes must be distinct, seeds and methods non-empty, and
-    ``min_f`` finite when set. The settings and the oracle are checked
-    before any chain runs, and every chain runs before ``out_dir`` is
-    created, so a bad setting or a chain that raises (a non-finite
-    iterate, say) leaves no files behind.
+    ``min_f`` finite when set; ``out_dir``, or its nearest existing
+    ancestor, must be a directory. The settings, ``out_dir`` and the
+    oracle are checked before any chain runs, and every chain runs before
+    ``out_dir`` is created, so a bad setting or a chain that raises (a
+    non-finite iterate, say) leaves no files behind.
     """
     for field, noun in (("seeds", "seed"), ("methods", "method")):
         if not getattr(spec, field):
@@ -702,10 +695,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Path
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
+    out = Path(out_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        made = "" if nearest == out else f", so {str(out)!r} cannot be made"
+        raise ValueError(f"out_dir: {str(nearest)!r} is not a directory{made}")
     oracle = (GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)
               if spec.tv_prefixes else None)
-    records = run_chains(spec, workers=workers)
-    out = Path(out_dir)
+    records = run_chains(spec)
     out.mkdir(parents=True, exist_ok=True)
 
     paths: list[Path] = []

@@ -52,7 +52,7 @@ def resolved_spec(argv, monkeypatch):
     """The spec ``rgld run`` resolves from ``argv``; no chain runs."""
     specs = []
     monkeypatch.setattr(harness, "run_experiment",
-                        lambda spec, out, workers: specs.append(spec) or [])
+                        lambda spec, out: specs.append(spec) or [])
     assert cli.main(["run", *argv]) == 0
     return specs[0]
 
@@ -207,13 +207,6 @@ class TestRunExperiment:
         spec = tiny_gm2d()
         a = run_experiment(spec, tmp_path / "a")
         b = run_experiment(spec, tmp_path / "b")
-        for pa, pb in zip(sorted(a), sorted(b)):
-            assert pa.read_bytes() == pb.read_bytes()
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        spec = tiny_gm2d()
-        a = run_experiment(spec, tmp_path / "a", workers=1)
-        b = run_experiment(spec, tmp_path / "b", workers=2)
         for pa, pb in zip(sorted(a), sorted(b)):
             assert pa.read_bytes() == pb.read_bytes()
 
@@ -413,6 +406,13 @@ class TestStreamedWriter:
             curve = AggregateCurve.from_records(records, -1.5)
             got = np.stack([curve.q25, curve.q50, curve.q75])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_record_quartiles_are_its_errors(self):
+        cummin = np.array([0.1, 5e-324, -0.0, 1e300, -2.5])
+        curve = AggregateCurve.from_records([SimpleNamespace(cumulative_min=cummin)], 0.0)
+        want = np.percentile(cummin[None], [25.0, 50.0, 75.0], axis=0)
+        got = np.stack([curve.q25, curve.q50, curve.q75])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_shared_record_is_formatted_once(self, tmp_path, monkeypatch):
         # gm2d's pg chain reads no seed: one record serves seeds 0, 1 and 2.
@@ -669,31 +669,6 @@ class TestInputChecks:
         assert "pg chain, seed 3: iterate 1 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_pool_never_larger_than_job_count(self, monkeypatch):
-        import concurrent.futures
-
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        records = harness.run_chains(tiny_gm2d(steps=5), workers=1000)
-        # One job per method: the pg chain both seeds share, and a batch
-        # of the two rgld chains.
-        assert len(records) == 4
-        assert sizes == [2]
-
     def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
         rc = cli.main(["run", "gm2d", "--steps", "10", "--seeds", "",
                        "--out", str(tmp_path)])
@@ -792,9 +767,10 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "custom_rgld_seed0.csv").exists()
 
-    def test_run_rejects_unknown_preset(self):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "nonexistent", "--out", "/tmp/x"])
+    def test_run_rejects_unknown_preset(self, tmp_path, capsys):
+        assert cli.main(["run", "nonexistent", "--out", str(tmp_path / "out")]) == 2
+        assert "unknown preset or missing file 'nonexistent'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_reports_config_error(self, tmp_path, capsys):
         rc = cli.main([
@@ -909,7 +885,7 @@ class TestCli:
         assert (tmp_path / "rosenbrock6_pg_seed0.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_dim_rejected_for_a_spec_file(self, command, tmp_path, monkeypatch):
+    def test_dim_rejected_for_a_spec_file(self, command, tmp_path, monkeypatch, capsys):
         fail = lambda *args, **kwargs: pytest.fail("a chain or an oracle ran")
         monkeypatch.setattr(harness, "run_chains", fail)
         monkeypatch.setattr(cli, "GibbsOracle", fail)
@@ -919,8 +895,9 @@ class TestCli:
             "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
             "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
         }))
-        with pytest.raises(SystemExit, match="^--dim is not applicable to spec file"):
-            cli.main([command, str(path), "--dim", "7", "--out", str(tmp_path / "out")])
+        assert cli.main([command, str(path), "--dim", "7", "--out", str(tmp_path / "out")]) == 2
+        assert ("configuration error: --dim is not applicable to spec file"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_readme_rosenbrock_example_never_falls_back(self, tmp_path):
@@ -940,10 +917,10 @@ class TestCli:
         assert rc == 2
         assert "invalid dimension 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
-        with pytest.raises(SystemExit, match="--dim is not applicable"):
-            cli.main(["run", "gibbs1d", "--dim", "0", "--out", str(tmp_path)])
+        assert cli.main(["run", "gibbs1d", "--dim", "0", "--out", str(tmp_path)]) == 2
+        assert "--dim is not applicable to preset 'gibbs1d'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "2"])
     def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "gibbs1d", "--steps", "10", "--workers", workers,
@@ -952,16 +929,26 @@ class TestCli:
         assert "--workers" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("target", ["gm2d", "rosenbrock"])
-    def test_workers_write_identical_bytes(self, target, tmp_path):
-        # Batches and lone chains cross the process boundary unchanged.
-        for workers in ("1", "2"):
-            assert cli.main(["run", target, "--steps", "300", "--seeds", "0..2",
-                             "--workers", workers, "--out", str(tmp_path / workers)]) == 0
-        one = sorted((tmp_path / "1").iterdir())
-        assert len(one) == 8
-        for p in one:
-            assert p.read_bytes() == (tmp_path / "2" / p.name).read_bytes()
+    @pytest.mark.parametrize("argv, message", [
+        (["{d}", "--out", "{d}/out"], "unknown preset or missing file"),
+        (["gibbs1d", "--out", "{d}/file"], "is not a directory"),
+        (["gibbs1d", "--out", "{d}/file/sub"], "cannot be made"),
+        (["gibbs1d", "--workers", "2", "--out", "{d}/out"], "--workers: invalid choice"),
+    ], ids=["directory-target", "out-is-a-file", "out-under-a-file", "workers-2"])
+    def test_bad_input_exits_2_before_any_chain(self, argv, message, tmp_path):
+        # A chain or the oracle would call None and end in a traceback.
+        code = ("import sys\n"
+                "from rgld import cli, harness\n"
+                "harness.run_chains = harness.GibbsOracle = None\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        (tmp_path / "file").write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", *(a.format(d=tmp_path) for a in argv)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_presets_and_check_never_import_scipy(self):
         # scipy.optimize alone takes about half a second to import.
