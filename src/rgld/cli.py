@@ -91,11 +91,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _resolve_spec(args)
-    if spec.domain.dim > 2:
-        print("oracle requires a preset of dimension <= 2", file=sys.stderr)
-        return 2
+    out = harness.checked_out_dir(args.out)
     oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, args.bins)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{spec.name}_oracle_{args.bins}.csv"
     harness.export_cells_csv(path, oracle)

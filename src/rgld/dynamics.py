@@ -19,20 +19,21 @@ method together on a ``(B, d)`` array (the objective's
 give each the bits of its point call). ``run_chain`` runs a lone chain
 on one point, with the region's membership test inline. Each chain
 draws its noise from its own generator in blocks of steps. A lone
-chain on a one-dimensional ``Quadratic`` (gibbs1d) carries only its
-iterate, a Python float: the gradient, the update, the membership test
-and, at the walls, the region's operators run on floats, whose IEEE
-double operations give the bits of numpy's on ``(1,)`` arrays without
-its per-call cost; a block's values are one ``value_many`` call on its
-iterates. Any other objective takes the array loop at every dimension.
-Per step a lone chain costs 0.2-0.25 us on the 1-D quadratic, noise
-draw included (14-22 us as a batch of one), and 10-16 us on the 2-D
-mixture (22-30 us), on one core of a 2-core x86-64 host. Both loops
+``rgld`` or ``pgld`` chain on a one-dimensional ``Quadratic`` (gibbs1d,
+``_runs_on_floats``) carries only its iterate, a Python float: the
+gradient, the update, the membership test and, at the walls, the
+region's operators run on floats, whose IEEE double operations give the
+bits of numpy's on ``(1,)`` arrays without its per-call cost; a block's
+values are one ``value_many`` call on its iterates. ``pg`` and any
+other objective take the array loop. Per step a lone chain costs
+0.2-0.25 us on the 1-D quadratic, noise draw included (14-22 us as a
+batch of one, so multi-seed runners run it alone), and 10-16 us on the
+2-D mixture (22-30 us), on one core of a 2-core x86-64 host. Both loops
 call the operator only for points outside the region, write
 ``(B, steps)`` arrays (``B = 1`` for ``run_chain``) and hand them to
 ``_records``, which completes early-stopped rows, rejects non-finite
-values, takes running minima and builds each row's ``RunRecord``. A batched chain's record
-equals its lone record bit for bit.
+values, takes running minima and builds each row's ``RunRecord``. A
+batched chain's record equals its lone record bit for bit.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +69,6 @@ NOISE_KINDS = ("rademacher", "gaussian")
 # Steps of noise a chain draws at a time: the stream is the same
 # as one draw of every step, without holding it all.
 _NOISE_BLOCK = 4096
-_pack = struct.Struct("d").pack  # a float's bytes, as a float64 array's tobytes()
 
 
 class ChainConfigError(ValueError):
@@ -251,6 +250,12 @@ def _start(config: ChainConfig, domain: FeasibleDomain):
     return rng, domain.project(np.asarray(config.x0, dtype=np.float64))
 
 
+def _runs_on_floats(config: ChainConfig, obj: Objective) -> bool:
+    """Whether ``run_chain`` runs the chain on Python floats: a noisy
+    chain on a one-dimensional ``Quadratic``."""
+    return config.method != "pg" and obj.dim == 1 and type(obj) is Quadratic
+
+
 def _reject_non_finite(configs, f_values: np.ndarray, finals: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first chain, by row, with a
     non-finite value or final point, and its first non-finite iterate
@@ -349,9 +354,8 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     center = domain.center if domain.center.any() else None
     in2 = domain.inner_radius * domain.inner_radius
     out2 = domain.outer_radius * domain.outer_radius
-    x_bytes = x.tobytes() if scale is None else None
     computed = n
-    if d == 1 and type(obj) is Quadratic:
+    if _runs_on_floats(config, obj):
         # The step carries only the iterate, a float. The gradient is the
         # quadratic's ``scale * x``; the operators take the float at the
         # walls. A block's values are one rows call, which gives each the
@@ -371,23 +375,16 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                         xf, _, fallback_row[k] = reflect_or_project(x_raw)
                     else:
                         xf = project(x_raw)
-                if x_bytes is not None:
-                    new_bytes = _pack(xf)  # bits, as below
-                    if new_bytes == x_bytes:
-                        computed = k + 1
-                        break
-                    x_bytes = new_bytes
             X = np.array(xs)[:, None]
             f_row[a:a + len(xs)] = obj.value_many(X)
             if traj_row is not None:
                 traj_row[a:a + len(xs)] = X
-            if computed < n:
-                break
         x = np.array([xf])
     else:
         # A 0-d array multiplies a point with less call overhead than a
         # float, and gives the same bits.
         eta = np.array(config.eta)
+        x_bytes = x.tobytes() if scale is None else None
         for a in range(0, n, _NOISE_BLOCK):
             for k, kick in enumerate(kicks(a), a):
                 fx, g = value_and_gradient(x)

@@ -10,7 +10,8 @@ chains complete.
 Chains run in this process, one method at a time: a method's distinct
 chains run together as one batch (``dynamics.run_batch``), and a lone
 chain (one seed, or a seed-free chain shared by all seeds) runs the
-scalar loop of ``dynamics.run_chain``. Both give the same bytes.
+scalar loop of ``dynamics.run_chain``, as does each chain that loop runs
+on Python floats (gibbs1d's, faster alone). Both give the same bytes.
 
 Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
 holds the objective and running minimum at iterate ``k`` and the flags
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rgld.dynamics import ChainConfig, RunRecord, _validate, run_batch, run_chain
+from rgld.dynamics import ChainConfig, RunRecord, _runs_on_floats, _validate, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle, bin_samples, tv_distance
 from rgld.objectives import (
@@ -71,6 +72,7 @@ __all__ = [
     "spec_from_dict",
     "run_experiment",
     "run_chains",
+    "checked_out_dir",
     "rastrigin_min_on_shell",
     "export_cells_csv",
 ]
@@ -425,7 +427,8 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     Each distinct chain runs once: seeds whose chains ignore the seed
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
     under its own config. A method's distinct chains run as a batch of
-    two or more, or as a lone chain. Every distinct chain is validated
+    two or more, or one at a time when there is one or ``run_chain``
+    runs them on Python floats. Every distinct chain is validated
     before the first one runs. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
@@ -439,8 +442,8 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     records = {}
     for distinct in by_method.values():
         chains = list(distinct.values())
-        if len(chains) == 1:
-            batch = [run_chain(chains[0], spec.objective, spec.domain)]
+        if len(chains) == 1 or _runs_on_floats(chains[0], spec.objective):
+            batch = [run_chain(c, spec.objective, spec.domain) for c in chains]
         else:
             batch = run_batch(chains, spec.objective, spec.domain)
         records.update(zip(distinct, batch))
@@ -664,6 +667,17 @@ def tv_over_prefixes(
     ]
 
 
+def checked_out_dir(out_dir) -> Path:
+    """``out_dir`` as a ``Path``, or a ``ValueError`` unless it, or its
+    nearest existing ancestor, is a directory."""
+    out = Path(out_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        made = "" if nearest == out else f", so {str(out)!r} cannot be made"
+        raise ValueError(f"out_dir: {str(nearest)!r} is not a directory{made}")
+    return out
+
+
 def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     """Run the experiment and write its CSV files; returns the paths.
 
@@ -695,11 +709,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
     if bad:
         raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
-    out = Path(out_dir)
-    nearest = next(p for p in (out, *out.parents) if p.exists())
-    if not nearest.is_dir():
-        made = "" if nearest == out else f", so {str(out)!r} cannot be made"
-        raise ValueError(f"out_dir: {str(nearest)!r} is not a directory{made}")
+    out = checked_out_dir(out_dir)
     oracle = (GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)
               if spec.tv_prefixes else None)
     records = run_chains(spec)

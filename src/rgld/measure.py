@@ -86,14 +86,9 @@ class GibbsOracle:
         self.edges = tuple(
             np.linspace(lo[i], hi[i], n_per_axis + 1) for i in range(domain.dim)
         )
-        mids = [0.5 * (e[:-1] + e[1:]) for e in self.edges]
-        if domain.dim == 1:
-            self.midpoints = mids[0][:, None]
-            self.shape = (n_per_axis,)
-        else:
-            A, B = np.meshgrid(mids[0], mids[1], indexing="ij")
-            self.midpoints = np.column_stack([A.ravel(), B.ravel()])
-            self.shape = (n_per_axis, n_per_axis)
+        mids = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in self.edges], indexing="ij")
+        self.midpoints = np.column_stack([m.ravel() for m in mids])
+        self.shape = mids[0].shape
         self.cell_volume = float(np.prod((hi - lo) / n_per_axis))
 
         self.in_domain = domain.contains(self.midpoints)

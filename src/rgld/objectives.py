@@ -2,10 +2,11 @@
 
 Each objective writes its formula once, as a fused
 ``value_and_gradient`` over the last axis: it takes one point of shape
-``(dim,)`` for a lone chain or the rows of a ``(B, dim)`` array for
-batched chains, and each row gets the bits of its point call. The rest
-is derived from it: ``value`` and ``gradient`` at one point, and
-``value_many`` over the rows of a quadrature grid.
+``(dim,)`` for a lone chain's step or the rows of a ``(B, dim)`` array
+for batched chains and a float chain's block of values, and each row
+gets the bits of its point call. The rest is derived from it: ``value``
+and ``gradient`` at one point, and ``value_many`` over the rows of a
+quadrature grid.
 ``lipschitz_bounds`` gives conservative closed-form constants over a
 bounded domain. Bounds favor validity over tightness: they are upper
 bounds on the true suprema, never estimates. The mixture's minimum is
@@ -110,14 +111,10 @@ class Quadratic(Objective):
             raise ValueError(f"scale: must be positive and finite, got {scale}")
         self.dim = _check_dim(dim, 1, "dim must be at least 1")
         self.scale = float(scale)
-        # 0-d: multiplies a point with less call overhead than a float, and
-        # gives the same bits.
-        self._scale = np.array(self.scale)
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim, rows=True)
-        s = x.dot(x) if x.ndim == 1 else sq_norm(x)  # a point skips a call
-        return 0.5 * self.scale * s, self._scale * x
+        return 0.5 * self.scale * sq_norm(x), self.scale * x
 
     def lipschitz_bounds(self, domain):
         B = self._coordinate_bound(domain)

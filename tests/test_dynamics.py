@@ -502,7 +502,7 @@ class TestPresetSafety:
         ):
             for method in spec.methods:
                 rec = self._run(spec, method, 100_000, record=True)
-                assert all(spec.domain.contains(p) for p in rec.trajectory)
+                assert spec.domain.contains(rec.trajectory).all()
                 assert spec.domain.contains(rec.final_point)
                 assert rec.fallback_count == 0
 
@@ -667,9 +667,9 @@ class TestRunBatch:
 
 
 class TestOneCoordinate:
-    """At d = 1 a lone chain on a quadratic runs on Python floats, and any
-    other objective takes the array loop; either record equals the batch
-    loop's, which stays on numpy."""
+    """At d = 1 a lone rgld or pgld chain on a quadratic runs on Python
+    floats, and a pg chain or any other objective takes the array loop;
+    either record equals the batch loop's, which stays on numpy."""
 
     @staticmethod
     def assert_lone_matches_batch(config, obj, dom):
@@ -686,8 +686,9 @@ class TestOneCoordinate:
     @pytest.mark.parametrize("trajectory", [False, True])
     @pytest.mark.parametrize("start", ["drawn", "given"])
     def test_matches_run_batch(self, center, method, noise, trajectory, start):
-        # A hot chain: many updates leave the interval. The quadratic takes
-        # the float loop; the other objectives take the array loop.
+        # A hot chain: many updates leave the interval. The quadratic's
+        # noisy chains take the float loop; its pg chain and the other
+        # objectives take the array loop.
         dom = Ball(np.array([center]), 1.0)
         x0 = None if start == "drawn" else np.array([center - 0.3])
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=300, seed=11,
@@ -697,6 +698,18 @@ class TestOneCoordinate:
                     GaussianMixture([1.0, 0.6], [[-0.4], [0.9]])):
             rec = self.assert_lone_matches_batch(config, obj, dom)
             assert rec.boundary_events.any() or method == "pg"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_loop_choice(self, method):
+        # The float loop calls value_and_gradient only on a block's rows;
+        # the array loop calls it on the point at every step.
+        obj = Quadratic(1.0, 1)
+        points = []
+        value_and_gradient = obj.value_and_gradient
+        obj.value_and_gradient = lambda x: points.append(x.ndim == 1) or value_and_gradient(x)
+        config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=100, seed=3)
+        run_chain(config, obj, Ball(np.zeros(1), 1.0))
+        assert any(points) == (method == "pg")
 
     @pytest.mark.parametrize("center", [0.0, 0.1])
     @pytest.mark.parametrize("method", METHODS)
@@ -718,9 +731,10 @@ class TestOneCoordinate:
         (Quadratic(1.0, 1), 0.5, 5e-324), (Quadratic(1.0, 1), -0.5, -5e-324),
         (Quadratic(1.0, 1), -0.0, 0.0), (Flat(1), -0.0, -0.0)])
     def test_pg_stops_at_a_subnormal_or_signed_zero(self, obj, x0, final):
-        # Halving from +-0.5 ends at +-5e-324, where 0.5 * x rounds to a
-        # zero. From -0.0 the quadratic steps once, to 0.0 (-0.0 equals
-        # 0.0 but is not its fixed point); a zero gradient keeps -0.0.
+        # The array loop's fixed-point stop against the batch's. Halving
+        # from +-0.5 ends at +-5e-324, where 0.5 * x rounds to a zero. From
+        # -0.0 the quadratic steps once, to 0.0 (-0.0 equals 0.0 but is not
+        # its fixed point); a zero gradient keeps -0.0.
         config = ChainConfig(method="pg", eta=0.5, steps=2000, x0=np.array([x0]),
                              record_trajectory=True)
         rec = self.assert_lone_matches_batch(config, obj, Ball(np.zeros(1), 1.0))
@@ -745,9 +759,10 @@ class TestOneCoordinate:
 
     @pytest.mark.parametrize("steps", [1076, 2000])
     def test_pg_stops_in_a_later_noise_block(self, steps):
-        # Halving from 0.5 reaches its fixed point 5e-324 at update 1074, in
-        # block 154 of seven steps: the last one, of five steps, when there
-        # are 1076; a block in the middle when there are 2000.
+        # The array loop against the batch. Halving from 0.5 reaches its
+        # fixed point 5e-324 at update 1074, in block 154 of seven steps:
+        # the last one, of five steps, when there are 1076; a block in the
+        # middle when there are 2000.
         config = ChainConfig(method="pg", eta=0.5, steps=steps, x0=np.array([0.5]),
                              record_trajectory=True)
         with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
@@ -764,7 +779,8 @@ class TestNonFiniteIterates:
     @pytest.mark.parametrize("runner", ["chain", "batch"])
     def test_overflowing_update_raises(self, method, runner):
         # eta * grad = 1e308 * 1.9 overflows to inf, with no warning at
-        # d = 1, where a lone chain's update runs on Python floats.
+        # d = 1, where a lone rgld chain's update runs on Python floats
+        # (a pg chain's on (1,) arrays).
         for x0, obj, dom in [([1.9, 0.0], QUAD2, BALL2),
                              ([1.9], Quadratic(1.0, 1), Ball(np.zeros(1), 2.0))]:
             configs = [ChainConfig(method=method, eta=1e308, steps=50, seed=s,

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgld
-from rgld import cli, harness
-from rgld.dynamics import ChainConfigError, run_chain
+from rgld import cli, harness, measure
+from rgld.dynamics import ChainConfigError, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.harness import (
     AggregateCurve,
@@ -471,6 +471,21 @@ class TestDistinctChains:
         starts = {records[("pg", s)].initial_point.tobytes() for s in spec.seeds}
         assert len(starts) == 3
 
+    def test_float_chains_run_one_at_a_time(self, monkeypatch):
+        # A batch of 1-D quadratic chains gives the bytes of lone chains on
+        # Python floats, many times slower.
+        spec = replace(preset_gibbs1d(), steps=5000, seeds=(0, 1, 2), tv_prefixes=(5000,))
+        calls = spy_on_jobs(monkeypatch)
+        records = harness.run_chains(spec)
+        assert calls == [("chain", "rgld", s) for s in spec.seeds]
+        batch = run_batch([spec.chain_config("rgld", s) for s in spec.seeds],
+                          spec.objective, spec.domain)
+        for seed, ref in zip(spec.seeds, batch):
+            for field in ("f_value", "cumulative_min", "boundary_events",
+                          "fallback_events", "initial_point", "final_point", "trajectory"):
+                got = getattr(records[("rgld", seed)], field)
+                assert got.tobytes() == getattr(ref, field).tobytes(), field
+
 
 class TestInputChecks:
     def test_empty_seeds_rejected_before_any_chain(self, tmp_path):
@@ -900,6 +915,14 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_oracle_dimension_rejected_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # The oracle's own check: numpy is out of its reach.
+        monkeypatch.setattr(measure, "np", None)
+        assert cli.main(["oracle", "rosenbrock", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: quadrature oracle supports dimension 1 or 2 only\n")
+        assert not (tmp_path / "out").exists()
+
     def test_readme_rosenbrock_example_never_falls_back(self, tmp_path):
         # At eta 5e-4, d = 10 falls back on about 3 of 4 rgld steps.
         rc = cli.main(["run", "rosenbrock", "--dim", "10", "--seeds", "0..1",
@@ -930,20 +953,24 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
-        (["{d}", "--out", "{d}/out"], "unknown preset or missing file"),
-        (["gibbs1d", "--out", "{d}/file"], "is not a directory"),
-        (["gibbs1d", "--out", "{d}/file/sub"], "cannot be made"),
-        (["gibbs1d", "--workers", "2", "--out", "{d}/out"], "--workers: invalid choice"),
-    ], ids=["directory-target", "out-is-a-file", "out-under-a-file", "workers-2"])
+        (["run", "{d}", "--out", "{d}/out"], "unknown preset or missing file"),
+        (["run", "gibbs1d", "--out", "{d}/file"], "is not a directory"),
+        (["run", "gibbs1d", "--out", "{d}/file/sub"], "cannot be made"),
+        (["run", "gibbs1d", "--workers", "2", "--out", "{d}/out"],
+         "--workers: invalid choice"),
+        (["oracle", "gibbs1d", "--out", "{d}/file"], "is not a directory"),
+        (["oracle", "gibbs1d", "--out", "{d}/file/sub"], "cannot be made"),
+    ], ids=["directory-target", "out-is-a-file", "out-under-a-file", "workers-2",
+            "oracle-out-is-a-file", "oracle-out-under-a-file"])
     def test_bad_input_exits_2_before_any_chain(self, argv, message, tmp_path):
         # A chain or the oracle would call None and end in a traceback.
         code = ("import sys\n"
                 "from rgld import cli, harness\n"
-                "harness.run_chains = harness.GibbsOracle = None\n"
+                "harness.run_chains = harness.GibbsOracle = cli.GibbsOracle = None\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         (tmp_path / "file").write_text("")
         proc = subprocess.run(
-            [sys.executable, "-c", code, "run", *(a.format(d=tmp_path) for a in argv)],
+            [sys.executable, "-c", code, *(a.format(d=tmp_path) for a in argv)],
             capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
