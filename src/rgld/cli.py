@@ -29,7 +29,13 @@ from rgld import harness
 from rgld.dynamics import ChainConfig, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.measure import GibbsOracle
-from rgld.objectives import Quadratic, Rastrigin, Rosenbrock, make_grid_gaussian_mixture
+from rgld.objectives import (
+    GaussianMixture,
+    Quadratic,
+    Rastrigin,
+    Rosenbrock,
+    make_grid_gaussian_mixture,
+)
 
 # The presets that take ``--dim``; each factory holds its default.
 DIM_PRESETS = ("rosenbrock", "rastrigin")
@@ -213,11 +219,16 @@ def _cmd_check(_args) -> int:
                for obj in objs))
 
     # The batched loop and the lone-chain loop must give the same bytes, on
-    # the mixture's shell and on two intervals: gibbs1d's quadratic, whose
-    # lone loop runs on Python floats, and Rastrigin, which takes the array
-    # loop (a hot chain: about a third of its updates reflect).
+    # the mixture's shell, on a 3-D mixture's shell off the origin (both
+    # loops then subtract the center in their membership tests) and on two
+    # intervals: gibbs1d's quadratic, whose lone loop runs on Python
+    # floats, and Rastrigin, which takes the array loop (a hot chain: about
+    # a third of its updates reflect).
     gibbs1d = harness.preset_gibbs1d()
+    corners = [(a, b, c) for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)]
     cases = [(objs[1], SphericalShell(np.zeros(2), 0.9, 4.0), 0.05, 1.0),
+             (GaussianMixture(np.linspace(0.5, 1.0, 8), corners),
+              SphericalShell(np.array([0.5, -0.25, 1.0]), 0.9, 4.0), 0.05, 1.0),
              (gibbs1d.objective, gibbs1d.domain, gibbs1d.eta, gibbs1d.beta),
              (Rastrigin(1), Ball(np.zeros(1), 1.0), 0.01, 1.0)]
     fields = ("f_value", "boundary_events", "fallback_events", "final_point")

@@ -15,10 +15,10 @@ Gaussian noise is retained as the conventional alternative.
 
 Two loops run the update. ``run_batch`` advances the chains of one
 method together on a ``(B, d)`` array (the objective's
-``value_and_gradient`` and the region's ``contains`` take the rows and
-give each the bits of its point call). ``run_chain`` runs a lone chain
-on one point, with the region's membership test inline. Each chain
-draws its noise from its own generator in blocks of steps. A lone
+``value_and_gradient`` takes the rows and gives each the bits of its
+point call). ``run_chain`` runs a lone chain on one point. Both test
+membership inline, with the bits of the region's ``contains``. Each
+chain draws its noise from its own generator in blocks of steps. A lone
 ``rgld`` or ``pgld`` chain on a one-dimensional ``Quadratic`` (gibbs1d,
 ``_runs_on_floats``) carries only its iterate, a Python float: the
 gradient, the update, the membership test and, at the walls, the
@@ -26,14 +26,15 @@ region's operators run on floats, whose IEEE double operations give the
 bits of numpy's on ``(1,)`` arrays without its per-call cost; a block's
 values are one ``value_many`` call on its iterates. ``pg`` and any
 other objective take the array loop. Per step a lone chain costs
-0.2-0.25 us on the 1-D quadratic, noise draw included (14-22 us as a
-batch of one, so multi-seed runners run it alone), and 10-16 us on the
-2-D mixture (22-30 us), on one core of a 2-core x86-64 host. Both loops
-call the operator only for points outside the region, write
-``(B, steps)`` arrays (``B = 1`` for ``run_chain``) and hand them to
-``_records``, which completes early-stopped rows, rejects non-finite
-values, takes running minima and builds each row's ``RunRecord``. A
-batched chain's record equals its lone record bit for bit.
+0.2-0.3 us on the 1-D quadratic, noise draw included (9-15 us as a
+batch of one, so multi-seed runners run it alone), and 9-16 us on the
+2-D mixture (14-15 us as a batch of one, 20-21 us for a batch of 20),
+on one core of a 2-core x86-64 host. Both loops call the operator only
+for points outside the region, write ``(B, steps)`` arrays (``B = 1``
+for ``run_chain``) and hand them to ``_records``, which completes
+early-stopped rows, rejects non-finite values, takes running minima and
+builds each row's ``RunRecord``. A batched chain's record equals its
+lone record bit for bit.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
@@ -448,18 +449,25 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     x = np.array(starts)
     x0 = x.copy()
     finals = np.empty_like(x)
-    # Chains still computing, by row of ``x``. Only noise-free rows leave.
+    # Chains still computing, by row of ``x``. Only noise-free rows leave;
+    # until one does, ``live`` writes the records' columns through views.
     rows = np.arange(B)
+    live = slice(None)
 
     value_and_gradient = obj.value_and_gradient
-    contains = domain.contains
     reflect_or_project = domain.reflect_or_project
     project = domain.project
+    # The membership test of ``contains``, inline as in ``run_chain``: one
+    # scalar check clears a step whose rows are all inside (a NaN fails
+    # it), and only rows outside the region pay for the operator's call.
+    center = domain.center if domain.center.any() else None
+    in2 = domain.inner_radius * domain.inner_radius
+    out2 = domain.outer_radius * domain.outer_radius
     for k in range(n):
         fx, g = value_and_gradient(x)
-        f_vals[rows, k] = fx
+        f_vals[live, k] = fx
         if traj is not None:
-            traj[rows, k] = x
+            traj[live, k] = x
         if noisy:
             j = k % _NOISE_BLOCK
             if j == 0:
@@ -471,13 +479,16 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
             x_raw = x - eta * g + noise[j]
         else:
             x_raw = x - eta * g
-        for i in np.flatnonzero(~contains(x_raw)).tolist():
-            b = rows[i]
-            events[b, k] = True
-            if is_rgld:
-                x_raw[i], _, fallbacks[b, k] = reflect_or_project(x_raw[i])
-            else:
-                x_raw[i] = project(x_raw[i])
+        v = x_raw if center is None else x_raw - center
+        rho2 = np.vecdot(v, v)
+        if not (in2 <= rho2.min() and rho2.max() <= out2):
+            for i in np.flatnonzero(~((in2 <= rho2) & (rho2 <= out2))).tolist():
+                b = rows[i]
+                events[b, k] = True
+                if is_rgld:
+                    x_raw[i], _, fallbacks[b, k] = reflect_or_project(x_raw[i])
+                else:
+                    x_raw[i] = project(x_raw[i])
         if not noisy:
             # Bytes, not ``==``, as in ``run_chain``.
             fixed = (x_raw.view(np.int64) == x.view(np.int64)).all(axis=1)
@@ -486,6 +497,7 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
                 computed[done] = k + 1
                 finals[done] = x_raw[fixed]
                 x_raw, rows = x_raw[~fixed], rows[~fixed]
+                live = rows
         x = x_raw
         if not rows.size:
             break

@@ -10,7 +10,8 @@ and cheap to evaluate inside a sampler loop. One implementation serves
 the convex ball and the non-convex shell alike.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
-``(B, dim)`` array (batched chains, quadrature grids); ``project`` and
+``(B, dim)`` array (quadrature grids; both chain loops write its test
+inline, with its bits); ``project`` and
 ``reflect_or_project`` take one point, or a Python float at ``dim == 1``
 (a lone one-dimensional chain), and so do ``reflect`` and
 ``distance_to_set``, which are built on them. All of these measure

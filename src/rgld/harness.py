@@ -26,10 +26,11 @@ its leading columns is formatted once per run of rows whose bits are
 equal in those columns (``cummin`` and the flags; the quartiles). Both
 row writers take the steps' digits from one uint8 matrix per block
 (``_step_digits``). A block of chain rows is then one ``%``-format of
-its ``f`` texts and tails into a template that holds the digits, where
-most ``f`` values are a head string and an int found by integer
-arithmetic (``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a
-2-core x86-64 host. The aggregate rows of a run within a block are one
+its ``f`` texts and tails into a template that holds the digits (the
+last template is kept for the next chain CSV), where most ``f`` values
+are a head string and an int found by integer arithmetic
+(``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a 2-core
+x86-64 host. The aggregate rows of a run within a block are one
 byte matrix, the steps' digits and the run's text: about 0.1 s for
 10**6 rows. Seeds that share one record get one formatted chain CSV and
 byte copies of it.
@@ -41,6 +42,7 @@ import json
 import math
 import shutil
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -593,6 +595,14 @@ def _step_digits(a: int, b: int, tail: bytes = b""):
         yield lo, hi, rows
 
 
+@lru_cache(maxsize=1)
+def _chain_template(a: int, b: int) -> str:
+    """The ``%`` template of chain rows ``a .. b-1``: each step's digits
+    and ``,%s%s%s``. The last one is kept: a run's chain CSVs share their
+    blocks."""
+    return b"".join(t.tobytes() for _, _, t in _step_digits(a, b, b",%s%s%s")).decode()
+
+
 def _write_chain_csv(path, record: RunRecord) -> None:
     """One row per step: the step and ``f`` (``_float_text``), then a tail
     formatted once per run of equal ``cummin`` and flags. A block of rows
@@ -604,11 +614,10 @@ def _write_chain_csv(path, record: RunRecord) -> None:
     tails = np.repeat(np.array(tails, dtype=object), np.diff(bounds))
 
     def rows(a, b):
-        fmt = b"".join(t.tobytes() for _, _, t in _step_digits(a, b, b",%s%s%s"))
         args = [None] * (3 * (b - a))
         args[0::3], args[1::3] = _float_text(f[a:b])
         args[2::3] = tails[a:b].tolist()
-        return fmt.decode() % tuple(args)
+        return _chain_template(a, b) % tuple(args)
 
     _write_csv(path, "step,f,cummin,reflected,fallback", f.size, rows)
 

@@ -121,6 +121,19 @@ class Quadratic(Objective):
         return self.scale * B, self.scale
 
 
+def _sq_dist(z):
+    """Squared norms over the last axis, summed in coordinate order,
+    ``zz[..., 0] + zz[..., 1] + ...``: one whole-array add per coordinate
+    instead of ``(z * z).sum(axis=-1)``'s inner loop per norm. Through
+    ``dim == 7`` the bits are the sum's, which adds in the same order;
+    from ``dim == 8`` numpy's pairwise sum can round differently."""
+    zz = z * z
+    s = zz[..., 0]
+    for j in range(1, zz.shape[-1]):
+        s = s + zz[..., j]
+    return s
+
+
 class GaussianMixture(Objective):
     """Negated sum of isotropic unit-variance Gaussian bumps.
 
@@ -156,10 +169,14 @@ class GaussianMixture(Objective):
         return self.means.shape[0]
 
     def value_and_gradient(self, x):
-        # ``z[..., i, :]`` is the offset from mode ``i``.
-        z = as_point(x, self.dim, rows=True)[..., None, :] - self.means
-        # The method runs np.sum's reduction without its Python wrapper.
-        q = np.exp(-0.5 * (z * z).sum(axis=-1))
+        # ``z[..., i, :]`` is the offset from mode ``i``, built contiguous:
+        # a broadcast ``x[..., None, :] - means`` runs an inner loop of
+        # length ``dim`` per mode, while the repeat and the in-place
+        # subtraction each run one loop over all modes, with the same bits.
+        x = as_point(x, self.dim, rows=True)
+        z = np.repeat(x[..., None, :], self.n_modes, axis=-2)
+        z -= self.means
+        q = np.exp(-0.5 * _sq_dist(z))
         # Per point, vecdot and vecmat run the BLAS dot and vector-matrix
         # product of ``weights @ q`` and ``(weights * q) @ z``: same bits.
         return -np.vecdot(q, self.weights), np.vecmat(self.weights * q, z)
@@ -167,7 +184,7 @@ class GaussianMixture(Objective):
     def hessian(self, x) -> np.ndarray:
         """``sum_i w_i q_i (I - z_i z_i^T)`` at one point, ``z_i = x - m_i``."""
         z = as_point(x, self.dim) - self.means
-        wq = self.weights * np.exp(-0.5 * (z * z).sum(axis=-1))
+        wq = self.weights * np.exp(-0.5 * _sq_dist(z))
         return wq.sum() * np.eye(self.dim) - (z.T * wq) @ z
 
     def refine_minimum(self, start) -> tuple[np.ndarray, float]:

@@ -293,7 +293,7 @@ class TestRunChain:
 
 class TestOuterSphere:
     """An update that lands exactly on the outer sphere is a member; one ulp
-    beyond it is reflected."""
+    beyond it is reflected, by the lone loop and in a batch alike."""
 
     # eta = 1/8 and beta = 1 scale the Rademacher kick by exactly 1/2.
     CONFIG = dict(method="rgld", eta=0.125, beta=1.0, steps=1, seed=7,
@@ -302,9 +302,10 @@ class TestOuterSphere:
     def first_kick(self, dim):
         return 0.5 * rademacher_kicks(self.CONFIG["seed"], 1, dim)[0]
 
+    @pytest.mark.parametrize("runner", ["chain", "batch"])
     @pytest.mark.parametrize("case", ["ball-off-origin", "shell-at-origin"])
     @pytest.mark.parametrize("beyond", [False, True])
-    def test_landing_on_or_one_ulp_past_the_outer_sphere(self, case, beyond):
+    def test_landing_on_or_one_ulp_past_the_outer_sphere(self, case, beyond, runner):
         if case == "ball-off-origin":
             dom = Ball(np.array([0.75, -1.5]), 5.0)
         else:
@@ -319,7 +320,15 @@ class TestOuterSphere:
         assert np.array_equal(x0 + kick, target) and dom.contains(x0)
         assert dom.contains(target) is not beyond
 
-        rec = run_chain(ChainConfig(x0=x0, **self.CONFIG), Flat(2), dom)
+        if runner == "chain":
+            rec = run_chain(ChainConfig(x0=x0, **self.CONFIG), Flat(2), dom)
+        else:
+            # A second row, well inside, that the same kick keeps inside.
+            x1 = dom.center + np.array([0.0, -3.0])
+            rec, inner = run_batch(
+                [ChainConfig(x0=x, **self.CONFIG) for x in (x0, x1)], Flat(2), dom)
+            assert not inner.boundary_events[0]
+            assert inner.final_point.tobytes() == (x1 + kick).tobytes()
         assert rec.initial_point.tobytes() == x0.tobytes()
         assert bool(rec.boundary_events[0]) is beyond
         assert (rec.reflection_events, rec.fallback_count) == (int(beyond), 0)

@@ -81,6 +81,8 @@ class TestValues:
         Quadratic(2.5, 1), Quadratic(0.3, 30), Rosenbrock(2), Rosenbrock(10),
         Rosenbrock(30), Rastrigin(1), Rastrigin(30), make_grid_gaussian_mixture(0),
         GaussianMixture(np.linspace(0.5, 1.0, 7), np.arange(35.0).reshape(7, 5) / 9.0),
+        GaussianMixture(np.linspace(0.5, 1.0, 6), np.arange(48.0).reshape(6, 8) / 13.0),
+        GaussianMixture(np.linspace(0.5, 1.0, 4), np.arange(48.0).reshape(4, 12) / 17.0),
     ], ids=lambda o: f"{type(o).__name__}{o.dim}")
     def test_rows_have_the_point_bits(self, obj):
         X = np.random.default_rng(obj.dim).normal(scale=2.0, size=(2000, obj.dim))
@@ -98,6 +100,21 @@ class TestValues:
         assert value.shape == (1,) and gradient.shape == (1, obj.dim)
         assert value.tobytes() == values[:1].tobytes()
         assert gradient.tobytes() == grads[:1].tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_mixture_has_the_bits_of_the_summed_offsets(self, dim):
+        # The reference is the broadcast offsets and a sum over the last
+        # axis. Through dim 7 that sum adds coordinates in order, as the
+        # mixture does; from dim 8 numpy sums pairwise and may round apart.
+        rng = np.random.default_rng(dim)
+        gm = GaussianMixture(rng.uniform(0.5, 1.5, 9), rng.normal(scale=2.0, size=(9, dim)))
+        X = rng.normal(scale=2.0, size=(4000, dim))
+        for x in (X, X[0], X[-1]):
+            z = x[..., None, :] - gm.means
+            q = np.exp(-0.5 * (z * z).sum(axis=-1))
+            value, gradient = gm.value_and_gradient(x)
+            assert np.asarray(value).tobytes() == (-np.vecdot(q, gm.weights)).tobytes()
+            assert gradient.tobytes() == np.vecmat(gm.weights * q, z).tobytes()
 
     @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (2, 5, 2), (2, 2, 2)])
     def test_rows_of_another_dimension_rejected(self, shape):
