@@ -32,7 +32,8 @@ batch of one, so multi-seed runners run it alone), and 9-16 us on the
 on one core of a 2-core x86-64 host. Both loops call the operator only
 for points outside the region, write ``(B, steps)`` arrays (``B = 1``
 for ``run_chain``) and hand them to ``_records``, which completes
-early-stopped rows, rejects non-finite values, takes running minima and
+early-stopped rows, rejects non-finite values (so numpy's overflow and
+invalid-value warnings are off in the loops), takes running minima and
 builds each row's ``RunRecord``. A batched chain's record equals its
 lone record bit for bit.
 
@@ -305,6 +306,7 @@ def _records(configs, bounds, starts, finals, f_vals, events, fallbacks, traj,
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> RunRecord:
     """Execute a chain and collect its per-step record.
 
@@ -416,6 +418,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                     fallbacks, traj, [computed])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord]:
     """Execute chains of one method together; returns one record per config.
 

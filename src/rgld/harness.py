@@ -42,7 +42,7 @@ import json
 import math
 import shutil
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -294,124 +294,116 @@ def rastrigin_min_on_shell(domain: SphericalShell) -> float:
 # Config files
 
 
-# (required, optional) keys of the spec tree.
-_SPEC_KEYS = (
-    ("objective", "domain", "methods", "eta", "beta", "steps"),
-    ("name", "seeds", "x0", "noise", "min_f", "enforce_step_bound", "tv_prefixes"),
-)
-
-
 def _grid_mixture(seed: int = GM_OBJECTIVE_SEED) -> GaussianMixture:
     if seed < 0:
         raise ValueError(f"objective.seed: must be a non-negative integer, got {seed}")
     return make_grid_gaussian_mixture(seed)
 
 
-# kind -> (required, optional, build) of the objective and domain trees,
-# whose keys other than ``kind`` (always required) are ``build``'s arguments.
-_KINDS = {
-    "objective": {
-        "quadratic": (("dim",), ("scale",), Quadratic),
-        "grid-gaussian-mixture": ((), ("seed",), _grid_mixture),
-        "gaussian-mixture": (("weights", "means"), (), GaussianMixture),
-        "rosenbrock": (("dim",), (), Rosenbrock),
-        "rastrigin": (("dim",), (), Rastrigin),
-    },
-    "domain": {
-        "ball": (("center", "radius"), (), Ball),
-        "shell": (("center", "inner_radius", "outer_radius"), (), SphericalShell),
-    },
+# The trees of a spec, by (tree, kind): the spec itself, and the objective
+# and domain trees, which also require ``kind``. Each gives its required
+# and optional keys with their JSON values, then its builder, which takes
+# the keys as keyword arguments. A JSON value is a type, ``[]`` per list
+# level, and `` | null`` if null ("not set") is allowed; an ``object`` is
+# the tree its key names.
+_TREES = {
+    ("spec", None): (
+        {"objective": "object", "domain": "object", "methods": "string[]",
+         "eta": "number", "beta": "number", "steps": "integer"},
+        {"name": "string", "seeds": "integer[]", "x0": "number[] | null",
+         "noise": "string", "min_f": "number | null", "enforce_step_bound": "boolean",
+         "tv_prefixes": "integer[]"},
+        partial(ExperimentSpec, name="custom"),
+    ),
+    ("objective", "quadratic"): ({"dim": "integer"}, {"scale": "number"}, Quadratic),
+    ("objective", "grid-gaussian-mixture"): ({}, {"seed": "integer"}, _grid_mixture),
+    ("objective", "gaussian-mixture"): (
+        {"weights": "number[]", "means": "number[][]"}, {}, GaussianMixture),
+    ("objective", "rosenbrock"): ({"dim": "integer"}, {}, Rosenbrock),
+    ("objective", "rastrigin"): ({"dim": "integer"}, {}, Rastrigin),
+    ("domain", "ball"): ({"center": "number[]", "radius": "number"}, {}, Ball),
+    ("domain", "shell"): (
+        {"center": "number[]", "inner_radius": "number", "outer_radius": "number"}, {},
+        SphericalShell),
+}
+
+# The JSON types of ``_TREES``: the Python types ``json.load`` gives them
+# (a bool is not a number), and how an error names one value and a list.
+_JSON_TYPES = {
+    "integer": (int, "an integer", "a list"),
+    "number": ((int, float), "a number", "a list"),
+    "string": (str, "a string", "a list of strings"),
+    "boolean": (bool, "true or false", "a list"),
 }
 
 
-# (integer, list depth) of every numeric key, in any tree. JSON numbers
-# only: a string, or a bool (a Python int), is an error. The keys in
-# _NULLABLE may also be null, meaning "not set".
-_NUMERIC_KEYS = {
-    "dim": (True, 0), "steps": (True, 0), "seed": (True, 0),
-    "seeds": (True, 1), "tv_prefixes": (True, 1),
-    "radius": (False, 0), "inner_radius": (False, 0), "outer_radius": (False, 0),
-    "scale": (False, 0), "eta": (False, 0), "beta": (False, 0), "min_f": (False, 0),
-    "center": (False, 1), "x0": (False, 1), "weights": (False, 1), "means": (False, 2),
-}
-_NULLABLE = ("x0", "min_f")
-# The other typed keys of the spec tree and the JSON type each must have.
-_TYPED_KEYS = {
-    "name": (str, "a string"), "noise": (str, "a string"),
-    "enforce_step_bound": (bool, "true or false"),
-    "methods": (list, "a list of strings"),
-}
-
-
-def _check_number(field: str, value, integer: bool, depth: int) -> None:
-    if depth:
+def _check(field: str, value, json_type: str) -> None:
+    """Raise a ``ValueError`` naming ``field``, or the element at fault,
+    unless ``value`` has ``json_type``. An ``object`` is checked when it is
+    read."""
+    if value is None and json_type.endswith(" | null"):
+        return
+    json_type = json_type.removesuffix(" | null")
+    base = json_type.replace("[]", "")
+    if base == "object":
+        return
+    python_type, noun, list_noun = _JSON_TYPES[base]
+    if json_type != base:
         if not isinstance(value, list):
-            raise ValueError(f"{field}: expected a list, got {value!r}")
+            raise ValueError(f"{field}: expected {list_noun}, got {value!r}")
         for i, v in enumerate(value):
-            _check_number(f"{field}[{i}]", v, integer, depth - 1)
-    elif isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{field}: expected {kind}, got {value!r}")
+            _check(f"{field}[{i}]", v, json_type[:-2])
+    elif not isinstance(value, python_type) or (isinstance(value, bool) and base != "boolean"):
+        raise ValueError(f"{field}: expected {noun}, got {value!r}")
 
 
-def _check_keys(field: str, d: dict, required, optional) -> None:
-    """Reject unknown and missing keys of one tree, naming each of them,
-    then any value that is not of its key's JSON type."""
-    unknown = sorted(set(d) - set(required) - set(optional))
-    missing = [k for k in required if k not in d]
+def _field(key: str, value, json_type: str):
+    """A spec tree's value as its ``ExperimentSpec`` field: an object is
+    the tree ``key`` names, a number a float, a list of numbers a float
+    array, any other list a tuple."""
+    if json_type == "object":
+        return _read(key, value)
+    if value is None:
+        return None
+    if json_type.startswith("number"):
+        return np.asarray(value, dtype=np.float64) if "[]" in json_type else float(value)
+    return tuple(value) if "[]" in json_type else value
+
+
+def _read(field: str, tree):
+    """What ``tree``, a ``spec``, ``objective`` or ``domain`` tree
+    (``field``), describes. In order: it must be an object, have the keys
+    of its ``_TREES`` entry (all unknown and missing keys are named at
+    once) and their JSON values; then it is built, the spec from its
+    values as fields (``_field``), the others from them as given."""
+    if not isinstance(tree, dict):
+        raise ValueError(f"{field}: expected an object, got {tree!r}")
+    kind = None if field == "spec" else tree.get("kind")
+    if not isinstance(kind, (str, type(None))) or (field, kind) not in _TREES:
+        raise ValueError(f"unknown {field} kind {kind!r}")
+    required, optional, build = _TREES[field, kind]
+    types = {**required, **optional}
+    unknown = sorted(set(tree) - set(types) - ({"kind"} if kind else set()))
     problems = ([f"unknown key {k!r}" for k in unknown]
-                + [f"missing key {k!r}" for k in missing])
+                + [f"missing key {k!r}" for k in required if k not in tree])
     if problems:
         raise ValueError(f"{field}: " + ", ".join(problems))
-    for key, value in d.items():
-        if key in _NUMERIC_KEYS and not (value is None and key in _NULLABLE):
-            _check_number(f"{field}.{key}", value, *_NUMERIC_KEYS[key])
-        elif key in _TYPED_KEYS:
-            kind, want = _TYPED_KEYS[key]
-            if not isinstance(value, kind) or (
-                    key == "methods" and not all(isinstance(m, str) for m in value)):
-                raise ValueError(f"{field}.{key}: expected {want}, got {value!r}")
-
-
-def _from_dict(field: str, d: dict) -> Objective | FeasibleDomain:
-    """The objective or domain (``field``) of one tree of ``_KINDS``."""
-    kind = d.get("kind")
-    if kind not in _KINDS[field]:
-        raise ValueError(f"unknown {field} kind {kind!r}")
-    required, optional, build = _KINDS[field][kind]
-    _check_keys(field, d, ("kind",) + required, optional)
-    return build(**{key: value for key, value in d.items() if key != "kind"})
-
-
-# How a set key of the spec tree becomes its field; the rest pass as they are.
-_SPEC_VALUE = {
-    "objective": lambda d: _from_dict("objective", d),
-    "domain": lambda d: _from_dict("domain", d),
-    "methods": tuple, "seeds": tuple, "tv_prefixes": tuple, "eta": float, "beta": float,
-    "x0": lambda v: None if v is None else np.asarray(v, dtype=np.float64),
-}
+    for key, value in tree.items():
+        if key in types:
+            _check(f"{field}.{key}", value, types[key])
+    # In table order: the objective is built before the domain.
+    return build(**{key: _field(key, tree[key], json_type) if field == "spec" else tree[key]
+                    for key, json_type in types.items() if key in tree})
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Build a custom experiment from a plain key/value tree.
+    """Build a custom experiment from a JSON tree: the keys, their JSON
+    values and the kinds of objective and domain are those of ``_TREES``.
 
-    Required keys: ``objective``, ``domain``, ``methods``, ``eta``,
-    ``beta``, ``steps``. Optional: ``name``, ``seeds``, ``x0``,
-    ``noise``, ``min_f``, ``enforce_step_bound``, ``tv_prefixes``.
-    Unknown and missing keys, at the top level and in the objective and
-    domain trees, raise a ``ValueError`` that names each of them, and so
-    does a numeric field that is not a JSON number (integers for ``dim``,
-    ``steps``, ``seeds``, ``seed`` and ``tv_prefixes``; ``true`` and
-    ``false`` are not numbers). ``methods`` must be a list of strings,
-    ``enforce_step_bound`` ``true`` or ``false``, and ``name`` and
-    ``noise`` strings. A mixture's ``seed`` must not be negative.
+    Anything else raises a ``ValueError`` that names the tree, key or
+    element at fault, as does a mixture ``seed`` below 0.
     """
-    _check_keys("spec", d, *_SPEC_KEYS)
-    # Only the keys the tree sets: the other fields keep their
-    # ``ExperimentSpec`` defaults. The objective is built before the domain.
-    fields = {key: _SPEC_VALUE.get(key, lambda v: v)(d[key])
-              for key in _SPEC_KEYS[0] + _SPEC_KEYS[1] if key in d}
-    return ExperimentSpec(**{"name": "custom", **fields})
+    return _read("spec", d)
 
 
 def spec_from_file(path) -> ExperimentSpec:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -637,23 +638,57 @@ class TestInputChecks:
         assert f"{field}: expected" in err and repr(value) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field,value", [
-        ("methods", "rgld"),
-        ("methods", ["rgld", 3]),
-        ("enforce_step_bound", "false"),
-        ("enforce_step_bound", 0),
-        ("noise", 1),
-        ("name", 5),
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("methods", "rgld", "spec.methods: expected a list of strings, got 'rgld'",
+                     id="methods-rgld"),
+        # A list's message names its first element of the wrong type.
+        pytest.param("methods", ["rgld", 3], "spec.methods[1]: expected a string, got 3",
+                     id="methods-value1"),
+        pytest.param("enforce_step_bound", "false",
+                     "spec.enforce_step_bound: expected true or false, got 'false'",
+                     id="enforce_step_bound-false"),
+        pytest.param("enforce_step_bound", 0,
+                     "spec.enforce_step_bound: expected true or false, got 0",
+                     id="enforce_step_bound-0"),
+        pytest.param("noise", 1, "spec.noise: expected a string, got 1", id="noise-1"),
+        pytest.param("name", 5, "spec.name: expected a string, got 5", id="name-5"),
     ])
-    def test_spec_rejects_mistyped_fields(self, field, value):
+    def test_spec_rejects_mistyped_fields(self, field, value, message):
         spec = {
             "objective": {"kind": "rastrigin", "dim": 2},
             "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
             "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
             field: value,
         }
-        with pytest.raises(ValueError, match=f"^spec.{field}: expected .*{re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict(spec)
+
+    @pytest.mark.parametrize("text,message", [
+        ("5", "spec: expected an object, got 5"),
+        ("null", "spec: expected an object, got None"),
+        ('["a"]', "spec: expected an object, got ['a']"),
+        ('{"objective": "quadratic"}', "objective: expected an object, got 'quadratic'"),
+        ('{"domain": [1]}', "domain: expected an object, got [1]"),
+    ], ids=["number", "null", "list", "objective-string", "domain-list"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_cli_rejects_trees_that_are_not_objects(self, command, text, message,
+                                                    tmp_path, capsys):
+        # These once ended in a TypeError or AttributeError traceback, and
+        # a top-level list was read as its elements' keys.
+        if text.startswith("{"):
+            spec = {
+                "objective": {"kind": "quadratic", "dim": 2},
+                "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+                "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 10,
+                **json.loads(text),
+            }
+            text = json.dumps(spec)
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        rc = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change,message", [
         ({"noise": "gausian"}, "noise: expected one of"),
@@ -682,6 +717,17 @@ class TestInputChecks:
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "pg chain, seed 3: iterate 1 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # Run as a program, the error is the only line: the overflow and
+        # the invalid value on the way print no numpy warning.
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgld.cli", "run", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("configuration error: pg chain, seed 3: iterate 1 ")
         assert not (tmp_path / "out").exists()
 
     def test_cli_reports_empty_seed_set(self, tmp_path, capsys):
@@ -747,6 +793,54 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="^objective.seed: must be a non-negative "
                                              "integer, got -1$"):
             spec_from_dict(bad)
+
+    def test_trees_match_their_builders(self):
+        # Key sets only: a builder's defaults need not make a key optional
+        # (the spec requires ``quadratic.dim``).
+        for (tree, kind), (required, optional, build) in harness._TREES.items():
+            keys = set(required) | set(optional)
+            if tree == "spec":
+                assert keys == {f.name for f in fields(harness.ExperimentSpec)}
+            else:
+                assert keys == set(inspect.signature(build).parameters), (tree, kind)
+
+    def test_readme_table_is_the_trees(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = set()
+        for line in readme.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 4 and cells[1].startswith("`"):
+                tree, _, kind = cells[0].partition(" ")
+                rows.add((tree, kind.strip("`") or None, cells[1].strip("`"),
+                          cells[2].replace("\\|", "|"), cells[3].split()[0]))
+        assert rows == {
+            (tree, kind, key, json_type, "yes" if key in required else "no")
+            for (tree, kind), (required, optional, _) in harness._TREES.items()
+            for key, json_type in {**required, **optional}.items()
+        }
+
+    @pytest.mark.parametrize("preset,tree", [
+        (preset_gm2d, {
+            "name": "gm2d",
+            "objective": {"kind": "grid-gaussian-mixture", "seed": harness.GM_OBJECTIVE_SEED},
+            "domain": {"kind": "shell", "center": [0, 0],
+                       "inner_radius": 0.9, "outer_radius": 4},
+            "methods": ["pg", "rgld"], "eta": 0.05, "beta": 1, "steps": 10_000,
+            "x0": [0.5, 0.5], "min_f": preset_gm2d().min_f, "enforce_step_bound": False,
+        }),
+        (preset_gibbs1d, {
+            "name": "gibbs1d",
+            "objective": {"kind": "quadratic", "scale": 1, "dim": 1},
+            "domain": {"kind": "ball", "center": [0], "radius": 1},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2, "steps": 2_000_000,
+            "seeds": [0], "min_f": 0, "x0": None,
+            "tv_prefixes": [10_000, 100_000, 1_000_000, 2_000_000],
+        }),
+    ], ids=["gm2d", "gibbs1d"])
+    def test_preset_as_a_json_tree(self, preset, tree, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tree))
+        assert spec_fields(harness.spec_from_file(path)) == spec_fields(preset())
 
     def test_validation_failure_reports_field(self, tmp_path):
         bad = self.spec_dict()
