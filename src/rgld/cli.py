@@ -10,10 +10,10 @@ oracle <preset>
     and export its cells as CSV.
 check
     Run a compact invariant battery (geometry, the 1-D operators on
-    Python floats, gradients, batched and lone chains giving the same
-    bytes, oracle normalization, CSV float text) and exit non-zero on any
-    failure. The test suites run its geometry, 1-D operator and gradient
-    checks on their own domains, seeds and points.
+    Python floats, gradients, a batch of two and each chain alone giving
+    the same bytes, oracle normalization, CSV float text) and exit
+    non-zero on any failure. The test suites run its geometry, 1-D
+    operator and gradient checks on their own domains, seeds and points.
 """
 
 from __future__ import annotations
@@ -40,15 +40,23 @@ from rgld.objectives import (
 # The presets that take ``--dim``; each factory holds its default.
 DIM_PRESETS = ("rosenbrock", "rastrigin")
 
+# The most seeds an ``a..b`` range may hold; a longer one is refused
+# before it is built, since every seed is a chain and a file.
+MAX_SEED_RANGE = 100_000
+
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Accept ``a..b`` (inclusive) or a comma-separated list."""
+    """Accept ``a..b`` (inclusive, at most ``MAX_SEED_RANGE`` seeds) or a
+    comma-separated list."""
     text = text.strip()
     if ".." in text:
         a, b = text.split("..", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+        if hi - lo >= MAX_SEED_RANGE:
+            raise argparse.ArgumentTypeError(
+                f"seed range {text!r} holds more than {MAX_SEED_RANGE} seeds")
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(",") if tok)
 
@@ -218,12 +226,12 @@ def _cmd_check(_args) -> int:
            all(check_gradient(obj, rng.uniform(-1.5, 1.5, size=(20, obj.dim)))[0]
                for obj in objs))
 
-    # The batched loop and the lone-chain loop must give the same bytes, on
-    # the mixture's shell, on a 3-D mixture's shell off the origin (both
-    # loops then subtract the center in their membership tests) and on two
-    # intervals: gibbs1d's quadratic, whose lone loop runs on Python
-    # floats, and Rastrigin, which takes the array loop (a hot chain: about
-    # a third of its updates reflect).
+    # A batch of two and each chain alone must give the same bytes, on the
+    # mixture's shell, on a 3-D mixture's shell off the origin (the
+    # membership test then subtracts the center) and on two intervals:
+    # gibbs1d's quadratic, whose lone chain runs on Python floats, and
+    # Rastrigin (a hot chain: about a third of its updates reflect). Alone,
+    # a chain that is not on floats runs as a batch of one.
     gibbs1d = harness.preset_gibbs1d()
     corners = [(a, b, c) for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)]
     cases = [(objs[1], SphericalShell(np.zeros(2), 0.9, 4.0), 0.05, 1.0),
@@ -269,8 +277,15 @@ def _cmd_check(_args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one line, as configuration errors are."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}; see {self.prog} --help\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rgld",
         description="Constrained Langevin optimization benchmarks "
                     "(reflected and projected chains).",

@@ -13,29 +13,28 @@ The default noise is a Rademacher vector (i.i.d. +/-1 coordinates) whose
 norm is exactly ``sqrt(d)``, which keeps per-step overshoot bounded;
 Gaussian noise is retained as the conventional alternative.
 
-Two loops run the update. ``run_batch`` advances the chains of one
-method together on a ``(B, d)`` array (the objective's
+Two loops run the update. ``run_batch`` advances any number of chains
+of one method together on a ``(B, d)`` array (the objective's
 ``value_and_gradient`` takes the rows and gives each the bits of its
-point call). ``run_chain`` runs a lone chain on one point. Both test
-membership inline, with the bits of the region's ``contains``. Each
-chain draws its noise from its own generator in blocks of steps. A lone
+point call), tests membership inline, with the bits of the region's
+``contains``, and calls the operator only for rows outside the region.
+``run_chain`` runs a lone chain as a batch of one, except a lone
 ``rgld`` or ``pgld`` chain on a one-dimensional ``Quadratic`` (gibbs1d,
-``_runs_on_floats``) carries only its iterate, a Python float: the
-gradient, the update, the membership test and, at the walls, the
+``_runs_on_floats``), which carries only its iterate, a Python float:
+the gradient, the update, the membership test and, at the walls, the
 region's operators run on floats, whose IEEE double operations give the
 bits of numpy's on ``(1,)`` arrays without its per-call cost; a block's
-values are one ``value_many`` call on its iterates. ``pg`` and any
-other objective take the array loop. Per step a lone chain costs
-0.2-0.3 us on the 1-D quadratic, noise draw included (9-15 us as a
-batch of one, so multi-seed runners run it alone), and 9-16 us on the
-2-D mixture (14-15 us as a batch of one, 20-21 us for a batch of 20),
-on one core of a 2-core x86-64 host. Both loops call the operator only
-for points outside the region, write ``(B, steps)`` arrays (``B = 1``
-for ``run_chain``) and hand them to ``_records``, which completes
-early-stopped rows, rejects non-finite values (so numpy's overflow and
-invalid-value warnings are off in the loops), takes running minima and
-builds each row's ``RunRecord``. A batched chain's record equals its
-lone record bit for bit.
+values are one ``value_many`` call on its iterates. Each chain draws its
+noise from its own generator in blocks of steps. Per step, on one core
+of a 2-core x86-64 host, the float loop costs 0.2 us with its noise
+draw (5 us as a batch of one, so multi-seed runners run such chains
+alone), and a chain on the 2-D mixture 10 us as a batch of one and
+14 us for a batch of 20. Both loops write ``(B, steps)`` arrays and
+hand them to ``_records``, which completes early-stopped rows, rejects
+non-finite values (so numpy's overflow and invalid-value warnings are
+off in the loops), takes running minima and builds each row's
+``RunRecord``. A chain's record is the same bit for bit whatever batch
+it runs in.
 
 A record depends on the chain's seed only when the method draws noise
 or the start point is drawn from the region
@@ -50,6 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -169,10 +169,14 @@ class RunRecord:
         return 0 if self.config.method == "rgld" else n
 
 
-def _noise_matrix(rng: np.random.Generator, n: int, d: int, kind: str) -> np.ndarray:
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=(n, d)).astype(np.float64) * 2.0 - 1.0
-    return rng.standard_normal((n, d))
+def _kicks(rng: np.random.Generator, n: int, d: int, config: ChainConfig) -> np.ndarray:
+    """``n`` steps of a noisy chain's noise, scaled by ``sqrt(2 eta / beta)``."""
+    if config.noise == "rademacher":
+        xi = rng.integers(0, 2, size=(n, d)).astype(np.float64) * 2.0 - 1.0
+    else:
+        xi = rng.standard_normal((n, d))
+    xi *= math.sqrt(2.0 * config.eta / config.beta)
+    return xi
 
 
 def step_size_bound(
@@ -274,6 +278,13 @@ def _reject_non_finite(configs, f_values: np.ndarray, finals: np.ndarray) -> Non
             )
 
 
+def _arrays(B: int, n: int, d: int, trajectory: bool):
+    """A step loop's ``(B, n)`` values, event and fallback flags, and its
+    ``(B, n, d)`` trajectory when ``trajectory`` is set, else None."""
+    return (np.empty((B, n)), np.zeros((B, n), dtype=bool), np.zeros((B, n), dtype=bool),
+            np.empty((B, n, d)) if trajectory else None)
+
+
 def _records(configs, bounds, starts, finals, f_vals, events, fallbacks, traj,
              computed) -> list[RunRecord]:
     """The records of a step loop's ``(B, steps)`` arrays, row ``b`` for
@@ -321,101 +332,49 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     gives the same record as running every step. A chain whose values
     or final point are not finite raises ``ValueError`` naming the
     method, the seed and the first non-finite iterate.
+
+    Any chain but a float chain (``_runs_on_floats``) is
+    ``run_batch([config], obj, domain)[0]``.
     """
+    if not _runs_on_floats(config, obj):
+        return run_batch([config], obj, domain)[0]
     bound_ok = _validate(config, obj, domain)
     rng, x = _start(config, domain)
-    x0 = x.copy()
-
-    n, d = config.steps, domain.dim
-    is_rgld = config.method == "rgld"
-    scale = None if config.method == "pg" else math.sqrt(2.0 * config.eta / config.beta)
-
-    # The scaled noise of the block from step ``a``. pg adds -0.0, the
-    # identity of IEEE addition (+0.0 turns -0.0 into 0.0).
-    def kicks(a):
-        m = min(_NOISE_BLOCK, n - a)
-        if scale is None:
-            return np.full((m, d), -0.0)
-        block = _noise_matrix(rng, m, d, config.noise)
-        block *= scale
-        return block
-
-    # A batch of one for ``_records``; the loop writes through row views.
-    f_vals = np.empty((1, n), dtype=np.float64)
-    events = np.zeros((1, n), dtype=bool)
-    fallbacks = np.zeros((1, n), dtype=bool)
-    traj = np.empty((1, n, d), dtype=np.float64) if config.record_trajectory else None
+    n, is_rgld = config.steps, config.method == "rgld"
+    f_vals, events, fallbacks, traj = _arrays(1, n, 1, config.record_trajectory)
+    # The loop writes through row views.
     f_row, event_row, fallback_row = f_vals[0], events[0], fallbacks[0]
     traj_row = None if traj is None else traj[0]
 
-    value_and_gradient = obj.value_and_gradient
-    reflect_or_project = domain.reflect_or_project
-    project = domain.project
-    # The membership test of ``contains``, inline: only points outside the
-    # region pay for the operator's call. At the origin ``x - center`` has
-    # the squared norm of ``x`` bit for bit, so the subtraction is skipped.
-    center = domain.center if domain.center.any() else None
+    reflect_or_project, project = domain.reflect_or_project, domain.project
     in2 = domain.inner_radius * domain.inner_radius
     out2 = domain.outer_radius * domain.outer_radius
-    computed = n
-    if _runs_on_floats(config, obj):
-        # The step carries only the iterate, a float. The gradient is the
-        # quadratic's ``scale * x``; the operators take the float at the
-        # walls. A block's values are one rows call, which gives each the
-        # bits of its point call.
-        c, xf, eta, q = domain.center.item(), x.item(), config.eta, obj.scale
-        for a in range(0, n, _NOISE_BLOCK):
-            xs = []
-            for k, kick in enumerate(kicks(a)[:, 0].tolist(), a):
-                xs.append(xf)
-                x_raw = xf - eta * (q * xf) + kick
-                v = x_raw - c
-                if in2 <= v * v <= out2:
-                    xf = x_raw
+    # The step carries only the iterate, a float. The gradient is the
+    # quadratic's ``scale * x``, the membership test that of ``contains``;
+    # the operators take the float at the walls. A block's values are one
+    # rows call, which gives each the bits of its point call.
+    c, xf, eta, q = domain.center.item(), x.item(), config.eta, obj.scale
+    for a in range(0, n, _NOISE_BLOCK):
+        kicks = _kicks(rng, min(_NOISE_BLOCK, n - a), 1, config)[:, 0].tolist()
+        xs = []
+        for k, kick in enumerate(kicks, a):
+            xs.append(xf)
+            x_raw = xf - eta * (q * xf) + kick
+            v = x_raw - c
+            if in2 <= v * v <= out2:
+                xf = x_raw
+            else:
+                event_row[k] = True
+                if is_rgld:
+                    xf, _, fallback_row[k] = reflect_or_project(x_raw)
                 else:
-                    event_row[k] = True
-                    if is_rgld:
-                        xf, _, fallback_row[k] = reflect_or_project(x_raw)
-                    else:
-                        xf = project(x_raw)
-            X = np.array(xs)[:, None]
-            f_row[a:a + len(xs)] = obj.value_many(X)
-            if traj_row is not None:
-                traj_row[a:a + len(xs)] = X
-        x = np.array([xf])
-    else:
-        # A 0-d array multiplies a point with less call overhead than a
-        # float, and gives the same bits.
-        eta = np.array(config.eta)
-        x_bytes = x.tobytes() if scale is None else None
-        for a in range(0, n, _NOISE_BLOCK):
-            for k, kick in enumerate(kicks(a), a):
-                fx, g = value_and_gradient(x)
-                f_row[k] = fx
-                if traj_row is not None:
-                    traj_row[k] = x
-                x_raw = x - eta * g + kick
-                v = x_raw if center is None else x_raw - center
-                if in2 <= v.dot(v) <= out2:
-                    x = x_raw
-                else:
-                    event_row[k] = True
-                    if is_rgld:
-                        x, _, fallback_row[k] = reflect_or_project(x_raw)
-                    else:
-                        x = project(x_raw)
-                if x_bytes is not None:
-                    # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat
-                    # the same later bits.
-                    new_bytes = x.tobytes()
-                    if new_bytes == x_bytes:
-                        computed = k + 1
-                        break
-                    x_bytes = new_bytes
-            if computed < n:
-                break
-    return _records([config], [bound_ok], x0[None], x[None], f_vals, events,
-                    fallbacks, traj, [computed])[0]
+                    xf = project(x_raw)
+        X = np.array(xs)[:, None]
+        f_row[a:a + len(xs)] = obj.value_many(X)
+        if traj_row is not None:
+            traj_row[a:a + len(xs)] = X
+    return _records([config], [bound_ok], x.copy()[None], np.array([[xf]]), f_vals,
+                    events, fallbacks, traj, [n])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -423,11 +382,11 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     """Execute chains of one method together; returns one record per config.
 
     The configs must agree on every field but ``seed`` and ``x0``. Record
-    ``i`` equals ``run_chain(configs[i], obj, domain)`` bit for bit, and
-    the records' arrays are rows of shared ``(B, steps)`` arrays. Each
-    update is computed for all rows at once; a row that left the region
-    is constrained by the scalar operator. A noise-free row leaves the
-    batch at its first fixed point, as ``run_chain`` stops there.
+    ``i`` is the record ``run_chain`` describes for ``configs[i]``, bit
+    for bit, and the records' arrays are rows of shared ``(B, steps)``
+    arrays. Each update is computed for all rows at once; a row that
+    left the region is constrained by the scalar operator. A noise-free
+    row leaves the batch at its first fixed point.
     """
     configs = list(configs)
     if not configs:
@@ -441,51 +400,56 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     rngs, starts = zip(*(_start(c, domain) for c in configs))
 
     B, n, d = len(configs), first.steps, domain.dim
-    method, eta = first.method, first.eta
-    is_rgld, noisy = method == "rgld", method != "pg"
-    scale = math.sqrt(2.0 * eta / first.beta) if noisy else 0.0
-    f_vals = np.empty((B, n), dtype=np.float64)
-    events = np.zeros((B, n), dtype=bool)
-    fallbacks = np.zeros((B, n), dtype=bool)
-    traj = np.empty((B, n, d), dtype=np.float64) if first.record_trajectory else None
-    computed = np.full(B, n)
-    x = np.array(starts)
-    x0 = x.copy()
+    is_rgld, noisy = first.method == "rgld", first.method != "pg"
+
+    # The noise of the block from step ``a``, one ``(B, d)`` kick per
+    # step; pg draws none.
+    def kicks(a):
+        m = min(_NOISE_BLOCK, n - a)
+        if not noisy:
+            return repeat(None, m)
+        block = np.empty((m, B, d))
+        for i, r in enumerate(rngs):
+            block[:, i] = _kicks(r, m, d, first)
+        return block
+
+    f_vals, events, fallbacks, traj = _arrays(B, n, d, first.record_trajectory)
+    computed = [n] * B
+    # The loop writes no array in place but its fresh ``x_raw``.
+    x = x0 = np.array(starts)
     finals = np.empty_like(x)
     # Chains still computing, by row of ``x``. Only noise-free rows leave;
     # until one does, ``live`` writes the records' columns through views.
-    rows = np.arange(B)
-    live = slice(None)
+    rows, live = list(range(B)), slice(None)
+    w = x.itemsize * d  # bytes per row
 
     value_and_gradient = obj.value_and_gradient
-    reflect_or_project = domain.reflect_or_project
-    project = domain.project
-    # The membership test of ``contains``, inline as in ``run_chain``: one
-    # scalar check clears a step whose rows are all inside (a NaN fails
-    # it), and only rows outside the region pay for the operator's call.
+    reflect_or_project, project = domain.reflect_or_project, domain.project
+    # The membership test of ``contains``, inline: one check of the least
+    # and greatest squared norms clears a step whose rows are all inside,
+    # and only rows outside the region pay for the operator's call. At
+    # the origin ``x - center`` has the squared norm of ``x`` bit for
+    # bit, so the subtraction is skipped. A NaN row stays NaN whether or
+    # not it reaches the operator.
     center = domain.center if domain.center.any() else None
     in2 = domain.inner_radius * domain.inner_radius
     out2 = domain.outer_radius * domain.outer_radius
-    for k in range(n):
+    # A 0-d array multiplies rows with less call overhead than a float,
+    # and gives the same bits.
+    eta = np.array(first.eta)
+    steps = chain.from_iterable(enumerate(kicks(a), a) for a in range(0, n, _NOISE_BLOCK))
+    for k, kick in steps:
         fx, g = value_and_gradient(x)
         f_vals[live, k] = fx
         if traj is not None:
             traj[live, k] = x
+        x_raw = x - eta * g
         if noisy:
-            j = k % _NOISE_BLOCK
-            if j == 0:
-                m = min(_NOISE_BLOCK, n - k)
-                noise = np.empty((m, B, d))
-                for i, r in enumerate(rngs):
-                    noise[:, i] = _noise_matrix(r, m, d, first.noise)
-                noise *= scale
-            x_raw = x - eta * g + noise[j]
-        else:
-            x_raw = x - eta * g
+            x_raw += kick
         v = x_raw if center is None else x_raw - center
-        rho2 = np.vecdot(v, v)
-        if not (in2 <= rho2.min() and rho2.max() <= out2):
-            for i in np.flatnonzero(~((in2 <= rho2) & (rho2 <= out2))).tolist():
+        r2 = np.vecdot(v, v).tolist()
+        if not (in2 <= min(r2) and max(r2) <= out2):
+            for i in [i for i, r in enumerate(r2) if not in2 <= r <= out2]:
                 b = rows[i]
                 events[b, k] = True
                 if is_rgld:
@@ -493,16 +457,19 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
                 else:
                     x_raw[i] = project(x_raw[i])
         if not noisy:
-            # Bytes, not ``==``, as in ``run_chain``.
-            fixed = (x_raw.view(np.int64) == x.view(np.int64)).all(axis=1)
-            if fixed.any():
-                done = rows[fixed]
-                computed[done] = k + 1
-                finals[done] = x_raw[fixed]
-                x_raw, rows = x_raw[~fixed], rows[~fixed]
-                live = rows
+            # Bytes, not ``==``: -0.0 equals 0.0 but need not repeat the
+            # same later bits.
+            new, old = x_raw.tobytes(), x.tobytes()
+            fixed = [j // w for j in range(0, len(new), w) if new[j:j + w] == old[j:j + w]]
+            if fixed:
+                for i in fixed:
+                    computed[rows[i]] = k + 1
+                    finals[rows[i]] = x_raw[i]
+                keep = [i for i in range(len(rows)) if i not in fixed]
+                x_raw, rows = x_raw[keep], [rows[i] for i in keep]
+                live = np.array(rows, dtype=np.intp)
         x = x_raw
-        if not rows.size:
+        if not rows:
             break
     finals[rows] = x
     return _records(configs, bounds, x0, finals, f_vals, events, fallbacks, traj, computed)

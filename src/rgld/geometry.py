@@ -10,7 +10,7 @@ and cheap to evaluate inside a sampler loop. One implementation serves
 the convex ball and the non-convex shell alike.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
-``(B, dim)`` array (quadrature grids; both chain loops write its test
+``(B, dim)`` array (quadrature grids; the chain loops write its test
 inline, with its bits); ``project`` and
 ``reflect_or_project`` take one point, or a Python float at ``dim == 1``
 (a lone one-dimensional chain), and so do ``reflect`` and

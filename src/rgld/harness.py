@@ -8,10 +8,11 @@ byte-deterministic for a fixed spec: all output is written after the
 chains complete.
 
 Chains run in this process, one method at a time: a method's distinct
-chains run together as one batch (``dynamics.run_batch``), and a lone
-chain (one seed, or a seed-free chain shared by all seeds) runs the
-scalar loop of ``dynamics.run_chain``, as does each chain that loop runs
-on Python floats (gibbs1d's, faster alone). Both give the same bytes.
+chains run together as one batch (``dynamics.run_batch``). A lone chain
+(one seed, or a seed-free chain shared by all seeds) goes through
+``dynamics.run_chain``, which runs it as a batch of one, and so does
+each chain that ``run_chain`` runs on Python floats (gibbs1d's, faster
+alone). Every way gives the same bytes.
 
 Chain CSV schema: ``step,f,cummin,reflected,fallback`` where row ``k``
 holds the objective and running minimum at iterate ``k`` and the flags
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -87,7 +89,7 @@ GM_OBJECTIVE_SEED = 6
 # Oracle cells per axis for total variation.
 TV_BINS = 256
 
-# Rows per CSV write and errors per percentile call: large enough to
+# Rows per CSV write and errors per quartile block: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
 _BLOCK_ROWS = 1 << 14
 
@@ -138,20 +140,31 @@ class AggregateCurve:
     @classmethod
     def from_records(cls, records: list[RunRecord], min_f: float | None) -> "AggregateCurve":
         base = 0.0 if min_f is None else min_f
-        if len(records) == 1:
-            # The percentiles of one value are that value, bit for bit.
+        S = len(records)
+        if S == 1:
+            # The quartiles of one value are that value, bit for bit.
             err = records[0].cumulative_min - base
             return cls(q25=err, q50=err, q75=err)
+        # numpy's linear percentile, with its bits: the p-quantile of S
+        # errors lies at the virtual index S*p + (1 - p) - 1 of the sorted
+        # errors, between the order statistics lo and lo + 1, which one
+        # partition with numpy's own kth places.
+        lerps = [(math.floor(v), v - math.floor(v))
+                 for v in (S * p + (1 - p) - 1 for p in (0.25, 0.5, 0.75))]
+        kth = sorted({0, -1, *(lo + i for lo, _ in lerps for i in (0, 1))})
         n = records[0].cumulative_min.shape[0]
         q = np.empty((3, n))
-        # Percentiles along axis 0 are independent per column, so column
-        # blocks give the same bits as one call with far less scratch: at
-        # most ``_BLOCK_ROWS`` errors per call (or one column), whatever the
-        # seed count.
-        cols = max(1, _BLOCK_ROWS // len(records))
+        # Columns are independent, so column blocks give the same bits with
+        # far less scratch: at most ``_BLOCK_ROWS`` errors per block (or one
+        # column), whatever the seed count.
+        cols = max(1, _BLOCK_ROWS // S)
         for a in range(0, n, cols):
             errs = np.stack([r.cumulative_min[a:a + cols] - base for r in records])
-            q[:, a:a + cols] = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
+            errs.partition(kth, axis=0)
+            for row, (lo, t) in zip(q, lerps):
+                below, above = errs[lo], errs[lo + 1]
+                d = above - below
+                row[a:a + cols] = below + d * t if t < 0.5 else above - d * (1 - t)
         return cls(q25=q[0], q50=q[1], q75=q[2])
 
 
@@ -339,8 +352,8 @@ _JSON_TYPES = {
 
 def _check(field: str, value, json_type: str) -> None:
     """Raise a ``ValueError`` naming ``field``, or the element at fault,
-    unless ``value`` has ``json_type``. An ``object`` is checked when it is
-    read."""
+    unless ``value`` has ``json_type``; a number must also lie within the
+    range of a double. An ``object`` is checked when it is read."""
     if value is None and json_type.endswith(" | null"):
         return
     json_type = json_type.removesuffix(" | null")
@@ -355,6 +368,8 @@ def _check(field: str, value, json_type: str) -> None:
             _check(f"{field}[{i}]", v, json_type[:-2])
     elif not isinstance(value, python_type) or (isinstance(value, bool) and base != "boolean"):
         raise ValueError(f"{field}: expected {noun}, got {value!r}")
+    elif base == "number" and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{field}: expected {noun}, got an integer beyond the largest double")
 
 
 def _field(key: str, value, json_type: str):
@@ -436,6 +451,7 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     records = {}
     for distinct in by_method.values():
         chains = list(distinct.values())
+        # A lone chain goes through ``run_chain``, the call perfbench traces.
         if len(chains) == 1 or _runs_on_floats(chains[0], spec.objective):
             batch = [run_chain(c, spec.objective, spec.domain) for c in chains]
         else:

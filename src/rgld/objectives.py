@@ -2,9 +2,9 @@
 
 Each objective writes its formula once, as a fused
 ``value_and_gradient`` over the last axis: it takes one point of shape
-``(dim,)`` for a lone chain's step or the rows of a ``(B, dim)`` array
-for batched chains and a float chain's block of values, and each row
-gets the bits of its point call. The rest is derived from it: ``value``
+``(dim,)`` or the rows of a ``(B, dim)`` array (a chain step of ``B``
+chains, or a float chain's block of values), and each row gets the bits
+of its point call. The rest is derived from it: ``value``
 and ``gradient`` at one point, and ``value_many`` over the rows of a
 quadrature grid.
 ``lipschitz_bounds`` gives conservative closed-form constants over a
@@ -174,7 +174,7 @@ class GaussianMixture(Objective):
         # length ``dim`` per mode, while the repeat and the in-place
         # subtraction each run one loop over all modes, with the same bits.
         x = as_point(x, self.dim, rows=True)
-        z = np.repeat(x[..., None, :], self.n_modes, axis=-2)
+        z = x[..., None, :].repeat(self.n_modes, axis=-2)
         z -= self.means
         q = np.exp(-0.5 * _sq_dist(z))
         # Per point, vecdot and vecmat run the BLAS dot and vector-matrix

@@ -47,6 +47,16 @@ class Flat(Objective):
         return 0.0, 0.0
 
 
+class Cliff(Flat):
+    """``f = x[0]``, whose gradient is ``(inf, 0, ...)`` where ``x[0] > 1``:
+    an update from there overflows, and the iterate turns NaN."""
+
+    def value_and_gradient(self, x):
+        g = np.zeros_like(x)
+        g[..., 0] = np.where(x[..., 0] > 1.0, np.inf, 0.0)
+        return x[..., 0].copy(), g
+
+
 def rademacher_kicks(seed, steps, dim):
     """The Rademacher draws of a chain with this seed, one row per step,
     recomputed from the seed as the runner draws them."""
@@ -338,20 +348,65 @@ class TestOuterSphere:
         assert dom.contains(rec.final_point)
 
 
-def pg_reference(cfg, obj, dom):
-    """Every step of a pg chain composed from ``dom.project``, with no
-    early exit."""
-    x = dom.project(np.asarray(cfg.x0, dtype=np.float64))
-    f, events, traj, first_fixed = [], [], [], None
-    for k in range(cfg.steps):
-        f.append(obj.value(x))
+@np.errstate(over="ignore", invalid="ignore")
+def reference_chain(cfg, obj, dom):
+    """The record fields of a chain composed step by step from point calls,
+    with no batch and no early exit: the start drawn or projected as the
+    runner does, the noise of every step drawn at once and scaled by
+    ``sqrt(2 eta / beta)`` (none for pg), and each update that ``contains``
+    rejects constrained by ``reflect_or_project`` (rgld, whose flag is the
+    fallback) or ``project``. ``computed_steps`` ends at the first update
+    of a pg chain that returns its iterate bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    x = (dom.sample_uniform(rng) if cfg.x0 is None
+         else dom.project(np.asarray(cfg.x0, dtype=np.float64)))
+    start, n, noisy = x, cfg.steps, cfg.method != "pg"
+    if noisy:
+        shape = (n, dom.dim)
+        xi = (rng.integers(0, 2, size=shape) * 2.0 - 1.0 if cfg.noise == "rademacher"
+              else rng.standard_normal(shape))
+        kicks = xi * math.sqrt(2.0 * cfg.eta / cfg.beta)
+    f, traj, events, fallbacks, computed = [], [], [], [], None
+    for k in range(n):
+        fx, g = obj.value_and_gradient(x)
+        f.append(fx)
         traj.append(x)
-        events.append(not dom.contains(x - cfg.eta * obj.gradient(x)))
-        y = dom.project(x - cfg.eta * obj.gradient(x))
-        if first_fixed is None and y.tobytes() == x.tobytes():
-            first_fixed = k
+        y = x - cfg.eta * g
+        if noisy:
+            y = y + kicks[k]
+        event, fallback = not dom.contains(y), False
+        if event and cfg.method == "rgld":
+            y, _, fallback = dom.reflect_or_project(y)
+        elif event:
+            y = dom.project(y)
+        events.append(event)
+        fallbacks.append(fallback)
+        if not noisy and computed is None and y.tobytes() == x.tobytes():
+            computed = k + 1
         x = y
-    return np.array(f), np.array(events), np.array(traj), x, first_fixed
+    f = np.array(f, dtype=np.float64)
+    return {
+        "f_value": f,
+        "cumulative_min": np.minimum.accumulate(f),
+        "boundary_events": np.array(events),
+        "fallback_events": np.array(fallbacks),
+        "initial_point": start,
+        "final_point": x,
+        "trajectory": np.array(traj) if cfg.record_trajectory else None,
+        "computed_steps": n if computed is None else computed,
+        "step_bound_satisfied": not noisy or step_size_bound(
+            obj, dom, cfg.eta, cfg.beta) <= dom.reflection_margin,
+    }
+
+
+def assert_matches_reference(rec, cfg, obj, dom):
+    """``rec`` holds ``reference_chain``'s fields, arrays by their bytes."""
+    for field, value in reference_chain(cfg, obj, dom).items():
+        got = getattr(rec, field)
+        if isinstance(value, np.ndarray):
+            assert (got.shape, got.tobytes()) == (value.shape, value.tobytes()), field
+        else:
+            assert got == value, field
 
 
 class TestFixedPointExit:
@@ -371,26 +426,24 @@ class TestFixedPointExit:
             obj, dom = Quadratic(1.0, 2), self.SHELL
             cfg = ChainConfig(method="pg", eta=eta, steps=400, x0=np.array([2.0, 0.5]))
         cfg.record_trajectory = True
-        f, events, traj, final, first_fixed = pg_reference(cfg, obj, dom)
+        ref = reference_chain(cfg, obj, dom)
+        computed, events = ref["computed_steps"], ref["boundary_events"]
 
         calls = []
         evaluate = obj.value_and_gradient
         obj.value_and_gradient = lambda x: calls.append(x) or evaluate(x)
         rec = run_chain(cfg, obj, dom)
+        del obj.value_and_gradient
 
-        assert np.array_equal(rec.f_value.view(np.int64), f.view(np.int64))
-        assert np.array_equal(rec.boundary_events, events)
-        assert np.array_equal(rec.trajectory.view(np.int64), traj.view(np.int64))
+        assert_matches_reference(rec, cfg, obj, dom)
         assert rec.projection_events == int(events.sum())
-        assert rec.final_point.tobytes() == final.tobytes()
         assert rec.computed_steps == len(calls)
         if case == "shell-cycling":
-            assert first_fixed is None and len(calls) == cfg.steps
+            assert computed == len(calls) == cfg.steps
         else:
-            assert first_fixed is not None and first_fixed < cfg.steps // 2
-            assert len(calls) == first_fixed + 1
+            assert computed <= cfg.steps // 2 and len(calls) == computed
         if case == "shell-boundary":
-            assert events[first_fixed:].all()
+            assert events[computed - 1:].all()
 
 
 class TestValidation:
@@ -542,9 +595,12 @@ def assert_same_record(a, b):
 
 
 def assert_batch_matches_run_chain(configs, obj, dom):
+    """Each record of the batch is its chain's reference record and the
+    record ``run_chain`` gives the chain alone."""
     records = run_batch(configs, obj, dom)
     assert len(records) == len(configs)
     for config, rec in zip(configs, records):
+        assert_matches_reference(rec, config, obj, dom)
         assert_same_record(rec, run_chain(config, obj, dom))
     return records
 
@@ -598,7 +654,8 @@ def batches(draw, fixing=False):
 
 
 class TestRunBatch:
-    """``run_batch`` gives every chain its ``run_chain`` record, bit for bit."""
+    """``run_batch`` gives every chain its reference record and its
+    ``run_chain`` record, bit for bit."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(batches())
@@ -667,7 +724,9 @@ class TestRunBatch:
                              noise=noise, record_trajectory=True)
         batched = run_batch([config], obj, dom)[0]
         with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
-            assert_same_record(run_chain(config, obj, dom), batched)
+            lone = run_chain(config, obj, dom)
+        assert_same_record(lone, batched)
+        assert_matches_reference(lone, config, obj, dom)
         assert batched.boundary_events.any()
 
     def test_empty_batch_rejected(self):
@@ -677,13 +736,15 @@ class TestRunBatch:
 
 class TestOneCoordinate:
     """At d = 1 a lone rgld or pgld chain on a quadratic runs on Python
-    floats, and a pg chain or any other objective takes the array loop;
-    either record equals the batch loop's, which stays on numpy."""
+    floats, and a pg chain or any other objective runs as a batch of one;
+    either record equals the reference and the batch loop's, which stays
+    on numpy."""
 
     @staticmethod
     def assert_lone_matches_batch(config, obj, dom):
         x0 = None if config.x0 is None else config.x0.copy()
         lone = run_chain(config, obj, dom)
+        assert_matches_reference(lone, config, obj, dom)
         assert_same_record(lone, run_batch([config], obj, dom)[0])
         if x0 is not None:
             assert config.x0.tobytes() == x0.tobytes()
@@ -710,15 +771,18 @@ class TestOneCoordinate:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_loop_choice(self, method):
-        # The float loop calls value_and_gradient only on a block's rows;
-        # the array loop calls it on the point at every step.
+        # The float loop calls value_and_gradient once, on its block's
+        # rows; the batch loop calls it on its one row at every step.
         obj = Quadratic(1.0, 1)
-        points = []
+        shapes = []
         value_and_gradient = obj.value_and_gradient
-        obj.value_and_gradient = lambda x: points.append(x.ndim == 1) or value_and_gradient(x)
+        obj.value_and_gradient = lambda x: shapes.append(x.shape) or value_and_gradient(x)
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=100, seed=3)
-        run_chain(config, obj, Ball(np.zeros(1), 1.0))
-        assert any(points) == (method == "pg")
+        rec = run_chain(config, obj, Ball(np.zeros(1), 1.0))
+        if method == "pg":
+            assert shapes == [(1, 1)] * rec.computed_steps
+        else:
+            assert shapes == [(100, 1)]
 
     @pytest.mark.parametrize("center", [0.0, 0.1])
     @pytest.mark.parametrize("method", METHODS)
@@ -801,6 +865,19 @@ class TestNonFiniteIterates:
                     run_chain(configs[0], obj, dom)
                 else:
                     run_batch(configs, obj, dom)
+
+    @pytest.mark.parametrize("method", ["rgld", "pgld"])
+    def test_non_finite_row_in_a_batch_of_three(self, method):
+        # The middle row's first update overflows and its iterates turn
+        # NaN, while the rows around it stay finite and inside: the least
+        # and greatest squared norms of a step then skip the NaN row. The
+        # chain is named by its first non-finite iterate all the same.
+        configs = [ChainConfig(method=method, eta=0.01, steps=20, seed=s, x0=np.array(x),
+                               enforce_step_bound=False)
+                   for s, x in zip((3, 4, 5), ([0.0, 0.0], [1.5, 0.0], [0.0, 0.5]))]
+        with pytest.raises(ValueError,
+                           match=f"^{method} chain, seed 4: iterate 1 is not finite"):
+            run_batch(configs, Cliff(2), BALL2)
 
     def test_non_finite_final_point_named_by_its_step(self):
         cfg = ChainConfig(method="pg", eta=1e308, steps=1, seed=5,

@@ -88,12 +88,14 @@ class TestProject:
         # ||x||^2 overflows to inf although x is finite: the nearest point
         # is still on the outer sphere, not the center.
         x = np.array(x)
-        p = domain.project(x)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            p = domain.project(x)
         assert domain.contains(p)
         u = x / np.abs(x).max()
         np.testing.assert_allclose(p, domain.outer_radius * u / np.linalg.norm(u),
                                    rtol=1e-15, atol=1e-15)
-        r, reflected, fallback = domain.reflect_or_project(x)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            r, reflected, fallback = domain.reflect_or_project(x)
         assert fallback and np.array_equal(r, p)
 
     def test_dimension_mismatch(self):
@@ -327,7 +329,8 @@ class TestRegionProperties:
     def test_projection_of_overflowing_points(self, case):
         dom, x = case
         v = x - dom.center
-        p = dom.project(x)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            p = dom.project(x)
         assert dom.contains(p)
         # On the outer sphere, along the point's own direction.
         dom.outward_normal(p)

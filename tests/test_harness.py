@@ -1,5 +1,6 @@
 """Presets, the experiment runner, CSV contracts, and the CLI."""
 
+import argparse
 import importlib
 import inspect
 import json
@@ -313,6 +314,21 @@ class TestFloatText:
         self.check([-a if neg else a for a, neg in drawn])
 
 
+@st.composite
+def error_blocks(draw):
+    """Running minima of 2..40 seeds over 1..30 steps, drawn from a pool of
+    finite doubles of any magnitude that often holds signed zeros and
+    subnormals, so that ties are common; a ``min_f`` and a block size."""
+    seeds, steps = draw(st.integers(2, 40)), draw(st.integers(1, 30))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0])
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | special,
+                         min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cummins = np.array(pool)[rng.integers(0, len(pool), size=(seeds, steps))]
+    return (cummins, draw(st.sampled_from([None, 0.0, -1.5, 1e300])),
+            draw(st.integers(1, 100)))
+
+
 class TestStreamedWriter:
     """The chain and aggregate writers of ``run_experiment`` against the
     text of the former per-row f-string writers."""
@@ -407,6 +423,19 @@ class TestStreamedWriter:
             curve = AggregateCurve.from_records(records, -1.5)
             got = np.stack([curve.q25, curve.q50, curve.q75])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(error_blocks())
+    def test_quartiles_match_numpy_percentile(self, case):
+        cummins, min_f, block = case
+        base = 0.0 if min_f is None else min_f
+        records = [SimpleNamespace(cumulative_min=c) for c in cummins]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.percentile(cummins - base, [25.0, 50.0, 75.0], axis=0)
+            with mock.patch.object(harness, "_BLOCK_ROWS", block):
+                curve = AggregateCurve.from_records(records, min_f)
+        got = np.stack([curve.q25, curve.q50, curve.q75])
+        assert got.tobytes() == want.tobytes()
 
     def test_one_record_quartiles_are_its_errors(self):
         cummin = np.array([0.1, 5e-324, -0.0, 1e300, -2.5])
@@ -904,6 +933,55 @@ class TestCli:
     def test_seed_parsing(self):
         assert cli._parse_seeds("0..3") == (0, 1, 2, 3)
         assert cli._parse_seeds("5,7,9") == (5, 7, 9)
+
+    def test_seed_range_is_bounded_before_it_is_built(self):
+        most = cli.MAX_SEED_RANGE
+        assert len(cli._parse_seeds(f"1..{most}")) == most
+        for text in (f"0..{most}", "0..99999999999999999999"):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"more than {most} seeds"):
+                cli._parse_seeds(text)
+
+    @pytest.mark.parametrize("key, field", [
+        (("eta",), "spec.eta"), (("beta",), "spec.beta"), (("min_f",), "spec.min_f"),
+        (("x0", 1), "spec.x0[1]"), (("domain", "radius"), "domain.radius"),
+        (("domain", "center", 0), "domain.center[0]"), (None, "argument --seeds"),
+    ])
+    def test_numbers_out_of_range_exit_2_in_one_line(self, key, field, tmp_path):
+        # A JSON integer beyond the largest double, and a seed range whose
+        # length overflows: one line that names the field, no output.
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+            "methods": ["rgld"], "eta": 0.01, "beta": 1.0, "steps": 10,
+            "x0": [0.5, 0.5], "min_f": 0.0,
+        }
+        argv = ["--seeds", "0..99999999999999999999"]
+        if key is not None:
+            tree = spec
+            for k in key[:-1]:
+                tree = tree[k]
+            tree[key[-1]] = 10**400
+            argv = []
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgld.cli", "run", str(path), *argv,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert f"error: {field}: " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_gm2d_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.percentile imported numpy.ma, about 7 ms of a gm2d run.
+        code = ("import sys\n"
+                "from rgld import cli\n"
+                f"assert cli.main(['run', 'gm2d', '--steps', '50', '--out', {str(tmp_path)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_oracle_export(self, tmp_path, capsys):
         rc = cli.main(["oracle", "gibbs1d", "--bins", "64", "--out", str(tmp_path)])
