@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 
 import numpy as np
@@ -58,6 +58,7 @@ from rgld.objectives import Objective, Quadratic
 
 __all__ = [
     "METHODS",
+    "MAX_STEPS",
     "ChainConfig",
     "RunRecord",
     "ChainConfigError",
@@ -68,6 +69,9 @@ __all__ = [
 
 METHODS = ("rgld", "pgld", "pg")
 NOISE_KINDS = ("rademacher", "gaussian")
+# The longest chain: a chain's record holds 18 bytes per step (value,
+# running minimum and two flags), 18 GB at this bound.
+MAX_STEPS = 10**9
 # Steps of noise a chain draws at a time: the stream is the same
 # as one draw of every step, without holding it all.
 _NOISE_BLOCK = 4096
@@ -113,6 +117,10 @@ class ChainConfig:
         """Whether the chain's record changes with ``seed``: only when the
         method draws noise or ``x0`` is drawn from the seeded generator."""
         return self.method != "pg" or self.x0 is None
+
+
+# The fields every chain of a batch shares.
+_SHARED = tuple(f.name for f in fields(ChainConfig) if f.name not in ("seed", "x0"))
 
 
 @dataclass
@@ -192,33 +200,55 @@ def step_size_bound(
     return eta * L + math.sqrt(2.0 * eta * domain.dim / beta)
 
 
-def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bool:
-    if config.method not in METHODS:
-        raise ChainConfigError(f"method: expected one of {METHODS}, got {config.method!r}")
-    if not 0 < config.eta < math.inf:
-        raise ChainConfigError(f"eta: must be positive and finite, got {config.eta}")
-    if not math.isfinite(config.beta):
-        raise ChainConfigError(f"beta: must be finite, got {config.beta}")
-    if config.steps < 1:
-        raise ChainConfigError(f"steps: must be at least 1, got {config.steps}")
-    seed = config.seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ChainConfigError(f"seed: must be a non-negative integer, got {seed!r}")
+def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
+    """Check a batch, a list of configs, before its first step; return
+    whether the step-size bound holds.
+
+    The fields a batch shares (``_SHARED``: every ``ChainConfig`` field
+    but ``seed`` and ``x0``) are checked once, on the first config, and
+    every other config must repeat them; then each chain's seed and each
+    distinct ``x0`` object are checked, and last the step-size bound, with
+    one ``lipschitz_bounds`` call. A message starts with the field at fault.
+    """
+    if not configs:
+        raise ValueError("configs: a batch needs at least one chain")
+    first = configs[0]
+    if first.method not in METHODS:
+        raise ChainConfigError(f"method: expected one of {METHODS}, got {first.method!r}")
+    if not 0 < first.eta < math.inf:
+        raise ChainConfigError(f"eta: must be positive and finite, got {first.eta}")
+    if not math.isfinite(first.beta):
+        raise ChainConfigError(f"beta: must be finite, got {first.beta}")
+    if first.steps < 1:
+        raise ChainConfigError(f"steps: must be at least 1, got {first.steps}")
+    if first.steps > MAX_STEPS:
+        raise ChainConfigError(f"steps: must be at most {MAX_STEPS}, got {first.steps}")
     if obj.dim != domain.dim:
         raise ChainConfigError(
             f"dimension: objective dimension {obj.dim} does not match domain "
             f"dimension {domain.dim}"
         )
-    needs_noise = config.method != "pg"
+    needs_noise = first.method != "pg"
     if needs_noise:
-        if not config.beta > 0:
-            raise ChainConfigError(f"beta: must be positive, got {config.beta}")
-        if config.noise not in NOISE_KINDS:
+        if not first.beta > 0:
+            raise ChainConfigError(f"beta: must be positive, got {first.beta}")
+        if first.noise not in NOISE_KINDS:
             raise ChainConfigError(
-                f"noise: expected one of {NOISE_KINDS}, got {config.noise!r}"
+                f"noise: expected one of {NOISE_KINDS}, got {first.noise!r}"
             )
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=np.float64)
+    for field in _SHARED:
+        values = [getattr(c, field) for c in configs]
+        if any(v != values[0] for v in values):
+            raise ChainConfigError(f"{field}: a batch needs one value, got {values}")
+    for config in configs:
+        seed = config.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ChainConfigError(f"seed: must be a non-negative integer, got {seed!r}")
+        if seed >= 2**64:
+            raise ChainConfigError(f"seed: must be below 2**64, got {seed}")
+    # Chains of one spec share their ``x0`` object: each is checked once.
+    for x0 in {id(c.x0): c.x0 for c in configs if c.x0 is not None}.values():
+        x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (domain.dim,):
             raise ChainConfigError(
                 f"x0: expected shape ({domain.dim},), got {x0.shape}"
@@ -234,10 +264,10 @@ def _validate(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> bo
     bound_ok = True
     if needs_noise:
         bound_ok = (
-            step_size_bound(obj, domain, config.eta, config.beta)
+            step_size_bound(obj, domain, first.eta, first.beta)
             <= domain.reflection_margin
         )
-        if not bound_ok and config.enforce_step_bound:
+        if not bound_ok and first.enforce_step_bound:
             raise ChainConfigError(
                 "eta: step-size bound eta*L + sqrt(2*eta*d/beta) exceeds the "
                 "reflection margin; reduce eta or set enforce_step_bound=False "
@@ -285,11 +315,12 @@ def _arrays(B: int, n: int, d: int, trajectory: bool):
             np.empty((B, n, d)) if trajectory else None)
 
 
-def _records(configs, bounds, starts, finals, f_vals, events, fallbacks, traj,
+def _records(configs, bound_ok, starts, finals, f_vals, events, fallbacks, traj,
              computed) -> list[RunRecord]:
     """The records of a step loop's ``(B, steps)`` arrays, row ``b`` for
-    ``configs[b]``. A row that stopped at its fixed point after
-    ``computed[b]`` updates repeats its last value, event flag and point.
+    ``configs[b]``, each with the batch's ``bound_ok``. A row that
+    stopped at its fixed point after ``computed[b]`` updates repeats its
+    last value, event flag and point.
     """
     n = f_vals.shape[1]
     for b, c in enumerate(computed):
@@ -311,7 +342,7 @@ def _records(configs, bounds, starts, finals, f_vals, events, fallbacks, traj,
             final_point=finals[b],
             trajectory=None if traj is None else traj[b],
             config=config,
-            step_bound_satisfied=bounds[b],
+            step_bound_satisfied=bound_ok,
         )
         for b, config in enumerate(configs)
     ]
@@ -338,7 +369,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     """
     if not _runs_on_floats(config, obj):
         return run_batch([config], obj, domain)[0]
-    bound_ok = _validate(config, obj, domain)
+    bound_ok = _validate([config], obj, domain)
     rng, x = _start(config, domain)
     n, is_rgld = config.steps, config.method == "rgld"
     f_vals, events, fallbacks, traj = _arrays(1, n, 1, config.record_trajectory)
@@ -373,7 +404,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
         f_row[a:a + len(xs)] = obj.value_many(X)
         if traj_row is not None:
             traj_row[a:a + len(xs)] = X
-    return _records([config], [bound_ok], x.copy()[None], np.array([[xf]]), f_vals,
+    return _records([config], bound_ok, x.copy()[None], np.array([[xf]]), f_vals,
                     events, fallbacks, traj, [n])[0]
 
 
@@ -381,7 +412,8 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
 def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord]:
     """Execute chains of one method together; returns one record per config.
 
-    The configs must agree on every field but ``seed`` and ``x0``. Record
+    The configs must agree on every field but ``seed`` and ``x0``; the
+    batch is checked once (``_validate``) before the first step. Record
     ``i`` is the record ``run_chain`` describes for ``configs[i]``, bit
     for bit, and the records' arrays are rows of shared ``(B, steps)``
     arrays. Each update is computed for all rows at once; a row that
@@ -389,14 +421,8 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     row leaves the batch at its first fixed point.
     """
     configs = list(configs)
-    if not configs:
-        raise ValueError("configs: a batch needs at least one chain")
-    bounds = [_validate(c, obj, domain) for c in configs]
+    bound_ok = _validate(configs, obj, domain)
     first = configs[0]
-    for field in ("method", "eta", "beta", "steps", "noise", "record_trajectory"):
-        values = [getattr(c, field) for c in configs]
-        if any(v != values[0] for v in values):
-            raise ChainConfigError(f"{field}: a batch needs one value, got {values}")
     rngs, starts = zip(*(_start(c, domain) for c in configs))
 
     B, n, d = len(configs), first.steps, domain.dim
@@ -472,4 +498,4 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
         if not rows:
             break
     finals[rows] = x
-    return _records(configs, bounds, x0, finals, f_vals, events, fallbacks, traj, computed)
+    return _records(configs, bound_ok, x0, finals, f_vals, events, fallbacks, traj, computed)

@@ -113,7 +113,7 @@ class FeasibleDomain:
     ):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
         if center.ndim != 1 or center.size < 1:
-            raise ValueError("center must be a 1-D point")
+            raise ValueError("center: must be a 1-D point")
         if not np.all(np.isfinite(center)):
             raise ValueError(f"center: must be finite, got {center.tolist()}")
         center.setflags(write=False)
@@ -293,7 +293,8 @@ class SphericalShell(FeasibleDomain):
 
     def __init__(self, center, inner_radius: float, outer_radius: float):
         if np.size(center) < 2:
-            raise ValueError("a spherical shell requires dimension >= 2")
+            raise ValueError(
+                f"center: a spherical shell requires dimension >= 2, got {np.size(center)}")
         if not 0 < inner_radius < outer_radius < math.inf:
             raise ValueError(
                 "radii: must satisfy 0 < inner_radius < outer_radius < inf, "

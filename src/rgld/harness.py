@@ -89,6 +89,10 @@ GM_OBJECTIVE_SEED = 6
 # Oracle cells per axis for total variation.
 TV_BINS = 256
 
+# The longest spec name in UTF-8 bytes: every file a run writes is named
+# by it and at most 40 more bytes, and a file name holds 255.
+_NAME_BYTES = 200
+
 # Rows per CSV write and errors per quartile block: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
 _BLOCK_ROWS = 1 << 14
@@ -96,7 +100,11 @@ _BLOCK_ROWS = 1 << 14
 
 @dataclass
 class ExperimentSpec:
-    """A fully pinned experiment: problem, methods, and chain settings."""
+    """A fully pinned experiment: problem, methods, and chain settings.
+
+    ``name`` starts the name of every file a run writes, so it holds at
+    most 200 bytes of UTF-8 and no ``/`` or NUL.
+    """
 
     name: str
     objective: Objective
@@ -114,6 +122,15 @@ class ExperimentSpec:
     # Trajectory prefixes to score by total variation against a quadrature
     # oracle of ``TV_BINS`` cells per axis; none means no oracle and no TV.
     tv_prefixes: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        try:
+            size = len(self.name.encode())
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can spell
+            size = math.inf
+        if size > _NAME_BYTES or "/" in self.name or "\0" in self.name:
+            raise ValueError(f"name: must be a file name part of at most {_NAME_BYTES} "
+                             f"bytes, without '/' or NUL, got {self.name!r}")
 
     def chain_config(self, method: str, seed: int) -> ChainConfig:
         return ChainConfig(
@@ -437,8 +454,9 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
     under its own config. A method's distinct chains run as a batch of
     two or more, or one at a time when there is one or ``run_chain``
-    runs them on Python floats. Every distinct chain is validated
-    before the first one runs. The arrays are marked read-only.
+    runs them on Python floats. Each method's distinct chains are
+    validated, as one batch, before the first chain runs. The arrays are
+    marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
@@ -446,8 +464,7 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     for key, config in configs.items():
         by_method.setdefault(key[0], {}).setdefault(chain_of[key], config)
     for distinct in by_method.values():
-        for config in distinct.values():
-            _validate(config, spec.objective, spec.domain)
+        _validate(list(distinct.values()), spec.objective, spec.domain)
     records = {}
     for distinct in by_method.values():
         chains = list(distinct.values())

@@ -69,7 +69,10 @@ class GibbsOracle:
         if domain.dim > 2:
             raise ValueError("quadrature oracle supports dimension 1 or 2 only")
         if objective.dim != domain.dim:
-            raise ValueError("objective and domain dimensions disagree")
+            raise ValueError(
+                f"dimension: objective dimension {objective.dim} does not match domain "
+                f"dimension {domain.dim}"
+            )
         if n_per_axis < MIN_CELLS_PER_AXIS:
             raise ValueError(
                 f"n_per_axis must be at least {MIN_CELLS_PER_AXIS}, got {n_per_axis}"

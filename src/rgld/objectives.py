@@ -49,11 +49,11 @@ DOMINANT_WEIGHT = 12.0
 _NEWTON_STEPS = 50  # GaussianMixture.refine_minimum gives up after these
 
 
-def _check_dim(dim, least: int, message: str) -> int:
+def _check_dim(dim, least: int) -> int:
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise ValueError(f"dim: expected an integer, got {dim!r}")
     if dim < least:
-        raise ValueError(message)
+        raise ValueError(f"dim: must be at least {least}, got {dim}")
     return int(dim)
 
 
@@ -109,7 +109,7 @@ class Quadratic(Objective):
     def __init__(self, scale: float = 1.0, dim: int = 1):
         if not 0 < scale < math.inf:
             raise ValueError(f"scale: must be positive and finite, got {scale}")
-        self.dim = _check_dim(dim, 1, "dim must be at least 1")
+        self.dim = _check_dim(dim, 1)
         self.scale = float(scale)
 
     def value_and_gradient(self, x):
@@ -145,11 +145,15 @@ class GaussianMixture(Objective):
 
     def __init__(self, weights, means):
         weights = np.asarray(weights, dtype=np.float64)
-        means = np.asarray(means, dtype=np.float64)
-        if means.ndim != 2:
-            raise ValueError("means must have shape (n_modes, dim)")
+        try:
+            means = np.asarray(means, dtype=np.float64)
+        except ValueError:  # rows of different lengths
+            means = None
+        if means is None or means.ndim != 2:
+            raise ValueError("means: must have shape (n_modes, dim)")
         if weights.shape != (means.shape[0],):
-            raise ValueError("weights and means disagree on the number of modes")
+            raise ValueError(
+                f"weights: expected {means.shape[0]}, one per mean, got {weights.size}")
         if not np.all((weights > 0) & np.isfinite(weights)):
             raise ValueError(
                 f"weights: must be positive and finite, got {weights.tolist()}"
@@ -226,7 +230,7 @@ class Rosenbrock(Objective):
     """
 
     def __init__(self, dim: int):
-        self.dim = _check_dim(dim, 2, "Rosenbrock requires dim >= 2")
+        self.dim = _check_dim(dim, 2)
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim, rows=True)
@@ -256,7 +260,7 @@ class Rastrigin(Objective):
     """
 
     def __init__(self, dim: int):
-        self.dim = _check_dim(dim, 1, "Rastrigin requires dim >= 1")
+        self.dim = _check_dim(dim, 1)
 
     def value_and_gradient(self, x):
         x = as_point(x, self.dim, rows=True)

@@ -452,6 +452,12 @@ class TestValidation:
         with pytest.raises(ChainConfigError, match="x0"):
             run_chain(cfg, QUAD2, BALL2)
 
+    def test_each_start_of_a_batch_checked(self):
+        configs = [ChainConfig(method="pg", eta=0.1, steps=1, seed=s, x0=np.array(x0))
+                   for s, x0 in ((0, [0.5, 0.0]), (1, [50.0, 0.0]))]
+        with pytest.raises(ChainConfigError, match="^x0: point at distance 48 "):
+            run_batch(configs, QUAD2, BALL2)
+
     def test_bad_method(self):
         cfg = ChainConfig(method="sgld", eta=0.1, steps=1)
         with pytest.raises(ChainConfigError, match="method"):
@@ -500,6 +506,38 @@ class TestValidation:
                 run_chain(configs[1], QUAD2, BALL2)
             else:
                 run_batch(configs, QUAD2, BALL2)
+
+    @pytest.mark.parametrize("seed", [2**64, 10**400], ids=["2**64", "10**400"])
+    @pytest.mark.parametrize("runner", ["chain", "batch"])
+    def test_seed_must_be_below_2_64(self, seed, runner):
+        # numpy seeds a generator from any integer; such a seed ran its
+        # chain, then named a file too long for the file system.
+        configs = [ChainConfig(method="rgld", eta=0.01, steps=1, seed=s)
+                   for s in (2**64 - 1, seed)]
+        with pytest.raises(ChainConfigError, match=rf"^seed: must be below 2\*\*64, got {seed}$"):
+            if runner == "chain":
+                run_chain(configs[1], QUAD2, BALL2)
+            else:
+                run_batch(configs, QUAD2, BALL2)
+        assert run_chain(configs[0], QUAD2, BALL2).config.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("obj,dom", [(QUAD2, BALL2), (Quadratic(1.0, 1), Ball(np.zeros(1), 1.0))],
+                             ids=["batch", "floats"])
+    def test_steps_bounded_before_any_array(self, obj, dom):
+        class Allocated(Exception):
+            pass
+
+        def allocate(*args):
+            raise Allocated
+        most = dynamics.MAX_STEPS
+        with mock.patch.object(dynamics, "_arrays", allocate):
+            for steps in (most + 1, 10**30):
+                cfg = ChainConfig(method="rgld", eta=0.01, steps=steps)
+                with pytest.raises(ChainConfigError,
+                                   match=f"^steps: must be at most {most}, got {steps}$"):
+                    run_chain(cfg, obj, dom)
+            with pytest.raises(Allocated):
+                run_chain(ChainConfig(method="rgld", eta=0.01, steps=most), obj, dom)
 
     def test_bad_noise_kind(self):
         cfg = ChainConfig(method="rgld", eta=0.1, steps=1, noise="cauchy")
@@ -707,8 +745,12 @@ class TestRunBatch:
             assert r.projection_events == 0
 
     @pytest.mark.parametrize("field,value", [("method", "pgld"), ("eta", 0.02),
-                                             ("steps", 11), ("noise", "gaussian")])
+                                             ("steps", 11), ("noise", "gaussian"),
+                                             ("record_trajectory", True),
+                                             ("enforce_step_bound", False)])
     def test_configs_must_agree(self, field, value):
+        # The configs default to ``record_trajectory=False`` and
+        # ``enforce_step_bound=True``.
         configs = [ChainConfig(method="rgld", eta=0.01, steps=10, seed=s) for s in (0, 1)]
         setattr(configs[1], field, value)
         with pytest.raises(ChainConfigError, match=f"^{field}"):

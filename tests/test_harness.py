@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgld
-from rgld import cli, harness, measure
-from rgld.dynamics import ChainConfigError, run_batch, run_chain
+from rgld import cli, dynamics, harness, measure
+from rgld.dynamics import ChainConfig, ChainConfigError, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.harness import (
     AggregateCurve,
@@ -501,6 +501,30 @@ class TestDistinctChains:
         starts = {records[("pg", s)].initial_point.tobytes() for s in spec.seeds}
         assert len(starts) == 3
 
+    def test_one_check_per_batch(self, monkeypatch):
+        # Each method's chains are checked as one batch before the first
+        # runs and once where they run. Checked once per chain in each
+        # layer, gm2d's 21 distinct chains made 42 checks and 40 bound
+        # computations; the counts do not depend on ``steps``.
+        spec = replace(preset_gm2d(), steps=100)
+        calls = {"_validate": 0, "lipschitz_bounds": 0}
+        validate, bounds = dynamics._validate, spec.objective.lipschitz_bounds
+
+        def validate_spy(*args):
+            calls["_validate"] += 1
+            return validate(*args)
+
+        def bounds_spy(domain):
+            calls["lipschitz_bounds"] += 1
+            return bounds(domain)
+
+        monkeypatch.setattr(dynamics, "_validate", validate_spy)
+        monkeypatch.setattr(harness, "_validate", validate_spy)
+        monkeypatch.setattr(spec.objective, "lipschitz_bounds", bounds_spy)
+        harness.run_chains(spec)
+        assert calls["_validate"] <= 4
+        assert calls["lipschitz_bounds"] <= 2
+
     def test_float_chains_run_one_at_a_time(self, monkeypatch):
         # A batch of 1-D quadratic chains gives the bytes of lone chains on
         # Python floats, many times slower.
@@ -879,6 +903,91 @@ class TestConfigFiles:
             run_experiment(spec, tmp_path)
 
 
+def readme_spec_tree():
+    """The example spec tree of the README's "Custom experiments"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Custom experiments", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+README_TREE = readme_spec_tree()
+# Each key of the README's tree, as its path: the spec's keys, with the
+# optional ones it leaves out, and the objective's and domain's, ``kind``
+# included.
+README_KEYS = [(key,) for key in {**README_TREE, **harness._TREES["spec", None][1]}] + [
+    (tree, key) for tree in ("objective", "domain") for key in README_TREE[tree]]
+# The names a message may start with: the trees, their keys and the chain
+# settings; ``radii`` names a shell's two radii, ``dimension`` the
+# objective's and domain's.
+FIELD_NAMES = ({"spec", "objective", "domain", "radii", "dimension"}
+               | {key for required, optional, _ in harness._TREES.values()
+                  for key in (*required, *optional)}
+               | {f.name for f in fields(ChainConfig)})
+
+
+def json_values():
+    """JSON values of every type and magnitude: null, booleans, integers
+    up to +-10**400, floats (1e400 reads as inf, NaN, +-1e308), strings
+    (the spec's words among them), lists up to depth 2 and objects."""
+    words = ["rgld", "pgld", "pg", "gaussian", "shell", "ball", "quadratic", "rastrigin",
+             "kind", "dim", "center", "radius", "seed"]
+    scalars = st.one_of(
+        st.none(), st.booleans(),
+        st.integers(-3, 12), st.integers(-10**400, 10**400),
+        st.sampled_from([2**64 - 1, 2**64, dynamics.MAX_STEPS, dynamics.MAX_STEPS + 1]),
+        st.floats(), st.sampled_from([1e400, -1e400, math.nan, 1e308, -1e308]),
+        st.text(max_size=6), st.sampled_from(words),
+    )
+
+    def containers(items):
+        return (st.lists(items, max_size=3)
+                | st.dictionaries(st.text(max_size=4) | st.sampled_from(words), items, max_size=3))
+
+    return st.one_of(scalars, containers(scalars), containers(scalars | containers(scalars)))
+
+
+class ChainRan(Exception):
+    """Raised in place of running a chain."""
+
+
+class TestSpecTrees:
+    """No spec tree ends in a traceback: each is a spec that passes every
+    check made before step 0, or a ``ValueError`` naming its field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(README_KEYS), value=json_values())
+    def test_any_value_at_any_key(self, where, value, tmp_path_factory):
+        # One key of the README's tree is set to the drawn value; the
+        # chain runners raise ``ChainRan``.
+        tree = json.loads(json.dumps(README_TREE))
+        node = tree
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        out = tmp_path_factory.getbasetemp() / "never-made"
+
+        def ran(*args):
+            raise ChainRan
+
+        with mock.patch.object(harness, "run_chain", ran), \
+                mock.patch.object(harness, "run_batch", ran):
+            try:
+                run_experiment(spec_from_dict(tree), out)
+            except ChainRan:
+                return
+            except ValueError as exc:
+                message = str(exc)
+                head = re.match(r"unknown (spec|objective|domain) kind |([\w.\[\]]+): ",
+                                message)
+                assert head, message
+                names = re.sub(r"\[\d+\]", "", head[2] or "spec").split(".")
+                assert set(names) <= FIELD_NAMES, message
+            else:
+                pytest.fail("run_experiment returned without running a chain")
+            finally:
+                assert not out.exists()
+
+
 class TestCli:
     def test_run_preset_with_overrides(self, tmp_path, capsys):
         rc = cli.main([
@@ -971,6 +1080,44 @@ class TestCli:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert f"error: {field}: " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, argv, message", [
+        ({"seeds": [10**400]}, [], "seed: must be below 2**64, got 1000000"),
+        ({}, ["--seeds", str(2**64)], f"seed: must be below 2**64, got {2**64}"),
+        ({"steps": 10**30}, [], f"steps: must be at most {dynamics.MAX_STEPS}, got 1000000"),
+        ({"steps": dynamics.MAX_STEPS + 1}, [],
+         f"steps: must be at most {dynamics.MAX_STEPS}, got {dynamics.MAX_STEPS + 1}"),
+        ({}, ["--steps", str(dynamics.MAX_STEPS + 1)], "steps: must be at most"),
+        ({"name": "a/b"}, [], "name: must be a file name part"),
+        ({"name": "n" * 201}, [], "name: must be a file name part"),
+        ({"name": "\ud800"}, [], "name: must be a file name part"),
+    ], ids=["spec-seed", "seeds-flag", "steps-1e30", "steps-over-max", "steps-flag",
+            "name-slash", "name-long", "name-surrogate"])
+    def test_out_of_range_settings_exit_2_before_any_chain(self, change, argv, message,
+                                                           tmp_path):
+        # A seed of 10**400 ran every chain, then named a file too long to
+        # write; a huge ``steps`` failed in numpy with no field named.
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+            "methods": ["pg", "rgld"], "eta": 0.01, "beta": 1.0, "steps": 10,
+            "seeds": [0, 1], **change,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        # A chain would call None and end in a traceback.
+        code = ("import sys\n"
+                "from rgld import cli, harness\n"
+                "harness.run_chain = harness.run_batch = None\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", str(path), *argv,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"configuration error: {message}"), proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_gm2d_run_leaves_numpy_ma_unimported(self, tmp_path):

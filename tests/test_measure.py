@@ -79,6 +79,11 @@ class TestOracle:
         with pytest.raises(ValueError, match="dimension"):
             GibbsOracle(ConstantObjective(0.0, 3), dom, 1.0, 64)
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension: objective dimension 2 does not "
+                                             "match domain dimension 1$"):
+            GibbsOracle(Quadratic(1.0, 2), UNIT_BALL1, 1.0, 64)
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="n_per_axis"):
             GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, 16)

@@ -304,6 +304,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="^dim: expected an integer"):
             cls(*args)
 
+    @pytest.mark.parametrize("cls,args,message", [
+        (Rosenbrock, (1,), "dim: must be at least 2, got 1"),
+        (Rastrigin, (0,), "dim: must be at least 1, got 0"),
+        (GaussianMixture, ([1.0, 1.0], [[0.0], [1.0, 1.0]]), r"means: must have shape"),
+        (GaussianMixture, ([1.0], [0.0, 0.0]), r"means: must have shape"),
+        (GaussianMixture, ([1.0, 1.0], [[0.0, 0.0]]), "weights: expected 1, one per mean, got 2"),
+    ], ids=["rosenbrock-dim", "rastrigin-dim", "ragged-means", "flat-means", "weights-count"])
+    def test_bad_shapes_name_their_field(self, cls, args, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cls(*args)
+
     def test_numpy_integer_dim_accepted(self):
         assert Rastrigin(np.int64(3)).dim == 3
 
