@@ -40,25 +40,24 @@ from rgld.objectives import (
 # The presets that take ``--dim``; each factory holds its default.
 DIM_PRESETS = ("rosenbrock", "rastrigin")
 
-# The most seeds an ``a..b`` range may hold; a longer one is refused
-# before it is built, since every seed is a chain and a file.
-MAX_SEED_RANGE = 100_000
-
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Accept ``a..b`` (inclusive, at most ``MAX_SEED_RANGE`` seeds) or a
-    comma-separated list."""
-    text = text.strip()
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-        if hi - lo >= MAX_SEED_RANGE:
-            raise argparse.ArgumentTypeError(
-                f"seed range {text!r} holds more than {MAX_SEED_RANGE} seeds")
-        return tuple(range(lo, hi + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    """Accept ``a..b`` (inclusive, at most ``harness.MAX_SEEDS`` seeds,
+    refused before the range is built) or a comma-separated list of
+    integers; ``""`` is the empty list, which ``run_experiment`` refuses."""
+    try:
+        if ".." not in text:
+            return tuple(map(int, text.split(","))) if text else ()
+        lo, hi = (int(tok) for tok in text.split("..", 1))
+    except ValueError:  # an empty item too
+        raise argparse.ArgumentTypeError(
+            f"expected a range a..b or a comma list of integers, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    if hi - lo >= harness.MAX_SEEDS:
+        raise argparse.ArgumentTypeError(
+            f"seed range {text!r} holds more than {harness.MAX_SEEDS} seeds")
+    return tuple(range(lo, hi + 1))
 
 
 def _positive_int(text: str) -> int:

@@ -25,16 +25,16 @@ printed with 17 significant digits so values round-trip exactly.
 Every CSV goes through one block-streamed writer. A row's text after
 its leading columns is formatted once per run of rows whose bits are
 equal in those columns (``cummin`` and the flags; the quartiles). Both
-row writers take the steps' digits from one uint8 matrix per block
-(``_step_digits``). A block of chain rows is then one ``%``-format of
-its ``f`` texts and tails into a template that holds the digits (the
-last template is kept for the next chain CSV), where most ``f`` values
-are a head string and an int found by integer arithmetic
-(``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a 2-core
-x86-64 host. The aggregate rows of a run within a block are one
-byte matrix, the steps' digits and the run's text: about 0.1 s for
-10**6 rows. Seeds that share one record get one formatted chain CSV and
-byte copies of it.
+row writers take the steps' digits, each followed by a fixed tail, from
+one uint8 matrix per block (``_step_digits``). A block of chain rows is
+then one ``%``-format of its ``f`` texts and tails into a template that
+holds the digits (the last template is kept for the next chain CSV),
+where most ``f`` values are a head string and an int found by integer
+arithmetic (``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a
+2-core x86-64 host. The aggregate rows of a run within a block are one
+slice of the digits' bytes, each step's tail a NUL, with the NUL
+replaced by the run's text: about 0.12 s for 10**6 rows. Seeds that
+share one record get one formatted chain CSV and byte copies of it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import json
 import math
 import shutil
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -67,6 +68,7 @@ __all__ = [
     "PRESETS",
     "GM_OBJECTIVE_SEED",
     "TV_BINS",
+    "MAX_SEEDS",
     "preset_gm2d",
     "preset_gm2d_pgld_vs_rgld",
     "preset_rosenbrock",
@@ -88,6 +90,10 @@ GM_OBJECTIVE_SEED = 6
 
 # Oracle cells per axis for total variation.
 TV_BINS = 256
+
+# The most seeds a run may have, from a spec, a preset or ``--seeds``:
+# each is a chain config and a CSV file.
+MAX_SEEDS = 100_000
 
 # The longest spec name in UTF-8 bytes: every file a run writes is named
 # by it and at most 40 more bytes, and a file name holds 255.
@@ -649,33 +655,23 @@ def _write_chain_csv(path, record: RunRecord) -> None:
 
 def _write_aggregate_csv(path, curve: AggregateCurve) -> None:
     """One row per step: the step, then its quartiles formatted once per
-    run of equal quartiles. The rows of a block whose steps have one width
-    are one byte array, in which the rows of each run are a matrix of the
-    steps' digits (``_step_digits``) and the run's text."""
+    run of equal quartiles. The rows of a run within a block's piece of
+    one step width are one slice of the steps' digits, each followed by a
+    NUL (``_step_digits``), with the NUL replaced by the run's text."""
     bounds, tails = _run_strings(",%.17g,%.17g,%.17g\n", [curve.q25, curve.q50, curve.q75])
-    bounds = np.array(bounds)
-    tails = [np.frombuffer(t.encode(), dtype=np.uint8) for t in tails]
-    sizes = np.array([t.size for t in tails])
+    tails = [t.encode() for t in tails]
 
     def rows(a, b):
         parts = []
-        for lo, hi, digits in _step_digits(a, b):
-            # Runs i .. j-1 meet rows lo .. hi-1, whose steps have w digits.
-            i, j = np.searchsorted(bounds, lo, "right") - 1, np.searchsorted(bounds, hi)
-            w = digits.shape[1]
-            # The rows c .. e-1 of a run are the bytes o .. p-1 of text.
-            ends = np.clip(bounds[i:j + 1], lo, hi) - lo
-            offsets = np.cumsum([0, *np.diff(ends) * (w + sizes[i:j])]).tolist()
-            ends = ends.tolist()
-            text = np.empty(offsets[-1], dtype=np.uint8)
-            for k, c, e, o, p in zip(range(i, j), ends, ends[1:], offsets, offsets[1:]):
-                run = text[o:p].reshape(e - c, -1)
-                run[:, :w] = digits[c:e]
-                run[:, w:] = tails[k]
-            parts.append(text)
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        for lo, hi, digits in _step_digits(a, b, b"\0"):
+            text, w = digits.tobytes(), digits.shape[1]
+            for k in range(bisect_right(bounds, lo) - 1, bisect_left(bounds, hi)):
+                # The run's rows in this piece; the slice stops at its end.
+                c, e = max(bounds[k] - lo, 0), bounds[k + 1] - lo
+                parts.append(text[c * w:e * w].replace(b"\0", tails[k]))
+        return b"".join(parts)
 
-    _write_csv(path, "step,q25,q50,q75", int(bounds[-1]), rows)
+    _write_csv(path, "step,q25,q50,q75", bounds[-1], rows)
 
 
 def export_cells_csv(path, oracle: GibbsOracle) -> None:
@@ -718,9 +714,9 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     and, when ``tv_prefixes`` is set, one total-variation CSV per seed
     against an oracle of ``TV_BINS`` cells per axis. Seeds, methods and
-    TV prefixes must be distinct, seeds and methods non-empty, and
-    ``min_f`` finite when set; ``out_dir``, or its nearest existing
-    ancestor, must be a directory. The settings, ``out_dir`` and the
+    TV prefixes must be distinct, seeds and methods non-empty, seeds at
+    most ``MAX_SEEDS``, and ``min_f`` finite when set; ``out_dir``, or
+    its nearest existing ancestor, must be a directory. The settings, ``out_dir`` and the
     oracle are checked before any chain runs, and every chain runs before
     ``out_dir`` is created, so a bad setting or a chain that raises (a
     non-finite iterate, say) leaves no files behind.
@@ -728,14 +724,18 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     for field, noun in (("seeds", "seed"), ("methods", "method")):
         if not getattr(spec, field):
             raise ValueError(f"{field}: at least one {noun} is required")
+    if len(spec.seeds) > MAX_SEEDS:
+        raise ValueError(f"seeds: at most {MAX_SEEDS} seeds, got {len(spec.seeds)}")
     # A repeated seed or method would name one output file twice, and a
     # repeated prefix would write two TV rows with one label.
     for field, values, text in (("seeds", spec.seeds, "seed {}"),
                                 ("methods", spec.methods, "{!r}"),
                                 ("tv_prefixes", spec.tv_prefixes, "{}")):
-        repeats = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeats:
-            raise ValueError(f"{field}: duplicate " + text.format(repeats[0]))
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise ValueError(f"{field}: duplicate " + text.format(v))
+            seen.add(v)
     if spec.steps < 1:
         raise ValueError(f"steps: must be at least 1, got {spec.steps}")
     if spec.min_f is not None and not math.isfinite(spec.min_f):

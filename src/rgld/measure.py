@@ -34,14 +34,18 @@ __all__ = [
 
 MIN_CELLS_PER_AXIS = 32
 
+# The most grid cells, ``n_per_axis ** dim``: a grid takes about 1 KB a
+# cell at its peak (the mixture's values hold 25 offsets per cell).
+MAX_CELLS = 1 << 20
+
 
 class GibbsOracle:
     """Midpoint-rule representation of ``exp(-beta f) / Z`` on a domain.
 
     The grid spans the domain's bounding box with ``n_per_axis`` cells
     per axis; cells whose midpoint falls outside the region carry zero
-    probability. Restricted to dimension 1 or 2 because the cell count
-    grows as ``n_per_axis ** dim``.
+    probability. Restricted to dimension 1 or 2, and to ``MAX_CELLS``
+    cells, because the cell count grows as ``n_per_axis ** dim``.
 
     Attributes
     ----------
@@ -75,8 +79,11 @@ class GibbsOracle:
             )
         if n_per_axis < MIN_CELLS_PER_AXIS:
             raise ValueError(
-                f"n_per_axis must be at least {MIN_CELLS_PER_AXIS}, got {n_per_axis}"
+                f"n_per_axis: must be at least {MIN_CELLS_PER_AXIS}, got {n_per_axis}"
             )
+        if n_per_axis ** domain.dim > MAX_CELLS:
+            raise ValueError(f"n_per_axis: {n_per_axis} per axis in {domain.dim} "
+                             f"dimensions is more than {MAX_CELLS} cells")
         if not 0 <= beta < math.inf:
             raise ValueError(f"beta: must be non-negative and finite, got {beta}")
         self.objective = objective

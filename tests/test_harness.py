@@ -392,15 +392,20 @@ class TestStreamedWriter:
         self.check(tmp_path / "c.csv", f, np.minimum.accumulate(f), ev,
                    ev & (rng.random(n) < 0.2))
 
-    @pytest.mark.parametrize("texts", [(1.5, 2.5), (0.5, 0.125)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("texts", [(1.5, 2.5), (0.5, 0.125), None],
+                             ids=["equal", "unequal", "every-row"])
     @pytest.mark.parametrize("cuts", [(5, 50, 150, 1500, 15000), (10, 100, 1000, 10000, 10010)],
                              ids=["inside-runs", "at-run-edges"])
     @pytest.mark.parametrize("block", [7, 10])
     def test_step_width_changes(self, tmp_path, monkeypatch, block, cuts, texts):
         """Steps from 9 -> 10 to 9999 -> 10000, inside a quartile run or at
         its edge, inside a block (7 rows) or at its edge (10 rows), in runs
-        whose texts have equal or unequal lengths."""
+        whose texts have equal or unequal lengths, or with every row its
+        own run (gm2d's pg aggregate has 1727 runs in 5000 rows)."""
         monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
+        if texts is None:
+            self.check_values(tmp_path, np.arange(cuts[-1]) / 3)
+            return
         lengths = np.diff((0, *cuts))
         self.check_values(tmp_path, np.repeat(np.resize(texts, lengths.size), lengths))
 
@@ -631,10 +636,11 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bins,change,message", [
-        (10, {}, "n_per_axis must be at least 32, got 10"),
+        (10, {}, "n_per_axis: must be at least 32, got 10"),
+        (measure.MAX_CELLS + 1, {}, f"n_per_axis: {measure.MAX_CELLS + 1} per axis in 1 "),
         (harness.TV_BINS, {"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
          "quadrature oracle supports dimension 1 or 2 only"),
-    ], ids=["bins", "dimension"])
+    ], ids=["bins", "cells", "dimension"])
     def test_oracle_settings_rejected_before_any_chain(self, bins, change, message,
                                                        tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "run_chains",
@@ -1044,11 +1050,50 @@ class TestCli:
         assert cli._parse_seeds("5,7,9") == (5, 7, 9)
 
     def test_seed_range_is_bounded_before_it_is_built(self):
-        most = cli.MAX_SEED_RANGE
+        most = harness.MAX_SEEDS
         assert len(cli._parse_seeds(f"1..{most}")) == most
         for text in (f"0..{most}", "0..99999999999999999999"):
             with pytest.raises(argparse.ArgumentTypeError, match=f"more than {most} seeds"):
                 cli._parse_seeds(text)
+
+    @pytest.mark.parametrize("text", ["abc", "0..", "0..x", "1,,2"])
+    def test_bad_seed_text_exits_2_in_one_line(self, text, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "gibbs1d", "--seeds", text, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "rgld run: error: argument --seeds: expected a range a..b or a comma list of "
+            f"integers, got {text!r}; see rgld run --help"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["spec", "flag"])
+    def test_seed_count_is_bounded_before_any_config(self, source, tmp_path, capsys,
+                                                     monkeypatch):
+        # A list one seed longer than the bound, from the spec file or from
+        # a ``--seeds`` comma list; each seed would be a chain config.
+        seeds = list(range(harness.MAX_SEEDS + 1))
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 0.01, "beta": 1.0, "steps": 10,
+            **({"seeds": seeds} if source == "spec" else {}),
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["--seeds", ",".join(map(str, seeds))] if source == "flag" else []
+
+        def ran(*args):
+            raise ChainRan
+
+        for name in ("run_chain", "run_batch"):
+            monkeypatch.setattr(harness, name, ran)
+        monkeypatch.setattr(harness.ExperimentSpec, "chain_config", ran)
+        rc = cli.main(["run", str(path), *argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: seeds: at most {harness.MAX_SEEDS} seeds, "
+            f"got {harness.MAX_SEEDS + 1}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, field", [
         (("eta",), "spec.eta"), (("beta",), "spec.beta"), (("min_f",), "spec.min_f"),
@@ -1142,7 +1187,23 @@ class TestCli:
         # 0 is a bin count, not "unset": it must not fall back to 256.
         rc = cli.main(["oracle", "gibbs1d", "--bins", bins, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"n_per_axis must be at least 32, got {bins}" in capsys.readouterr().err
+        assert f"n_per_axis: must be at least 32, got {bins}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_rejects_too_many_cells(self, tmp_path, capsys, monkeypatch):
+        # gm2d's grid just above the bound would take over 1 GB.
+        bins = math.isqrt(measure.MAX_CELLS) + 1
+
+        def built(*args, **kwargs):
+            pytest.fail("the grid was built")
+
+        monkeypatch.setattr(measure.np, "linspace", built)
+        monkeypatch.setattr(measure.np, "meshgrid", built)
+        rc = cli.main(["oracle", "gm2d", "--bins", str(bins), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"configuration error: n_per_axis: {bins} per axis in 2 "
+                                    f"dimensions is more than {measure.MAX_CELLS} cells"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])

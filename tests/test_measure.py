@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rgld import harness
+from rgld import harness, measure
 from rgld.geometry import Ball, SphericalShell
 from rgld.harness import export_cells_csv
 from rgld.measure import (
@@ -85,8 +85,12 @@ class TestOracle:
             GibbsOracle(Quadratic(1.0, 2), UNIT_BALL1, 1.0, 64)
 
     def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError, match="n_per_axis"):
+        with pytest.raises(ValueError, match="^n_per_axis: must be at least 32, got 16$"):
             GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, 16)
+
+    def test_grid_at_the_cell_bound_is_built(self):
+        oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, measure.MAX_CELLS)
+        assert oracle.n_cells == measure.MAX_CELLS
 
 
 class TestGibbsMean:
