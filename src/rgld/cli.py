@@ -44,7 +44,7 @@ DIM_PRESETS = ("rosenbrock", "rastrigin")
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Accept ``a..b`` (inclusive, at most ``harness.MAX_SEEDS`` seeds,
     refused before the range is built) or a comma-separated list of
-    integers; ``""`` is the empty list, which ``run_experiment`` refuses."""
+    integers; ``""`` is the empty list, which the spec refuses."""
     try:
         if ".." not in text:
             return tuple(map(int, text.split(","))) if text else ()
@@ -60,18 +60,11 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _resolve_spec(args) -> harness.ExperimentSpec:
     target = args.target
     if target not in harness.PRESETS and not Path(target).is_file():
         known = ", ".join(sorted(harness.PRESETS))
-        raise ValueError(f"unknown preset or missing file {target!r} (presets: {known})")
+        raise ValueError(f"target: unknown preset or missing file {target!r} (presets: {known})")
     if args.dim is not None and target not in DIM_PRESETS:
         kind = "preset" if target in harness.PRESETS else "spec file"
         raise ValueError(f"--dim is not applicable to {kind} {target!r}")
@@ -297,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="seed range a..b (inclusive) or comma list")
     p_run.add_argument("--eta", type=float, default=None)
     p_run.add_argument("--beta", type=float, default=None)
-    p_run.add_argument("--steps", type=_positive_int, default=None)
+    p_run.add_argument("--steps", type=int, default=None)
     p_run.add_argument("--dim", type=int, default=None,
                        help="dimension for rosenbrock/rastrigin presets")
     p_run.add_argument("--out", default="results")

@@ -61,7 +61,6 @@ __all__ = [
     "MAX_STEPS",
     "ChainConfig",
     "RunRecord",
-    "ChainConfigError",
     "step_size_bound",
     "run_chain",
     "run_batch",
@@ -75,11 +74,6 @@ MAX_STEPS = 10**9
 # Steps of noise a chain draws at a time: the stream is the same
 # as one draw of every step, without holding it all.
 _NOISE_BLOCK = 4096
-
-
-class ChainConfigError(ValueError):
-    """Invalid chain configuration, reported before any step executes.
-    The message starts with the offending field name."""
 
 
 @dataclass
@@ -214,50 +208,46 @@ def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
         raise ValueError("configs: a batch needs at least one chain")
     first = configs[0]
     if first.method not in METHODS:
-        raise ChainConfigError(f"method: expected one of {METHODS}, got {first.method!r}")
+        raise ValueError(f"method: expected one of {METHODS}, got {first.method!r}")
     if not 0 < first.eta < math.inf:
-        raise ChainConfigError(f"eta: must be positive and finite, got {first.eta}")
+        raise ValueError(f"eta: must be positive and finite, got {first.eta}")
     if not math.isfinite(first.beta):
-        raise ChainConfigError(f"beta: must be finite, got {first.beta}")
+        raise ValueError(f"beta: must be finite, got {first.beta}")
     if first.steps < 1:
-        raise ChainConfigError(f"steps: must be at least 1, got {first.steps}")
+        raise ValueError(f"steps: must be at least 1, got {first.steps}")
     if first.steps > MAX_STEPS:
-        raise ChainConfigError(f"steps: must be at most {MAX_STEPS}, got {first.steps}")
+        raise ValueError(f"steps: must be at most {MAX_STEPS}, got {first.steps}")
     if obj.dim != domain.dim:
-        raise ChainConfigError(
+        raise ValueError(
             f"dimension: objective dimension {obj.dim} does not match domain "
             f"dimension {domain.dim}"
         )
     needs_noise = first.method != "pg"
     if needs_noise:
         if not first.beta > 0:
-            raise ChainConfigError(f"beta: must be positive, got {first.beta}")
+            raise ValueError(f"beta: must be positive, got {first.beta}")
         if first.noise not in NOISE_KINDS:
-            raise ChainConfigError(
-                f"noise: expected one of {NOISE_KINDS}, got {first.noise!r}"
-            )
+            raise ValueError(f"noise: expected one of {NOISE_KINDS}, got {first.noise!r}")
     for field in _SHARED:
         values = [getattr(c, field) for c in configs]
         if any(v != values[0] for v in values):
-            raise ChainConfigError(f"{field}: a batch needs one value, got {values}")
+            raise ValueError(f"{field}: a batch needs one value, got {values}")
     for config in configs:
         seed = config.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ChainConfigError(f"seed: must be a non-negative integer, got {seed!r}")
+            raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
         if seed >= 2**64:
-            raise ChainConfigError(f"seed: must be below 2**64, got {seed}")
+            raise ValueError(f"seed: must be below 2**64, got {seed}")
     # Chains of one spec share their ``x0`` object: each is checked once.
     for x0 in {id(c.x0): c.x0 for c in configs if c.x0 is not None}.values():
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (domain.dim,):
-            raise ChainConfigError(
-                f"x0: expected shape ({domain.dim},), got {x0.shape}"
-            )
+            raise ValueError(f"x0: expected shape ({domain.dim},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
-            raise ChainConfigError(f"x0: must be finite, got {x0}")
+            raise ValueError(f"x0: must be finite, got {x0}")
         dist = domain.distance_to_set(x0)
         if dist > domain.reflection_margin:
-            raise ChainConfigError(
+            raise ValueError(
                 f"x0: point at distance {dist:.6g} from the region exceeds the "
                 f"reflection margin {domain.reflection_margin:.6g}"
             )
@@ -268,7 +258,7 @@ def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
             <= domain.reflection_margin
         )
         if not bound_ok and first.enforce_step_bound:
-            raise ChainConfigError(
+            raise ValueError(
                 "eta: step-size bound eta*L + sqrt(2*eta*d/beta) exceeds the "
                 "reflection margin; reduce eta or set enforce_step_bound=False "
                 "to accept the projection fallback explicitly"

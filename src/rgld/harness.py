@@ -104,12 +104,17 @@ _NAME_BYTES = 200
 _BLOCK_ROWS = 1 << 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """A fully pinned experiment: problem, methods, and chain settings.
 
+    Frozen, and checked when it is built, so every spec is valid however
+    it is made (a preset, ``spec_from_dict`` or ``dataclasses.replace``):
     ``name`` starts the name of every file a run writes, so it holds at
-    most 200 bytes of UTF-8 and no ``/`` or NUL.
+    most 200 bytes of UTF-8 and no ``/`` or NUL; seeds (at most
+    ``MAX_SEEDS``) and methods are non-empty and distinct; ``steps`` is at
+    least 1; ``min_f`` is finite when set; TV prefixes are distinct and in
+    ``1..steps``. A message starts with the field at fault.
     """
 
     name: str
@@ -137,6 +142,28 @@ class ExperimentSpec:
         if size > _NAME_BYTES or "/" in self.name or "\0" in self.name:
             raise ValueError(f"name: must be a file name part of at most {_NAME_BYTES} "
                              f"bytes, without '/' or NUL, got {self.name!r}")
+        for field, noun in (("seeds", "seed"), ("methods", "method")):
+            if not getattr(self, field):
+                raise ValueError(f"{field}: at least one {noun} is required")
+        if len(self.seeds) > MAX_SEEDS:
+            raise ValueError(f"seeds: at most {MAX_SEEDS} seeds, got {len(self.seeds)}")
+        # A repeated seed or method would name one output file twice, and a
+        # repeated prefix would write two TV rows with one label.
+        for field, values, text in (("seeds", self.seeds, "seed {}"),
+                                    ("methods", self.methods, "{!r}"),
+                                    ("tv_prefixes", self.tv_prefixes, "{}")):
+            seen = set()
+            for v in values:
+                if v in seen:
+                    raise ValueError(f"{field}: duplicate " + text.format(v))
+                seen.add(v)
+        if self.steps < 1:
+            raise ValueError(f"steps: must be at least 1, got {self.steps}")
+        if self.min_f is not None and not math.isfinite(self.min_f):
+            raise ValueError(f"min_f: must be finite, got {self.min_f}")
+        bad = [p for p in self.tv_prefixes if not 1 <= p <= self.steps]
+        if bad:
+            raise ValueError(f"tv_prefixes: {bad} outside 1..steps={self.steps}")
 
     def chain_config(self, method: str, seed: int) -> ChainConfig:
         return ChainConfig(
@@ -234,12 +261,11 @@ def preset_rosenbrock(dim: int = 4) -> ExperimentSpec:
     gradient bound of this objective fails the conservative step-size
     check even so, so the check is disabled (see gm2d).
     """
-    if dim < 2:
-        raise ValueError(f"invalid dimension {dim}: Rosenbrock requires d >= 2")
+    objective = Rosenbrock(dim)  # refuses d < 2
     root_d = math.sqrt(dim)
     return ExperimentSpec(
         name=f"rosenbrock{dim}",
-        objective=Rosenbrock(dim),
+        objective=objective,
         domain=SphericalShell(np.zeros(dim), 0.5 * root_d, 2.0 * root_d),
         methods=("pg", "rgld"),
         eta=min(5e-4, 2e-3 / dim),
@@ -260,7 +286,7 @@ def preset_rastrigin(dim: int = 2) -> ExperimentSpec:
     one-dimensional local minimizer outside the cavity.
     """
     if dim < 2:
-        raise ValueError(f"invalid dimension {dim}: the shell requires d >= 2")
+        raise ValueError(f"dim: must be at least 2, got {dim}")  # a shell needs 2
     domain = SphericalShell(np.zeros(dim), 0.9, 5.12)
     return ExperimentSpec(
         name=f"rastrigin{dim}",
@@ -460,9 +486,9 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
     under its own config. A method's distinct chains run as a batch of
     two or more, or one at a time when there is one or ``run_chain``
-    runs them on Python floats. Each method's distinct chains are
-    validated, as one batch, before the first chain runs. The arrays are
-    marked read-only.
+    runs them on Python floats. The spec was checked when it was built;
+    each method's distinct chains are validated, as one batch, before the
+    first chain runs. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
@@ -713,36 +739,12 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
 
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     and, when ``tv_prefixes`` is set, one total-variation CSV per seed
-    against an oracle of ``TV_BINS`` cells per axis. Seeds, methods and
-    TV prefixes must be distinct, seeds and methods non-empty, seeds at
-    most ``MAX_SEEDS``, and ``min_f`` finite when set; ``out_dir``, or
-    its nearest existing ancestor, must be a directory. The settings, ``out_dir`` and the
-    oracle are checked before any chain runs, and every chain runs before
-    ``out_dir`` is created, so a bad setting or a chain that raises (a
-    non-finite iterate, say) leaves no files behind.
+    against an oracle of ``TV_BINS`` cells per axis. ``out_dir``, or its
+    nearest existing ancestor, must be a directory. ``out_dir``, the
+    oracle and the chain settings are checked before any chain runs, and
+    every chain runs before ``out_dir`` is created, so a bad setting or a
+    chain that raises (a non-finite iterate, say) leaves no files behind.
     """
-    for field, noun in (("seeds", "seed"), ("methods", "method")):
-        if not getattr(spec, field):
-            raise ValueError(f"{field}: at least one {noun} is required")
-    if len(spec.seeds) > MAX_SEEDS:
-        raise ValueError(f"seeds: at most {MAX_SEEDS} seeds, got {len(spec.seeds)}")
-    # A repeated seed or method would name one output file twice, and a
-    # repeated prefix would write two TV rows with one label.
-    for field, values, text in (("seeds", spec.seeds, "seed {}"),
-                                ("methods", spec.methods, "{!r}"),
-                                ("tv_prefixes", spec.tv_prefixes, "{}")):
-        seen = set()
-        for v in values:
-            if v in seen:
-                raise ValueError(f"{field}: duplicate " + text.format(v))
-            seen.add(v)
-    if spec.steps < 1:
-        raise ValueError(f"steps: must be at least 1, got {spec.steps}")
-    if spec.min_f is not None and not math.isfinite(spec.min_f):
-        raise ValueError(f"min_f: must be finite, got {spec.min_f}")
-    bad = [p for p in spec.tv_prefixes if not 1 <= p <= spec.steps]
-    if bad:
-        raise ValueError(f"tv_prefixes: {bad} outside 1..steps={spec.steps}")
     out = checked_out_dir(out_dir)
     oracle = (GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)
               if spec.tv_prefixes else None)

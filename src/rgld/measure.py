@@ -34,9 +34,13 @@ __all__ = [
 
 MIN_CELLS_PER_AXIS = 32
 
-# The most grid cells, ``n_per_axis ** dim``: a grid takes about 1 KB a
-# cell at its peak (the mixture's values hold 25 offsets per cell).
+# The most grid cells, ``n_per_axis ** dim``: at this bound gm2d's oracle
+# and its CSV peak at 113 MB of RSS, about 80 bytes a cell.
 MAX_CELLS = 1 << 20
+
+# Midpoints per ``value_many`` call: the mixture's temporaries (25 offsets
+# a point) stay a few MB whatever the grid.
+_ROWS = 1 << 14
 
 
 class GibbsOracle:
@@ -71,7 +75,8 @@ class GibbsOracle:
         n_per_axis: int,
     ):
         if domain.dim > 2:
-            raise ValueError("quadrature oracle supports dimension 1 or 2 only")
+            raise ValueError(f"dim: the quadrature oracle supports dimension 1 or 2 only, "
+                             f"got {domain.dim}")
         if objective.dim != domain.dim:
             raise ValueError(
                 f"dimension: objective dimension {objective.dim} does not match domain "
@@ -103,8 +108,11 @@ class GibbsOracle:
 
         self.in_domain = domain.contains(self.midpoints)
         if not self.in_domain.any():
-            raise ValueError("degenerate grid: no cell midpoint lies in the region")
-        self.f_values = objective.value_many(self.midpoints)
+            raise ValueError("n_per_axis: no cell midpoint lies in the region")
+        # Each row of a rows call has its point call's bits, so blocks of
+        # rows give the bits of one call.
+        self.f_values = np.concatenate([objective.value_many(self.midpoints[a:a + _ROWS])
+                                        for a in range(0, self.n_cells, _ROWS)])
 
         # Shifted exponent keeps the weights finite for large beta * f.
         f_min = float(np.min(self.f_values[self.in_domain]))

@@ -1,6 +1,7 @@
 """Presets, the experiment runner, CSV contracts, and the CLI."""
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import rgld
 from rgld import cli, dynamics, harness, measure
-from rgld.dynamics import ChainConfig, ChainConfigError, run_batch, run_chain
+from rgld.dynamics import ChainConfig, run_batch, run_chain
 from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.harness import (
     AggregateCurve,
@@ -125,9 +126,9 @@ class TestPresetPins:
         assert spec.methods == ("rgld",)
 
     def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="invalid"):
+        with pytest.raises(ValueError, match="^dim: must be at least 2, got 1$"):
             preset_rosenbrock(1)
-        with pytest.raises(ValueError, match="invalid"):
+        with pytest.raises(ValueError, match="^dim: must be at least 2, got 1$"):
             preset_rastrigin(1)
 
     def test_rastrigin_constrained_minimum(self):
@@ -548,16 +549,14 @@ class TestDistinctChains:
 
 class TestInputChecks:
     def test_empty_seeds_rejected_before_any_chain(self, tmp_path):
-        spec = tiny_gm2d(seeds=())
         with pytest.raises(ValueError, match="^seeds"):
-            run_experiment(spec, tmp_path / "out")
+            run_experiment(tiny_gm2d(seeds=()), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_empty_methods_rejected_before_any_chain(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "run_chains", None)
-        spec = replace(tiny_gm2d(), methods=())
         with pytest.raises(ValueError, match="^methods: at least one method is required$"):
-            run_experiment(spec, tmp_path / "out")
+            run_experiment(replace(tiny_gm2d(), methods=()), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field,values,message", [
@@ -570,9 +569,8 @@ class TestInputChecks:
         # A repeat named one output file twice: two equal seeds crashed on
         # copying a file onto itself, two equal methods miscounted files.
         monkeypatch.setattr(harness, "run_chains", None)
-        spec = replace(tiny_gm2d(), **{field: values})
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_experiment(spec, tmp_path / "out")
+            run_experiment(replace(tiny_gm2d(), **{field: values}), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -609,10 +607,9 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_cli_rejects_steps_below_one(self, steps, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "gibbs1d", "--steps", steps, "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert f"--steps: must be at least 1, got {steps}" in capsys.readouterr().err
+        assert cli.main(["run", "gibbs1d", "--steps", steps, "--out", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == f"configuration error: steps: must be at least 1, got {steps}\n")
         assert not list(tmp_path.iterdir())
 
     def test_spec_file_steps_checked_before_tv_prefixes(self, tmp_path, capsys):
@@ -629,17 +626,44 @@ class TestInputChecks:
         assert "steps: must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_replace_checks_the_spec(self):
+        # A built spec stays valid: it is frozen, and a replaced field is checked.
+        spec = tiny_gm2d()
+        with pytest.raises(ValueError, match="^seeds: duplicate seed 1$"):
+            replace(spec, seeds=(1, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seeds = (1, 1)
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_spec_file_steps_checked_by_both_commands(self, command, tmp_path, monkeypatch):
+        # ``rgld oracle`` reads no steps, but refuses a spec that ``rgld run`` refuses.
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 0,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgld.cli", command, str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "configuration error: steps: must be at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_tv_prefix_above_steps_rejected(self, tmp_path):
-        spec = replace(preset_gibbs1d(), steps=1000, tv_prefixes=(500, 5000))
         with pytest.raises(ValueError, match="^tv_prefixes.*5000"):
-            run_experiment(spec, tmp_path / "out")
+            run_experiment(replace(preset_gibbs1d(), steps=1000, tv_prefixes=(500, 5000)),
+                           tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bins,change,message", [
         (10, {}, "n_per_axis: must be at least 32, got 10"),
         (measure.MAX_CELLS + 1, {}, f"n_per_axis: {measure.MAX_CELLS + 1} per axis in 1 "),
         (harness.TV_BINS, {"objective": Quadratic(1.0, 3), "domain": Ball(np.zeros(3), 1.0)},
-         "quadrature oracle supports dimension 1 or 2 only"),
+         "dim: the quadrature oracle supports dimension 1 or 2 only, got 3"),
     ], ids=["bins", "cells", "dimension"])
     def test_oracle_settings_rejected_before_any_chain(self, bins, change, message,
                                                        tmp_path, monkeypatch):
@@ -760,7 +784,7 @@ class TestInputChecks:
         monkeypatch.setattr(harness, "run_chain", fail)
         monkeypatch.setattr(harness, "run_batch", fail)
         spec = replace(preset_rosenbrock(4), steps=10, seeds=(0, 1, 2), **change)
-        with pytest.raises(ChainConfigError, match=f"^{message}"):
+        with pytest.raises(ValueError, match=f"^{message}"):
             harness.run_chains(spec)
 
     def test_cli_rejects_non_finite_iterates(self, tmp_path, capsys):
@@ -905,7 +929,7 @@ class TestConfigFiles:
         bad = self.spec_dict()
         bad["eta"] = -1.0
         spec = spec_from_dict(bad)
-        with pytest.raises(ChainConfigError, match="eta"):
+        with pytest.raises(ValueError, match="^eta"):
             run_experiment(spec, tmp_path)
 
 
@@ -993,6 +1017,35 @@ class TestSpecTrees:
             finally:
                 assert not out.exists()
 
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(README_KEYS), value=json_values())
+    def test_a_built_spec_passes_its_own_checks(self, where, value, tmp_path_factory):
+        # The spec checks its own fields when it is built: a run refuses an
+        # accepted spec only by a chain's, the oracle's or the out-dir check
+        # (``steps`` by a chain's only above ``MAX_STEPS``).
+        tree = json.loads(json.dumps(README_TREE))
+        node = tree
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        try:
+            spec = spec_from_dict(tree)
+        except ValueError:
+            return
+
+        def ran(*args):
+            raise ChainRan
+
+        with mock.patch.object(harness, "run_chain", ran), \
+                mock.patch.object(harness, "run_batch", ran):
+            try:
+                run_experiment(spec, tmp_path_factory.getbasetemp() / "never-made")
+            except ChainRan:
+                pass
+            except ValueError as exc:
+                assert not re.match(r"(name|seeds|methods|steps|min_f|tv_prefixes): "
+                                    r"(?!must be at most)", str(exc)), str(exc)
+
 
 class TestCli:
     def test_run_preset_with_overrides(self, tmp_path, capsys):
@@ -1022,7 +1075,8 @@ class TestCli:
 
     def test_run_rejects_unknown_preset(self, tmp_path, capsys):
         assert cli.main(["run", "nonexistent", "--out", str(tmp_path / "out")]) == 2
-        assert "unknown preset or missing file 'nonexistent'" in capsys.readouterr().err
+        assert ("configuration error: target: unknown preset or missing file 'nonexistent'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_run_reports_config_error(self, tmp_path, capsys):
@@ -1300,7 +1354,8 @@ class TestCli:
         monkeypatch.setattr(measure, "np", None)
         assert cli.main(["oracle", "rosenbrock", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: quadrature oracle supports dimension 1 or 2 only\n")
+            "configuration error: dim: the quadrature oracle supports dimension 1 or 2 "
+            "only, got 4\n")
         assert not (tmp_path / "out").exists()
 
     def test_readme_rosenbrock_example_never_falls_back(self, tmp_path):
@@ -1318,7 +1373,7 @@ class TestCli:
         rc = cli.main(["run", "rosenbrock", "--dim", "0", "--steps", "10",
                        "--seeds", "0..0", "--out", str(tmp_path)])
         assert rc == 2
-        assert "invalid dimension 0" in capsys.readouterr().err
+        assert "dim: must be at least 2, got 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
         assert cli.main(["run", "gibbs1d", "--dim", "0", "--out", str(tmp_path)]) == 2
         assert "--dim is not applicable to preset 'gibbs1d'" in capsys.readouterr().err
@@ -1333,7 +1388,7 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
-        (["run", "{d}", "--out", "{d}/out"], "unknown preset or missing file"),
+        (["run", "{d}", "--out", "{d}/out"], "target: unknown preset or missing file"),
         (["run", "gibbs1d", "--out", "{d}/file"], "is not a directory"),
         (["run", "gibbs1d", "--out", "{d}/file/sub"], "cannot be made"),
         (["run", "gibbs1d", "--workers", "2", "--out", "{d}/out"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rgld import harness, measure
-from rgld.geometry import Ball, SphericalShell
+from rgld.geometry import Ball, FeasibleDomain, SphericalShell
 from rgld.harness import export_cells_csv
 from rgld.measure import (
     GibbsOracle,
@@ -76,7 +76,8 @@ class TestOracle:
 
     def test_rejects_high_dimension(self):
         dom = SphericalShell(np.zeros(3), 0.9, 4.0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^dim: the quadrature oracle supports "
+                                             "dimension 1 or 2 only, got 3$"):
             GibbsOracle(ConstantObjective(0.0, 3), dom, 1.0, 64)
 
     def test_rejects_dimension_mismatch(self):
@@ -91,6 +92,23 @@ class TestOracle:
     def test_grid_at_the_cell_bound_is_built(self):
         oracle = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 1.0, measure.MAX_CELLS)
         assert oracle.n_cells == measure.MAX_CELLS
+
+    def test_rejects_grid_with_no_cell_in_the_region(self):
+        # The region 0.99 <= |x| <= 1 lies between the outermost midpoints
+        # (+-0.96875) and the edges of 32 cells on [-1, 1].
+        dom = FeasibleDomain(np.zeros(1), 0.99, 1.0, 0.005, 0.005)
+        with pytest.raises(ValueError, match="^n_per_axis: no cell midpoint lies in the region$"):
+            GibbsOracle(Quadratic(1.0, 1), dom, 1.0, 32)
+
+    def test_row_blocks_give_the_bits_of_one_block(self, monkeypatch):
+        # 4096 cells in blocks of 1000: the last block is short.
+        def build(rows):
+            monkeypatch.setattr(measure, "_ROWS", rows)
+            return GibbsOracle(make_grid_gaussian_mixture(6), GM_SHELL, 1.0, 64)
+        one, blocks = build(1 << 20), build(1000)
+        for field in ("f_values", "probabilities"):
+            assert getattr(blocks, field).tobytes() == getattr(one, field).tobytes(), field
+        assert blocks.normalizing_constant == one.normalizing_constant
 
 
 class TestGibbsMean:
