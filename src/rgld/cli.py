@@ -5,9 +5,9 @@ Subcommands
 run <preset|config.json>
     Execute a benchmark preset or a custom JSON experiment spec and
     write chain/aggregate CSVs. Flags override preset and file values.
-oracle <preset>
-    Build the quadrature oracle paired with a preset (dimension <= 2)
-    and export its cells as CSV.
+oracle <preset|config.json>
+    Build the quadrature oracle paired with a preset or spec (dimension
+    <= 2), at its beta or ``--beta``, and export its cells as CSV.
 check
     Run a compact invariant battery (geometry, the 1-D operators on
     Python floats, gradients, a batch of two and each chain alone giving
@@ -75,7 +75,7 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
     else:
         spec = harness.PRESETS[target](dim=args.dim)
 
-    # ``oracle`` takes only ``--beta``; ``run`` also takes the chain flags.
+    # Only ``run`` takes the chain flags; ``oracle``'s ``--beta`` is its own.
     flags = vars(args)
     overrides = {
         key: flags[key] for key in ("eta", "beta", "steps", "seeds")
@@ -98,7 +98,8 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = _resolve_spec(args)
     out = harness.checked_out_dir(args.out)
-    oracle = GibbsOracle(spec.objective, spec.domain, spec.beta, args.bins)
+    beta = spec.beta if args.oracle_beta is None else args.oracle_beta
+    oracle = GibbsOracle(spec.objective, spec.domain, beta, args.bins)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{spec.name}_oracle_{args.bins}.csv"
     harness.export_cells_csv(path, oracle)
@@ -302,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     p_or.add_argument("target", help="preset name or path to a JSON spec")
     p_or.add_argument("--bins", type=int, default=harness.TV_BINS)
     p_or.add_argument("--dim", type=int, default=None)
-    p_or.add_argument("--beta", type=float, default=None)
+    p_or.add_argument("--beta", type=float, default=None, dest="oracle_beta",
+                      help="the oracle's inverse temperature (default: the spec's); 0: uniform")
     p_or.add_argument("--out", default="results")
     p_or.set_defaults(func=_cmd_oracle)
 

@@ -54,7 +54,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from rgld.geometry import FeasibleDomain
-from rgld.objectives import Objective, Quadratic
+from rgld.objectives import Objective, Quadratic, check_dimension
 
 __all__ = [
     "METHODS",
@@ -76,9 +76,9 @@ MAX_STEPS = 10**9
 _NOISE_BLOCK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainConfig:
-    """All hyperparameters of one chain.
+    """All hyperparameters of one chain; frozen (vary it with ``replace``).
 
     ``beta`` and ``noise`` are ignored by ``pg``. ``x0 = None`` requests
     a uniform draw from the domain using the chain's own generator (the
@@ -217,11 +217,7 @@ def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
         raise ValueError(f"steps: must be at least 1, got {first.steps}")
     if first.steps > MAX_STEPS:
         raise ValueError(f"steps: must be at most {MAX_STEPS}, got {first.steps}")
-    if obj.dim != domain.dim:
-        raise ValueError(
-            f"dimension: objective dimension {obj.dim} does not match domain "
-            f"dimension {domain.dim}"
-        )
+    check_dimension(obj, domain)
     needs_noise = first.method != "pg"
     if needs_noise:
         if not first.beta > 0:

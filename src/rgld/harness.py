@@ -112,9 +112,10 @@ class ExperimentSpec:
     it is made (a preset, ``spec_from_dict`` or ``dataclasses.replace``):
     ``name`` starts the name of every file a run writes, so it holds at
     most 200 bytes of UTF-8 and no ``/`` or NUL; seeds (at most
-    ``MAX_SEEDS``) and methods are non-empty and distinct; ``steps`` is at
-    least 1; ``min_f`` is finite when set; TV prefixes are distinct and in
-    ``1..steps``. A message starts with the field at fault.
+    ``MAX_SEEDS``) and methods are non-empty and distinct; ``min_f`` is
+    finite when set; each method's chains pass ``dynamics._validate`` as
+    one batch; TV prefixes are distinct and in ``1..steps``. A message
+    starts with the field at fault.
     """
 
     name: str
@@ -157,10 +158,11 @@ class ExperimentSpec:
                 if v in seen:
                     raise ValueError(f"{field}: duplicate " + text.format(v))
                 seen.add(v)
-        if self.steps < 1:
-            raise ValueError(f"steps: must be at least 1, got {self.steps}")
         if self.min_f is not None and not math.isfinite(self.min_f):
             raise ValueError(f"min_f: must be finite, got {self.min_f}")
+        for method in self.methods:
+            _validate([self.chain_config(method, s) for s in self.seeds],
+                      self.objective, self.domain)
         bad = [p for p in self.tv_prefixes if not 1 <= p <= self.steps]
         if bad:
             raise ValueError(f"tv_prefixes: {bad} outside 1..steps={self.steps}")
@@ -486,17 +488,14 @@ def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     (``ChainConfig.depends_on_seed``) share one record's arrays, each
     under its own config. A method's distinct chains run as a batch of
     two or more, or one at a time when there is one or ``run_chain``
-    runs them on Python floats. The spec was checked when it was built;
-    each method's distinct chains are validated, as one batch, before the
-    first chain runs. The arrays are marked read-only.
+    runs them on Python floats. The spec checked its chains when it was
+    built. The arrays are marked read-only.
     """
     configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
     chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
     by_method: dict[str, dict[tuple, ChainConfig]] = {}
     for key, config in configs.items():
         by_method.setdefault(key[0], {}).setdefault(chain_of[key], config)
-    for distinct in by_method.values():
-        _validate(list(distinct.values()), spec.objective, spec.domain)
     records = {}
     for distinct in by_method.values():
         chains = list(distinct.values())
@@ -740,10 +739,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
     Emits one chain CSV per (method, seed), one aggregate CSV per method
     and, when ``tv_prefixes`` is set, one total-variation CSV per seed
     against an oracle of ``TV_BINS`` cells per axis. ``out_dir``, or its
-    nearest existing ancestor, must be a directory. ``out_dir``, the
-    oracle and the chain settings are checked before any chain runs, and
-    every chain runs before ``out_dir`` is created, so a bad setting or a
-    chain that raises (a non-finite iterate, say) leaves no files behind.
+    nearest existing ancestor, must be a directory. It and the oracle are
+    checked before any chain runs (the spec checked its chains when it was
+    built), and every chain runs before ``out_dir`` is created, so a bad
+    setting or a chain that raises (a non-finite iterate) leaves no files.
     """
     out = checked_out_dir(out_dir)
     oracle = (GibbsOracle(spec.objective, spec.domain, spec.beta, TV_BINS)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from rgld.geometry import FeasibleDomain
-from rgld.objectives import Objective
+from rgld.objectives import Objective, check_dimension
 
 __all__ = [
     "GibbsOracle",
@@ -77,11 +77,7 @@ class GibbsOracle:
         if domain.dim > 2:
             raise ValueError(f"dim: the quadrature oracle supports dimension 1 or 2 only, "
                              f"got {domain.dim}")
-        if objective.dim != domain.dim:
-            raise ValueError(
-                f"dimension: objective dimension {objective.dim} does not match domain "
-                f"dimension {domain.dim}"
-            )
+        check_dimension(objective, domain)
         if n_per_axis < MIN_CELLS_PER_AXIS:
             raise ValueError(
                 f"n_per_axis: must be at least {MIN_CELLS_PER_AXIS}, got {n_per_axis}"

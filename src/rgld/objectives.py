@@ -57,6 +57,13 @@ def _check_dim(dim, least: int) -> int:
     return int(dim)
 
 
+def check_dimension(objective: Objective, domain: FeasibleDomain) -> None:
+    """Raise ``ValueError`` unless ``objective`` and ``domain`` share a dimension."""
+    if objective.dim != domain.dim:
+        raise ValueError(f"dimension: objective dimension {objective.dim} does not match "
+                         f"domain dimension {domain.dim}")
+
+
 class Objective:
     """A differentiable scalar function with an analytic gradient.
 
@@ -95,11 +102,7 @@ class Objective:
 
     def _coordinate_bound(self, domain: FeasibleDomain) -> float:
         # Bound on ||x|| over the domain's convex hull, valid for any center.
-        if domain.dim != self.dim:
-            raise ValueError(
-                f"objective dimension {self.dim} does not match domain "
-                f"dimension {domain.dim}"
-            )
+        check_dimension(self, domain)
         return float(np.linalg.norm(domain.center)) + domain.outer_radius
 
 

@@ -288,8 +288,7 @@ def test_step_size_safety(gm_records, coupling_records, rosenbrock_records, gibb
     # Fallback never fires across the preset runs executed above, plus a
     # short rastrigin run at its benchmark hyperparameters.
     spec = preset_rastrigin(2)
-    cfg = spec.chain_config("rgld", 0)
-    cfg.steps = 20_000
+    cfg = replace(spec.chain_config("rgld", 0), steps=20_000)
     rec = run_chain(cfg, spec.objective, spec.domain)
     FALLBACKS["rastrigin2"] = rec.fallback_count
     total = sum(FALLBACKS.values())

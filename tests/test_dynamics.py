@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -299,6 +300,13 @@ class TestRunChain:
         np.testing.assert_array_equal(rec.initial_point, expected)
         assert GM_SHELL.contains(rec.initial_point)
 
+    def test_config_is_frozen(self):
+        # Records that share one chain's arrays each hold their own config.
+        cfg = ChainConfig(method="pg", eta=0.1, steps=3, x0=np.array([0.5, 0.5]))
+        with pytest.raises(FrozenInstanceError):
+            cfg.steps = 4
+        assert replace(cfg, steps=4).steps == 4 and cfg.steps == 3
+
 
 class TestOuterSphere:
     """An update that lands exactly on the outer sphere is a member; one ulp
@@ -424,7 +432,7 @@ class TestFixedPointExit:
             eta = 0.1 if case == "shell-boundary" else 0.05
             obj, dom = Quadratic(1.0, 2), self.SHELL
             cfg = ChainConfig(method="pg", eta=eta, steps=400, x0=np.array([2.0, 0.5]))
-        cfg.record_trajectory = True
+        cfg = replace(cfg, record_trajectory=True)
         ref = reference_chain(cfg, obj, dom)
         computed, events = ref["computed_steps"], ref["boundary_events"]
 
@@ -545,7 +553,8 @@ class TestValidation:
 
     def test_dimension_mismatch(self):
         cfg = ChainConfig(method="pg", eta=0.1, steps=1)
-        with pytest.raises(ValueError, match="^dimension"):
+        with pytest.raises(ValueError, match="^dimension: objective dimension 3 does not "
+                                             "match domain dimension 2$"):
             run_chain(cfg, Quadratic(1.0, 3), BALL2)
 
     def test_step_bound_enforced_by_default(self):
@@ -585,9 +594,7 @@ class TestPresetSafety:
     """Feasibility and fallback safety at the benchmark hyperparameters."""
 
     def _run(self, spec, method, steps, seed=0, record=False):
-        cfg = spec.chain_config(method, seed)
-        cfg.steps = steps
-        cfg.record_trajectory = record
+        cfg = replace(spec.chain_config(method, seed), steps=steps, record_trajectory=record)
         return run_chain(cfg, spec.objective, spec.domain)
 
     def test_feasibility_fuzz_100k_steps(self):
@@ -751,7 +758,7 @@ class TestRunBatch:
         # The configs default to ``record_trajectory=False`` and
         # ``enforce_step_bound=True``.
         configs = [ChainConfig(method="rgld", eta=0.01, steps=10, seed=s) for s in (0, 1)]
-        setattr(configs[1], field, value)
+        configs[1] = replace(configs[1], **{field: value})
         with pytest.raises(ValueError, match=f"^{field}"):
             run_batch(configs, QUAD2, BALL2)
 

@@ -508,10 +508,9 @@ class TestDistinctChains:
         assert len(starts) == 3
 
     def test_one_check_per_batch(self, monkeypatch):
-        # Each method's chains are checked as one batch before the first
-        # runs and once where they run. Checked once per chain in each
-        # layer, gm2d's 21 distinct chains made 42 checks and 40 bound
-        # computations; the counts do not depend on ``steps``.
+        # The spec checked its chains when it was built; ``run_chains``
+        # checks each method's chains only where they run, as one batch,
+        # and the counts do not depend on ``steps``.
         spec = replace(preset_gm2d(), steps=100)
         calls = {"_validate": 0, "lipschitz_bounds": 0}
         validate, bounds = dynamics._validate, spec.objective.lipschitz_bounds
@@ -528,8 +527,8 @@ class TestDistinctChains:
         monkeypatch.setattr(harness, "_validate", validate_spy)
         monkeypatch.setattr(spec.objective, "lipschitz_bounds", bounds_spy)
         harness.run_chains(spec)
-        assert calls["_validate"] <= 4
-        assert calls["lipschitz_bounds"] <= 2
+        assert calls["_validate"] == 2
+        assert calls["lipschitz_bounds"] == 1
 
     def test_float_chains_run_one_at_a_time(self, monkeypatch):
         # A batch of 1-D quadratic chains gives the bytes of lone chains on
@@ -633,6 +632,38 @@ class TestInputChecks:
             replace(spec, seeds=(1, 1))
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seeds = (1, 1)
+
+    def test_replace_checks_the_chains(self):
+        # A spec checks its chain settings when it is built, not when it runs.
+        with pytest.raises(ValueError, match="^method: expected one of"):
+            replace(preset_gm2d(), methods=("sgld",))
+        with pytest.raises(ValueError, match="^eta: step-size bound"):
+            replace(preset_rastrigin(), eta=1.0)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"methods": ["sgld"]}, "method: expected one of ('rgld', 'pgld', 'pg'), got 'sgld'"),
+        ({"eta": -1}, "eta: must be positive and finite, got -1.0"),
+        ({"noise": "gausian"},
+         "noise: expected one of ('rademacher', 'gaussian'), got 'gausian'"),
+        ({"x0": [0.1, 0.2, 0.3]}, "x0: expected shape (2,), got (3,)"),
+        ({"seeds": [2**64]}, f"seed: must be below 2**64, got {2**64}"),
+    ], ids=["method", "eta", "noise", "x0", "seed"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_spec_file_chains_checked_by_both_commands(self, command, change, message,
+                                                        tmp_path, capsys):
+        # ``rgld oracle`` runs no chain, but refuses a chain setting that
+        # ``rgld run`` refuses.
+        spec = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 1.0, "steps": 10, **change,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_spec_file_steps_checked_by_both_commands(self, command, tmp_path, monkeypatch):
@@ -779,13 +810,13 @@ class TestInputChecks:
         ({"enforce_step_bound": True}, "eta: step-size bound"),
     ], ids=["noise", "beta", "step-bound"])
     def test_every_method_validated_before_any_chain(self, change, message, monkeypatch):
-        # pg reads none of these settings: the rgld chains fail before pg runs.
+        # pg reads none of these settings: the spec refuses the rgld chains
+        # when it is built, and no chain runs.
         fail = lambda *args: pytest.fail("a chain ran")
         monkeypatch.setattr(harness, "run_chain", fail)
         monkeypatch.setattr(harness, "run_batch", fail)
-        spec = replace(preset_rosenbrock(4), steps=10, seeds=(0, 1, 2), **change)
         with pytest.raises(ValueError, match=f"^{message}"):
-            harness.run_chains(spec)
+            replace(preset_rosenbrock(4), steps=10, seeds=(0, 1, 2), **change)
 
     def test_cli_rejects_non_finite_iterates(self, tmp_path, capsys):
         # eta * grad = 1e308 * 1.9 overflows on the first update.
@@ -928,9 +959,8 @@ class TestConfigFiles:
     def test_validation_failure_reports_field(self, tmp_path):
         bad = self.spec_dict()
         bad["eta"] = -1.0
-        spec = spec_from_dict(bad)
-        with pytest.raises(ValueError, match="^eta"):
-            run_experiment(spec, tmp_path)
+        with pytest.raises(ValueError, match="^eta: must be positive and finite, got -1.0$"):
+            spec_from_dict(bad)
 
 
 def readme_spec_tree():
@@ -1020,9 +1050,9 @@ class TestSpecTrees:
     @settings(max_examples=300, deadline=None)
     @given(where=st.sampled_from(README_KEYS), value=json_values())
     def test_a_built_spec_passes_its_own_checks(self, where, value, tmp_path_factory):
-        # The spec checks its own fields when it is built: a run refuses an
-        # accepted spec only by a chain's, the oracle's or the out-dir check
-        # (``steps`` by a chain's only above ``MAX_STEPS``).
+        # The spec checks its own fields and its chains when it is built: a
+        # run refuses an accepted spec only by the oracle's or the out-dir
+        # check, never by a chain setting's.
         tree = json.loads(json.dumps(README_TREE))
         node = tree
         for key in where[:-1]:
@@ -1043,8 +1073,9 @@ class TestSpecTrees:
             except ChainRan:
                 pass
             except ValueError as exc:
-                assert not re.match(r"(name|seeds|methods|steps|min_f|tv_prefixes): "
-                                    r"(?!must be at most)", str(exc)), str(exc)
+                # The oracle's and the out-dir's fields, no chain setting
+                # (method, eta, beta, noise, seed, x0, dimension, steps).
+                assert re.match(r"(dim|n_per_axis|out_dir): ", str(exc)), str(exc)
 
 
 class TestCli:
@@ -1139,9 +1170,18 @@ class TestCli:
         def ran(*args):
             raise ChainRan
 
+        # The spec file's own 20 default seeds are checked as chain configs
+        # when it is built; the oversized list must build none.
+        chain_config = harness.ExperimentSpec.chain_config
+
+        def config(spec, *args):
+            if len(spec.seeds) > harness.MAX_SEEDS:
+                raise ChainRan
+            return chain_config(spec, *args)
+
         for name in ("run_chain", "run_batch"):
             monkeypatch.setattr(harness, name, ran)
-        monkeypatch.setattr(harness.ExperimentSpec, "chain_config", ran)
+        monkeypatch.setattr(harness.ExperimentSpec, "chain_config", config)
         rc = cli.main(["run", str(path), *argv, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -1267,6 +1307,17 @@ class TestCli:
         assert f"beta: must be non-negative and finite, got {float(beta)}" in (
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_oracle_beta_zero_is_the_uniform_law(self, tmp_path):
+        # ``--beta`` is the oracle's own temperature: the spec's rgld chain
+        # would refuse beta 0, the oracle takes it as the uniform law.
+        rc = cli.main(["oracle", "gibbs1d", "--beta", "0", "--bins", "64",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        cells = np.loadtxt(tmp_path / "gibbs1d_oracle_64.csv", delimiter=",", skiprows=1)
+        # Every cell of the interval's grid lies in the region.
+        assert cells.shape == (64, 3)
+        assert len(set(cells[:, 2])) == 1
 
     @pytest.mark.parametrize("flag", ["--eta", "--steps", "--seeds"])
     def test_oracle_rejects_chain_flags(self, flag, tmp_path):
