@@ -10,8 +10,8 @@ oracle <preset|config.json>
     <= 2), at its beta or ``--beta``, and export its cells as CSV.
 check
     Run a compact invariant battery (geometry, the 1-D operators on
-    Python floats, gradients, a batch of two and each chain alone giving
-    the same bytes, oracle normalization, CSV float text) and exit
+    Python floats, gradients, a batch of two seeds and each chain alone
+    giving the same bytes, oracle normalization, CSV float text) and exit
     non-zero on any failure. The test suites run its geometry, 1-D
     operator and gradient checks on their own domains, seeds and points.
 """
@@ -68,24 +68,17 @@ def _resolve_spec(args) -> harness.ExperimentSpec:
     if args.dim is not None and target not in DIM_PRESETS:
         kind = "preset" if target in harness.PRESETS else "spec file"
         raise ValueError(f"--dim is not applicable to {kind} {target!r}")
-    if target not in harness.PRESETS:
-        spec = harness.spec_from_file(target)
-    elif args.dim is None:
-        spec = harness.PRESETS[target]()
-    else:
-        spec = harness.PRESETS[target](dim=args.dim)
-
     # Only ``run`` takes the chain flags; ``oracle``'s ``--beta`` is its own.
     flags = vars(args)
-    overrides = {
-        key: flags[key] for key in ("eta", "beta", "steps", "seeds")
-        if flags.get(key) is not None
-    }
-    # A new chain length keeps the TV prefixes below it and ends them at it.
-    if "steps" in overrides and spec.tv_prefixes:
-        steps = overrides["steps"]
-        overrides["tv_prefixes"] = tuple(p for p in spec.tv_prefixes if p < steps) + (steps,)
-    return replace(spec, **overrides)
+    overrides = {key: flags[key] for key in ("eta", "beta", "steps", "seeds")
+                 if flags.get(key) is not None}
+    # A file's tree takes the flags before it is built: the spec that runs
+    # is the one that was checked, and a flag can mend a file.
+    if target not in harness.PRESETS:
+        return harness.spec_from_file(target, **overrides)
+    factory = harness.PRESETS[target]
+    spec = factory() if args.dim is None else factory(dim=args.dim)
+    return replace(spec, **harness._override({"tv_prefixes": spec.tv_prefixes}, overrides))
 
 
 def _cmd_run(args) -> int:
@@ -219,8 +212,8 @@ def _cmd_check(_args) -> int:
            all(check_gradient(obj, rng.uniform(-1.5, 1.5, size=(20, obj.dim)))[0]
                for obj in objs))
 
-    # A batch of two and each chain alone must give the same bytes, on the
-    # mixture's shell, on a 3-D mixture's shell off the origin (the
+    # A batch of two seeds and each chain alone must give the same bytes,
+    # on the mixture's shell, on a 3-D mixture's shell off the origin (the
     # membership test then subtracts the center) and on two intervals:
     # gibbs1d's quadratic, whose lone chain runs on Python floats, and
     # Rastrigin (a hot chain: about a third of its updates reflect). Alone,
@@ -235,10 +228,10 @@ def _cmd_check(_args) -> int:
     fields = ("f_value", "boundary_events", "fallback_events", "final_point")
     ok = True
     for obj, dom, eta, beta in cases:
-        configs = [ChainConfig(method="rgld", eta=eta, beta=beta, steps=500, seed=seed,
-                               enforce_step_bound=False) for seed in (3, 4)]
-        for batched, config in zip(run_batch(configs, obj, dom), configs):
-            lone = run_chain(config, obj, dom)
+        config = ChainConfig(method="rgld", eta=eta, beta=beta, steps=500,
+                             enforce_step_bound=False)
+        for batched in run_batch(config, (3, 4), obj, dom):
+            lone = run_chain(batched.config, obj, dom)
             ok &= all(getattr(batched, f).tobytes() == getattr(lone, f).tobytes()
                       for f in fields)
     report("chain determinism", ok)

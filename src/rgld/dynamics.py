@@ -13,11 +13,12 @@ The default noise is a Rademacher vector (i.i.d. +/-1 coordinates) whose
 norm is exactly ``sqrt(d)``, which keeps per-step overshoot bounded;
 Gaussian noise is retained as the conventional alternative.
 
-Two loops run the update. ``run_batch`` advances any number of chains
-of one method together on a ``(B, d)`` array (the objective's
-``value_and_gradient`` takes the rows and gives each the bits of its
-point call), tests membership inline, with the bits of the region's
-``contains``, and calls the operator only for rows outside the region.
+Two loops run the update. ``run_batch`` takes one config and a list of
+seeds and advances its chains, one per seed, together on a ``(B, d)``
+array (the objective's ``value_and_gradient`` takes the rows and gives
+each the bits of its point call), tests membership inline, with the bits
+of the region's ``contains``, and calls the operator only for rows
+outside the region.
 ``run_chain`` runs a lone chain as a batch of one, except a lone
 ``rgld`` or ``pgld`` chain on a one-dimensional ``Quadratic`` (gibbs1d,
 ``_runs_on_floats``), which carries only its iterate, a Python float:
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -111,10 +112,6 @@ class ChainConfig:
         """Whether the chain's record changes with ``seed``: only when the
         method draws noise or ``x0`` is drawn from the seeded generator."""
         return self.method != "pg" or self.x0 is None
-
-
-# The fields every chain of a batch shares.
-_SHARED = tuple(f.name for f in fields(ChainConfig) if f.name not in ("seed", "x0"))
 
 
 @dataclass
@@ -194,49 +191,43 @@ def step_size_bound(
     return eta * L + math.sqrt(2.0 * eta * domain.dim / beta)
 
 
-def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
-    """Check a batch, a list of configs, before its first step; return
-    whether the step-size bound holds.
+def _validate(config: ChainConfig, seeds, obj: Objective, domain: FeasibleDomain) -> bool:
+    """Check a batch, the chain ``config`` describes for each of ``seeds``,
+    before its first step; return whether the step-size bound holds.
 
-    The fields a batch shares (``_SHARED``: every ``ChainConfig`` field
-    but ``seed`` and ``x0``) are checked once, on the first config, and
-    every other config must repeat them; then each chain's seed and each
-    distinct ``x0`` object are checked, and last the step-size bound, with
-    one ``lipschitz_bounds`` call. A message starts with the field at fault.
+    The config is checked once, then the seeds as integers in
+    ``[0, 2**64)``, then ``x0``, and last the step-size bound, with one
+    ``lipschitz_bounds`` call. A message starts with the field at fault.
     """
-    if not configs:
-        raise ValueError("configs: a batch needs at least one chain")
-    first = configs[0]
-    if first.method not in METHODS:
-        raise ValueError(f"method: expected one of {METHODS}, got {first.method!r}")
-    if not 0 < first.eta < math.inf:
-        raise ValueError(f"eta: must be positive and finite, got {first.eta}")
-    if not math.isfinite(first.beta):
-        raise ValueError(f"beta: must be finite, got {first.beta}")
-    if first.steps < 1:
-        raise ValueError(f"steps: must be at least 1, got {first.steps}")
-    if first.steps > MAX_STEPS:
-        raise ValueError(f"steps: must be at most {MAX_STEPS}, got {first.steps}")
+    if config.method not in METHODS:
+        raise ValueError(f"method: expected one of {METHODS}, got {config.method!r}")
+    if not 0 < config.eta < math.inf:
+        raise ValueError(f"eta: must be positive and finite, got {config.eta}")
+    if not math.isfinite(config.beta):
+        raise ValueError(f"beta: must be finite, got {config.beta}")
+    if config.steps < 1:
+        raise ValueError(f"steps: must be at least 1, got {config.steps}")
+    if config.steps > MAX_STEPS:
+        raise ValueError(f"steps: must be at most {MAX_STEPS}, got {config.steps}")
     check_dimension(obj, domain)
-    needs_noise = first.method != "pg"
+    needs_noise = config.method != "pg"
     if needs_noise:
-        if not first.beta > 0:
-            raise ValueError(f"beta: must be positive, got {first.beta}")
-        if first.noise not in NOISE_KINDS:
-            raise ValueError(f"noise: expected one of {NOISE_KINDS}, got {first.noise!r}")
-    for field in _SHARED:
-        values = [getattr(c, field) for c in configs]
-        if any(v != values[0] for v in values):
-            raise ValueError(f"{field}: a batch needs one value, got {values}")
-    for config in configs:
-        seed = config.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
-        if seed >= 2**64:
-            raise ValueError(f"seed: must be below 2**64, got {seed}")
-    # Chains of one spec share their ``x0`` object: each is checked once.
-    for x0 in {id(c.x0): c.x0 for c in configs if c.x0 is not None}.values():
-        x0 = np.asarray(x0, dtype=np.float64)
+        if not config.beta > 0:
+            raise ValueError(f"beta: must be positive, got {config.beta}")
+        if config.noise not in NOISE_KINDS:
+            raise ValueError(f"noise: expected one of {NOISE_KINDS}, got {config.noise!r}")
+    if not seeds:
+        raise ValueError("seeds: a batch needs at least one seed")
+    # One type test per type, not per seed: ``min`` then orders integers.
+    if any(t is bool or not issubclass(t, numbers.Integral)
+           for t in {type(s) for s in seeds}) or min(seeds) < 0:
+        seed = next(s for s in seeds if isinstance(s, bool)
+                    or not isinstance(s, numbers.Integral) or s < 0)
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    if max(seeds) >= 2**64:
+        raise ValueError(f"seed: must be below 2**64, got {max(seeds)}")
+    if config.x0 is not None:
+        x0 = np.asarray(config.x0, dtype=np.float64)
         if x0.shape != (domain.dim,):
             raise ValueError(f"x0: expected shape ({domain.dim},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
@@ -247,24 +238,21 @@ def _validate(configs, obj: Objective, domain: FeasibleDomain) -> bool:
                 f"x0: point at distance {dist:.6g} from the region exceeds the "
                 f"reflection margin {domain.reflection_margin:.6g}"
             )
-    bound_ok = True
-    if needs_noise:
-        bound_ok = (
-            step_size_bound(obj, domain, first.eta, first.beta)
-            <= domain.reflection_margin
+    bound_ok = not needs_noise or (step_size_bound(obj, domain, config.eta, config.beta)
+                                   <= domain.reflection_margin)
+    if not bound_ok and config.enforce_step_bound:
+        raise ValueError(
+            "eta: step-size bound eta*L + sqrt(2*eta*d/beta) exceeds the "
+            "reflection margin; reduce eta or set enforce_step_bound=False "
+            "to accept the projection fallback explicitly"
         )
-        if not bound_ok and first.enforce_step_bound:
-            raise ValueError(
-                "eta: step-size bound eta*L + sqrt(2*eta*d/beta) exceeds the "
-                "reflection margin; reduce eta or set enforce_step_bound=False "
-                "to accept the projection fallback explicitly"
-            )
     return bound_ok
 
 
-def _start(config: ChainConfig, domain: FeasibleDomain):
-    """The chain's generator and its start point, drawn before any noise."""
-    rng = np.random.default_rng(config.seed)
+def _start(config: ChainConfig, seed: int, domain: FeasibleDomain):
+    """The generator of the chain with ``seed`` and its start point, drawn
+    before any noise."""
+    rng = np.random.default_rng(seed)
     if config.x0 is None:
         return rng, domain.sample_uniform(rng)
     # Entry projection is shared by all methods so chains with equal seeds
@@ -278,18 +266,18 @@ def _runs_on_floats(config: ChainConfig, obj: Objective) -> bool:
     return config.method != "pg" and obj.dim == 1 and type(obj) is Quadratic
 
 
-def _reject_non_finite(configs, f_values: np.ndarray, finals: np.ndarray) -> None:
+def _reject_non_finite(config, seeds, f_values: np.ndarray, finals: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first chain, by row, with a
     non-finite value or final point, and its first non-finite iterate
     (``steps`` for the final point)."""
     if np.isfinite(f_values).all() and np.isfinite(finals).all():
         return
-    for config, f, x in zip(configs, f_values, finals):
+    for seed, f, x in zip(seeds, f_values, finals):
         bad = np.flatnonzero(~np.isfinite(f))
         if bad.size or not np.isfinite(x).all():
             step = int(bad[0]) if bad.size else f.shape[0]
             raise ValueError(
-                f"{config.method} chain, seed {config.seed}: iterate {step} is not "
+                f"{config.method} chain, seed {seed}: iterate {step} is not "
                 f"finite; eta={config.eta} is too large for this objective"
             )
 
@@ -301,12 +289,12 @@ def _arrays(B: int, n: int, d: int, trajectory: bool):
             np.empty((B, n, d)) if trajectory else None)
 
 
-def _records(configs, bound_ok, starts, finals, f_vals, events, fallbacks, traj,
+def _records(config, seeds, bound_ok, starts, finals, f_vals, events, fallbacks, traj,
              computed) -> list[RunRecord]:
     """The records of a step loop's ``(B, steps)`` arrays, row ``b`` for
-    ``configs[b]``, each with the batch's ``bound_ok``. A row that
-    stopped at its fixed point after ``computed[b]`` updates repeats its
-    last value, event flag and point.
+    ``seeds[b]`` under ``config`` with that seed, each with the batch's
+    ``bound_ok``. A row that stopped at its fixed point after
+    ``computed[b]`` updates repeats its last value, event flag and point.
     """
     n = f_vals.shape[1]
     for b, c in enumerate(computed):
@@ -315,7 +303,7 @@ def _records(configs, bound_ok, starts, finals, f_vals, events, fallbacks, traj,
             events[b, c:] = events[b, c - 1]
             if traj is not None:
                 traj[b, c:] = finals[b]
-    _reject_non_finite(configs, f_vals, finals)
+    _reject_non_finite(config, seeds, f_vals, finals)
     cummins = np.minimum.accumulate(f_vals, axis=1)
     return [
         RunRecord(
@@ -327,10 +315,10 @@ def _records(configs, bound_ok, starts, finals, f_vals, events, fallbacks, traj,
             initial_point=starts[b],
             final_point=finals[b],
             trajectory=None if traj is None else traj[b],
-            config=config,
+            config=replace(config, seed=seed),
             step_bound_satisfied=bound_ok,
         )
-        for b, config in enumerate(configs)
+        for b, seed in enumerate(seeds)
     ]
 
 
@@ -351,12 +339,12 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     method, the seed and the first non-finite iterate.
 
     Any chain but a float chain (``_runs_on_floats``) is
-    ``run_batch([config], obj, domain)[0]``.
+    ``run_batch(config, [config.seed], obj, domain)[0]``.
     """
     if not _runs_on_floats(config, obj):
-        return run_batch([config], obj, domain)[0]
-    bound_ok = _validate([config], obj, domain)
-    rng, x = _start(config, domain)
+        return run_batch(config, [config.seed], obj, domain)[0]
+    bound_ok = _validate(config, [config.seed], obj, domain)
+    rng, x = _start(config, config.seed, domain)
     n, is_rgld = config.steps, config.method == "rgld"
     f_vals, events, fallbacks, traj = _arrays(1, n, 1, config.record_trajectory)
     # The loop writes through row views.
@@ -369,18 +357,21 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     # The step carries only the iterate, a float. The gradient is the
     # quadratic's ``scale * x``, the membership test that of ``contains``;
     # the operators take the float at the walls. A block's values are one
-    # rows call, which gives each the bits of its point call.
+    # rows call, which gives each the bits of its point call. The step
+    # index is needed only at a wall: ``a + len(xs) - 1``.
     c, xf, eta, q = domain.center.item(), x.item(), config.eta, obj.scale
     for a in range(0, n, _NOISE_BLOCK):
         kicks = _kicks(rng, min(_NOISE_BLOCK, n - a), 1, config)[:, 0].tolist()
         xs = []
-        for k, kick in enumerate(kicks, a):
-            xs.append(xf)
+        append = xs.append
+        for kick in kicks:
+            append(xf)
             x_raw = xf - eta * (q * xf) + kick
             v = x_raw - c
             if in2 <= v * v <= out2:
                 xf = x_raw
             else:
+                k = a + len(xs) - 1
                 event_row[k] = True
                 if is_rgld:
                     xf, _, fallback_row[k] = reflect_or_project(x_raw)
@@ -390,29 +381,30 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
         f_row[a:a + len(xs)] = obj.value_many(X)
         if traj_row is not None:
             traj_row[a:a + len(xs)] = X
-    return _records([config], bound_ok, x.copy()[None], np.array([[xf]]), f_vals,
-                    events, fallbacks, traj, [n])[0]
+    return _records(config, [config.seed], bound_ok, x.copy()[None], np.array([[xf]]),
+                    f_vals, events, fallbacks, traj, [n])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord]:
-    """Execute chains of one method together; returns one record per config.
+def run_batch(config: ChainConfig, seeds, obj: Objective,
+              domain: FeasibleDomain) -> list[RunRecord]:
+    """Execute the chain ``config`` describes for each of ``seeds``, a
+    sequence, together (``config.seed`` is not read); returns one record
+    per seed.
 
-    The configs must agree on every field but ``seed`` and ``x0``; the
-    batch is checked once (``_validate``) before the first step. Record
-    ``i`` is the record ``run_chain`` describes for ``configs[i]``, bit
-    for bit, and the records' arrays are rows of shared ``(B, steps)``
-    arrays. Each update is computed for all rows at once; a row that
-    left the region is constrained by the scalar operator. A noise-free
-    row leaves the batch at its first fixed point.
+    The batch is checked once (``_validate``) before the first step.
+    Record ``i`` is the record ``run_chain`` describes for
+    ``replace(config, seed=seeds[i])``, bit for bit, and the records'
+    arrays are rows of shared ``(B, steps)`` arrays. Each update is
+    computed for all rows at once; a row that left the region is
+    constrained by the scalar operator. A noise-free row leaves the batch
+    at its first fixed point.
     """
-    configs = list(configs)
-    bound_ok = _validate(configs, obj, domain)
-    first = configs[0]
-    rngs, starts = zip(*(_start(c, domain) for c in configs))
+    bound_ok = _validate(config, seeds, obj, domain)
+    rngs, starts = zip(*(_start(config, s, domain) for s in seeds))
 
-    B, n, d = len(configs), first.steps, domain.dim
-    is_rgld, noisy = first.method == "rgld", first.method != "pg"
+    B, n, d = len(seeds), config.steps, domain.dim
+    is_rgld, noisy = config.method == "rgld", config.method != "pg"
 
     # The noise of the block from step ``a``, one ``(B, d)`` kick per
     # step; pg draws none.
@@ -422,10 +414,10 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
             return repeat(None, m)
         block = np.empty((m, B, d))
         for i, r in enumerate(rngs):
-            block[:, i] = _kicks(r, m, d, first)
+            block[:, i] = _kicks(r, m, d, config)
         return block
 
-    f_vals, events, fallbacks, traj = _arrays(B, n, d, first.record_trajectory)
+    f_vals, events, fallbacks, traj = _arrays(B, n, d, config.record_trajectory)
     computed = [n] * B
     # The loop writes no array in place but its fresh ``x_raw``.
     x = x0 = np.array(starts)
@@ -448,7 +440,7 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
     out2 = domain.outer_radius * domain.outer_radius
     # A 0-d array multiplies rows with less call overhead than a float,
     # and gives the same bits.
-    eta = np.array(first.eta)
+    eta = np.array(config.eta)
     steps = chain.from_iterable(enumerate(kicks(a), a) for a in range(0, n, _NOISE_BLOCK))
     for k, kick in steps:
         fx, g = value_and_gradient(x)
@@ -484,4 +476,5 @@ def run_batch(configs, obj: Objective, domain: FeasibleDomain) -> list[RunRecord
         if not rows:
             break
     finals[rows] = x
-    return _records(configs, bound_ok, x0, finals, f_vals, events, fallbacks, traj, computed)
+    return _records(config, seeds, bound_ok, x0, finals, f_vals, events, fallbacks, traj,
+                    computed)

@@ -92,7 +92,7 @@ GM_OBJECTIVE_SEED = 6
 TV_BINS = 256
 
 # The most seeds a run may have, from a spec, a preset or ``--seeds``:
-# each is a chain config and a CSV file.
+# each is a chain and a CSV file.
 MAX_SEEDS = 100_000
 
 # The longest spec name in UTF-8 bytes: every file a run writes is named
@@ -113,9 +113,10 @@ class ExperimentSpec:
     ``name`` starts the name of every file a run writes, so it holds at
     most 200 bytes of UTF-8 and no ``/`` or NUL; seeds (at most
     ``MAX_SEEDS``) and methods are non-empty and distinct; ``min_f`` is
-    finite when set; each method's chains pass ``dynamics._validate`` as
-    one batch; TV prefixes are distinct and in ``1..steps``. A message
-    starts with the field at fault.
+    finite when set; each method's config (``chain_config``) and the
+    seeds pass ``dynamics._validate``, one call per method, which checks
+    the seeds as integers; TV prefixes are distinct and in ``1..steps``.
+    A message starts with the field at fault.
     """
 
     name: str
@@ -161,19 +162,19 @@ class ExperimentSpec:
         if self.min_f is not None and not math.isfinite(self.min_f):
             raise ValueError(f"min_f: must be finite, got {self.min_f}")
         for method in self.methods:
-            _validate([self.chain_config(method, s) for s in self.seeds],
-                      self.objective, self.domain)
+            _validate(self.chain_config(method), self.seeds, self.objective, self.domain)
         bad = [p for p in self.tv_prefixes if not 1 <= p <= self.steps]
         if bad:
             raise ValueError(f"tv_prefixes: {bad} outside 1..steps={self.steps}")
 
-    def chain_config(self, method: str, seed: int) -> ChainConfig:
+    def chain_config(self, method: str) -> ChainConfig:
+        """The config of the method's chains; the chain of seed ``s`` is
+        ``replace(config, seed=s)``."""
         return ChainConfig(
             method=method,
             eta=self.eta,
             beta=self.beta,
             steps=self.steps,
-            seed=seed,
             noise=self.noise,
             x0=self.x0,
             record_trajectory=bool(self.tv_prefixes),
@@ -413,7 +414,7 @@ def _check(field: str, value, json_type: str) -> None:
         return
     python_type, noun, list_noun = _JSON_TYPES[base]
     if json_type != base:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):  # a tuple is an override's list
             raise ValueError(f"{field}: expected {list_noun}, got {value!r}")
         for i, v in enumerate(value):
             _check(f"{field}[{i}]", v, json_type[:-2])
@@ -472,10 +473,24 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return _read("spec", d)
 
 
-def spec_from_file(path) -> ExperimentSpec:
-    """Load a custom experiment spec from a JSON file."""
+def _override(values: dict, overrides: dict) -> dict:
+    """``values``, a spec's JSON tree or fields, with ``overrides`` set. A
+    new ``steps`` keeps the TV prefixes below it and ends them at it;
+    prefixes that are not a list of integers are left to the checks."""
+    prefixes, steps = values.get("tv_prefixes"), overrides.get("steps")
+    values = {**values, **overrides}
+    if (steps is not None and prefixes and isinstance(prefixes, (list, tuple))
+            and all(isinstance(p, int) for p in prefixes)):
+        values["tv_prefixes"] = type(prefixes)([p for p in prefixes if p < steps] + [steps])
+    return values
+
+
+def spec_from_file(path, **overrides) -> ExperimentSpec:
+    """Load a custom experiment spec from a JSON file whose tree takes
+    ``overrides`` (``_override``) before it is built and checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        tree = json.load(fh)
+    return spec_from_dict(_override(tree, overrides) if isinstance(tree, dict) else tree)
 
 
 # ---------------------------------------------------------------------------
@@ -484,32 +499,29 @@ def spec_from_file(path) -> ExperimentSpec:
 def run_chains(spec: ExperimentSpec) -> dict[tuple[str, int], RunRecord]:
     """Run every (method, seed) chain of the spec and return the records.
 
-    Each distinct chain runs once: seeds whose chains ignore the seed
-    (``ChainConfig.depends_on_seed``) share one record's arrays, each
-    under its own config. A method's distinct chains run as a batch of
-    two or more, or one at a time when there is one or ``run_chain``
-    runs them on Python floats. The spec checked its chains when it was
-    built. The arrays are marked read-only.
+    A method's chains are its config (``spec.chain_config``) and the
+    seeds. A chain that ignores the seed (``ChainConfig.depends_on_seed``)
+    runs once, and every seed's record shares its arrays under a config
+    with that seed. The distinct chains run as one batch, or one at a time
+    when there is one or ``run_chain`` runs them on Python floats. The spec
+    checked them when it was built. The arrays are marked read-only.
     """
-    configs = {(m, s): spec.chain_config(m, s) for m in spec.methods for s in spec.seeds}
-    chain_of = {(m, s): (m, s if c.depends_on_seed else None) for (m, s), c in configs.items()}
-    by_method: dict[str, dict[tuple, ChainConfig]] = {}
-    for key, config in configs.items():
-        by_method.setdefault(key[0], {}).setdefault(chain_of[key], config)
+    obj, domain = spec.objective, spec.domain
     records = {}
-    for distinct in by_method.values():
-        chains = list(distinct.values())
+    for method in spec.methods:
+        config = spec.chain_config(method)
+        seeds = spec.seeds if config.depends_on_seed else spec.seeds[:1]
         # A lone chain goes through ``run_chain``, the call perfbench traces.
-        if len(chains) == 1 or _runs_on_floats(chains[0], spec.objective):
-            batch = [run_chain(c, spec.objective, spec.domain) for c in chains]
+        if len(seeds) == 1 or _runs_on_floats(config, obj):
+            batch = [run_chain(replace(config, seed=s), obj, domain) for s in seeds]
         else:
-            batch = run_batch(chains, spec.objective, spec.domain)
-        records.update(zip(distinct, batch))
-    for record in records.values():
-        for value in vars(record).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-    return {key: replace(records[chain_of[key]], config=c) for key, c in configs.items()}
+            batch = run_batch(config, seeds, obj, domain)
+        for array in [v for r in batch for v in vars(r).values() if isinstance(v, np.ndarray)]:
+            array.setflags(write=False)
+        if not config.depends_on_seed:
+            batch = [replace(batch[0], config=replace(config, seed=s)) for s in spec.seeds]
+        records.update(zip([(method, s) for s in spec.seeds], batch))
+    return records
 
 
 def _run_strings(fmt: str, columns) -> tuple[list, list]:

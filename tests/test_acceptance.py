@@ -75,9 +75,8 @@ def coupling_records():
     with timed("coupling"):
         recs = {}
         for m in spec.methods:
-            configs = [replace(spec.chain_config(m, s), record_trajectory=True)
-                       for s in spec.seeds]
-            batch = run_batch(configs, spec.objective, spec.domain)
+            config = replace(spec.chain_config(m), record_trajectory=True)
+            batch = run_batch(config, spec.seeds, spec.objective, spec.domain)
             recs.update(((m, s), r) for s, r in zip(spec.seeds, batch))
     note_fallbacks("gm2d-pgld-vs-rgld", recs)
     return spec, recs
@@ -288,7 +287,7 @@ def test_step_size_safety(gm_records, coupling_records, rosenbrock_records, gibb
     # Fallback never fires across the preset runs executed above, plus a
     # short rastrigin run at its benchmark hyperparameters.
     spec = preset_rastrigin(2)
-    cfg = replace(spec.chain_config("rgld", 0), steps=20_000)
+    cfg = replace(spec.chain_config("rgld"), steps=20_000)
     rec = run_chain(cfg, spec.objective, spec.domain)
     FALLBACKS["rastrigin2"] = rec.fallback_count
     total = sum(FALLBACKS.values())

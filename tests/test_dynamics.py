@@ -337,15 +337,17 @@ class TestOuterSphere:
         assert np.array_equal(x0 + kick, target) and dom.contains(x0)
         assert dom.contains(target) is not beyond
 
+        config = ChainConfig(x0=x0, **self.CONFIG)
         if runner == "chain":
-            rec = run_chain(ChainConfig(x0=x0, **self.CONFIG), Flat(2), dom)
+            rec = run_chain(config, Flat(2), dom)
         else:
-            # A second row, well inside, that the same kick keeps inside.
-            x1 = dom.center + np.array([0.0, -3.0])
-            rec, inner = run_batch(
-                [ChainConfig(x0=x, **self.CONFIG) for x in (x0, x1)], Flat(2), dom)
+            # A second row whose kick points back from the sphere, which
+            # keeps it inside.
+            other = next(s for s in range(100)
+                         if (rademacher_kicks(s, 1, 2)[0] == -np.sign(kick)).all())
+            rec, inner = run_batch(config, [config.seed, other], Flat(2), dom)
             assert not inner.boundary_events[0]
-            assert inner.final_point.tobytes() == (x1 + kick).tobytes()
+            assert inner.final_point.tobytes() == (x0 - kick).tobytes()
         assert rec.initial_point.tobytes() == x0.tobytes()
         assert bool(rec.boundary_events[0]) is beyond
         assert (rec.reflection_events, rec.fallback_count) == (int(beyond), 0)
@@ -460,10 +462,10 @@ class TestValidation:
             run_chain(cfg, QUAD2, BALL2)
 
     def test_each_start_of_a_batch_checked(self):
-        configs = [ChainConfig(method="pg", eta=0.1, steps=1, seed=s, x0=np.array(x0))
-                   for s, x0 in ((0, [0.5, 0.0]), (1, [50.0, 0.0]))]
+        # A batch has one start, checked once for all its seeds.
+        config = ChainConfig(method="pg", eta=0.1, steps=1, x0=np.array([50.0, 0.0]))
         with pytest.raises(ValueError, match="^x0: point at distance 48 "):
-            run_batch(configs, QUAD2, BALL2)
+            run_batch(config, [0, 1], QUAD2, BALL2)
 
     def test_bad_method(self):
         cfg = ChainConfig(method="sgld", eta=0.1, steps=1)
@@ -506,27 +508,26 @@ class TestValidation:
     def test_seed_must_be_a_non_negative_integer(self, seed, runner):
         # A negative seed reached ``np.random.default_rng``, whose error
         # named no field.
-        configs = [ChainConfig(method="rgld", eta=0.01, steps=1, seed=s) for s in (0, seed)]
+        config = ChainConfig(method="rgld", eta=0.01, steps=1, seed=seed)
         with pytest.raises(ValueError,
                            match=rf"^seed: must be a non-negative integer, got {re.escape(repr(seed))}$"):
             if runner == "chain":
-                run_chain(configs[1], QUAD2, BALL2)
+                run_chain(config, QUAD2, BALL2)
             else:
-                run_batch(configs, QUAD2, BALL2)
+                run_batch(config, [0, seed], QUAD2, BALL2)
 
     @pytest.mark.parametrize("seed", [2**64, 10**400], ids=["2**64", "10**400"])
     @pytest.mark.parametrize("runner", ["chain", "batch"])
     def test_seed_must_be_below_2_64(self, seed, runner):
         # numpy seeds a generator from any integer; such a seed ran its
         # chain, then named a file too long for the file system.
-        configs = [ChainConfig(method="rgld", eta=0.01, steps=1, seed=s)
-                   for s in (2**64 - 1, seed)]
+        config = ChainConfig(method="rgld", eta=0.01, steps=1, seed=seed)
         with pytest.raises(ValueError, match=rf"^seed: must be below 2\*\*64, got {seed}$"):
             if runner == "chain":
-                run_chain(configs[1], QUAD2, BALL2)
+                run_chain(config, QUAD2, BALL2)
             else:
-                run_batch(configs, QUAD2, BALL2)
-        assert run_chain(configs[0], QUAD2, BALL2).config.seed == 2**64 - 1
+                run_batch(config, [2**64 - 1, seed], QUAD2, BALL2)
+        assert run_chain(replace(config, seed=2**64 - 1), QUAD2, BALL2).config.seed == 2**64 - 1
 
     @pytest.mark.parametrize("obj,dom", [(QUAD2, BALL2), (Quadratic(1.0, 1), Ball(np.zeros(1), 1.0))],
                              ids=["batch", "floats"])
@@ -594,7 +595,8 @@ class TestPresetSafety:
     """Feasibility and fallback safety at the benchmark hyperparameters."""
 
     def _run(self, spec, method, steps, seed=0, record=False):
-        cfg = replace(spec.chain_config(method, seed), steps=steps, record_trajectory=record)
+        cfg = replace(spec.chain_config(method), seed=seed, steps=steps,
+                      record_trajectory=record)
         return run_chain(cfg, spec.objective, spec.domain)
 
     def test_feasibility_fuzz_100k_steps(self):
@@ -638,21 +640,21 @@ def assert_same_record(a, b):
         assert getattr(a, field) == getattr(b, field), field
 
 
-def assert_batch_matches_run_chain(configs, obj, dom):
-    """Each record of the batch is its chain's reference record and the
-    record ``run_chain`` gives the chain alone."""
-    records = run_batch(configs, obj, dom)
-    assert len(records) == len(configs)
-    for config, rec in zip(configs, records):
-        assert_matches_reference(rec, config, obj, dom)
-        assert_same_record(rec, run_chain(config, obj, dom))
+def assert_batch_matches_run_chain(config, seeds, obj, dom):
+    """Each record of the batch carries its seed and is its chain's
+    reference record and the record ``run_chain`` gives the chain alone."""
+    records = run_batch(config, seeds, obj, dom)
+    assert [r.config.seed for r in records] == list(seeds)
+    for rec in records:
+        assert_matches_reference(rec, rec.config, obj, dom)
+        assert_same_record(rec, run_chain(rec.config, obj, dom))
     return records
 
 
 @st.composite
 def batches(draw, fixing=False):
-    """A method, objective and region with B = 2..20 chains of one config
-    but for the seed (and, for some, ``x0``), and a noise block size.
+    """A config, B = 2..20 seeds, an objective, a region and a noise block
+    size. ``x0`` is drawn, per seed, or one given start.
 
     ``fixing`` draws pg rows on Rastrigin with eta near 1 / (2 + 40 pi^2),
     the curvature at its minima, so that rows reach their fixed points
@@ -677,14 +679,11 @@ def batches(draw, fixing=False):
     }[kind]()
     B = draw(st.integers(2, 20))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=B, max_size=B, unique=True))
-    start = draw(st.sampled_from(["drawn", "per-row"] if fixing else
-                                 ["drawn", "shared", "per-row"]))
-    x0 = {
-        "drawn": lambda: [None] * B,
-        "shared": lambda: [dom.sample_uniform(rng)] * B,
-        "per-row": lambda: [dom.sample_uniform(rng) for _ in range(B)],
-    }[start]()
-    base = dict(
+    # A batch has one start: fixing rows need starts of their own, so
+    # theirs are drawn.
+    shared = not fixing and draw(st.booleans())
+    config = ChainConfig(
+        x0=dom.sample_uniform(rng) if shared else None,
         method="pg" if fixing else draw(st.sampled_from(METHODS)),
         eta=draw(st.floats(2e-3, 3e-3)) if fixing else 10.0 ** draw(st.floats(-4.0, -0.5)),
         beta=draw(st.floats(0.5, 20.0)),
@@ -693,8 +692,7 @@ def batches(draw, fixing=False):
         record_trajectory=draw(st.booleans()),
         enforce_step_bound=False,
     )
-    configs = [ChainConfig(seed=s, x0=x, **base) for s, x in zip(seeds, x0)]
-    return configs, obj, dom, draw(st.sampled_from([1, 7, 4096]))
+    return config, seeds, obj, dom, draw(st.sampled_from([1, 7, 4096]))
 
 
 class TestRunBatch:
@@ -704,44 +702,45 @@ class TestRunBatch:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(batches())
     def test_matches_run_chain(self, case):
-        configs, obj, dom, block = case
+        config, seeds, obj, dom, block = case
         with mock.patch.object(dynamics, "_NOISE_BLOCK", block):
-            assert_batch_matches_run_chain(configs, obj, dom)
+            assert_batch_matches_run_chain(config, seeds, obj, dom)
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(batches(fixing=True))
     def test_fixed_rows_match_run_chain(self, case):
-        configs, obj, dom, _ = case
-        assert_batch_matches_run_chain(configs, obj, dom)
+        config, seeds, obj, dom, _ = case
+        assert_batch_matches_run_chain(config, seeds, obj, dom)
 
     def test_rows_fix_at_different_steps(self):
         # Drawn starts: each pg row stops at its own fixed point (steps
         # 150-163 here), and the rows that have not fixed by step 157 keep
         # computing to the end.
         obj, dom = Rastrigin(2), SphericalShell(np.zeros(2), 0.9, 5.12)
-        configs = [ChainConfig(method="pg", eta=5e-4, steps=157, seed=s,
-                               record_trajectory=True) for s in range(8)]
-        records = assert_batch_matches_run_chain(configs, obj, dom)
+        config = ChainConfig(method="pg", eta=5e-4, steps=157, record_trajectory=True)
+        records = assert_batch_matches_run_chain(config, range(8), obj, dom)
         computed = [r.computed_steps for r in records]
         assert len(set(computed)) > 2
         assert min(computed) < 157 and max(computed) == 157
 
     def test_fixed_rows_on_the_boundary_and_cycling_rows(self):
         # The quadratic pulls every iterate into the cavity: rows fix on
-        # the inner sphere, projected on every later step.
+        # the inner sphere, projected on every later step. A batch has one
+        # start, so each start is a batch of two seeds (a pg chain from a
+        # given start reads no seed).
         obj, dom = Quadratic(1.0, 2), SphericalShell(np.zeros(2), 1.0, 3.0)
         starts = [np.array([2.0, 0.5]), np.array([-1.5, 2.0]), np.array([0.0, -2.5])]
         for eta in (0.1, 0.05):
-            configs = [ChainConfig(method="pg", eta=eta, steps=400, x0=x) for x in starts]
-            records = assert_batch_matches_run_chain(configs, obj, dom)
-            assert all(r.projection_events > 0 for r in records)
+            for x in starts:
+                config = ChainConfig(method="pg", eta=eta, steps=400, x0=x)
+                records = assert_batch_matches_run_chain(config, [0, 1], obj, dom)
+                assert all(r.projection_events > 0 for r in records)
 
     def test_fallback_rows(self):
         obj, dom = Rosenbrock(2), SphericalShell(np.zeros(2), 0.5, 2.0)
-        configs = [ChainConfig(method="rgld", eta=3e-3, beta=1.0, steps=2000, seed=s,
-                               enforce_step_bound=False, record_trajectory=True)
-                   for s in range(6)]
-        records = assert_batch_matches_run_chain(configs, obj, dom)
+        config = ChainConfig(method="rgld", eta=3e-3, beta=1.0, steps=2000,
+                             enforce_step_bound=False, record_trajectory=True)
+        records = assert_batch_matches_run_chain(config, range(6), obj, dom)
         assert sum(r.fallback_count for r in records) > 0
         assert sum(r.reflection_events for r in records) > 0
         for r in records:
@@ -755,12 +754,13 @@ class TestRunBatch:
                                              ("record_trajectory", True),
                                              ("enforce_step_bound", False)])
     def test_configs_must_agree(self, field, value):
-        # The configs default to ``record_trajectory=False`` and
-        # ``enforce_step_bound=True``.
-        configs = [ChainConfig(method="rgld", eta=0.01, steps=10, seed=s) for s in (0, 1)]
-        configs[1] = replace(configs[1], **{field: value})
-        with pytest.raises(ValueError, match=f"^{field}"):
-            run_batch(configs, QUAD2, BALL2)
+        # A batch is one config and its seeds, so its records cannot
+        # disagree: each carries the config, with its own seed.
+        config = replace(ChainConfig(method="rgld", eta=0.01, steps=10, seed=9,
+                                     enforce_step_bound=False), **{field: value})
+        records = run_batch(config, [0, 1], QUAD2, BALL2)
+        assert [r.config for r in records] == [replace(config, seed=s) for s in (0, 1)]
+        assert all(getattr(r.config, field) == value for r in records)
 
     @pytest.mark.parametrize("method", ["rgld", "pgld"])
     @pytest.mark.parametrize("noise", NOISE_KINDS)
@@ -770,7 +770,7 @@ class TestRunBatch:
         obj, dom = Quadratic(0.5, 2), Ball(np.zeros(2), 1.0)
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=50, seed=4,
                              noise=noise, record_trajectory=True)
-        batched = run_batch([config], obj, dom)[0]
+        batched = run_batch(config, [config.seed], obj, dom)[0]
         with mock.patch.object(dynamics, "_NOISE_BLOCK", 7):
             lone = run_chain(config, obj, dom)
         assert_same_record(lone, batched)
@@ -778,8 +778,9 @@ class TestRunBatch:
         assert batched.boundary_events.any()
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="^configs"):
-            run_batch([], QUAD2, BALL2)
+        config = ChainConfig(method="rgld", eta=0.01, steps=10)
+        with pytest.raises(ValueError, match="^seeds: a batch needs at least one seed$"):
+            run_batch(config, [], QUAD2, BALL2)
 
 
 class TestOneCoordinate:
@@ -793,7 +794,7 @@ class TestOneCoordinate:
         x0 = None if config.x0 is None else config.x0.copy()
         lone = run_chain(config, obj, dom)
         assert_matches_reference(lone, config, obj, dom)
-        assert_same_record(lone, run_batch([config], obj, dom)[0])
+        assert_same_record(lone, run_batch(config, [config.seed], obj, dom)[0])
         if x0 is not None:
             assert config.x0.tobytes() == x0.tobytes()
         return lone
@@ -904,28 +905,30 @@ class TestNonFiniteIterates:
         # (a pg chain's on (1,) arrays).
         for x0, obj, dom in [([1.9, 0.0], QUAD2, BALL2),
                              ([1.9], Quadratic(1.0, 1), Ball(np.zeros(1), 2.0))]:
-            configs = [ChainConfig(method=method, eta=1e308, steps=50, seed=s,
-                                   x0=np.array(x0), enforce_step_bound=False)
-                       for s in (3, 4)]
+            config = ChainConfig(method=method, eta=1e308, steps=50, seed=3,
+                                 x0=np.array(x0), enforce_step_bound=False)
             with pytest.raises(ValueError,
                                match=f"^{method} chain, seed 3: iterate 1 is not finite"):
                 if runner == "chain":
-                    run_chain(configs[0], obj, dom)
+                    run_chain(config, obj, dom)
                 else:
-                    run_batch(configs, obj, dom)
+                    run_batch(config, [3, 4], obj, dom)
 
     @pytest.mark.parametrize("method", ["rgld", "pgld"])
     def test_non_finite_row_in_a_batch_of_three(self, method):
         # The middle row's first update overflows and its iterates turn
         # NaN, while the rows around it stay finite and inside: the least
         # and greatest squared norms of a step then skip the NaN row. The
-        # chain is named by its first non-finite iterate all the same.
-        configs = [ChainConfig(method=method, eta=0.01, steps=20, seed=s, x0=np.array(x),
-                               enforce_step_bound=False)
-                   for s, x in zip((3, 4, 5), ([0.0, 0.0], [1.5, 0.0], [0.0, 0.5]))]
+        # chain is named by its first non-finite iterate all the same. The
+        # starts are drawn: seed 3's has x[0] = 1.12, seeds 4 and 5 start
+        # at x[0] = -1.91 and -0.74.
+        config = ChainConfig(method=method, eta=0.01, steps=20, enforce_step_bound=False)
         with pytest.raises(ValueError,
-                           match=f"^{method} chain, seed 4: iterate 1 is not finite"):
-            run_batch(configs, Cliff(2), BALL2)
+                           match=f"^{method} chain, seed 3: iterate 1 is not finite"):
+            run_batch(config, [4, 3, 5], Cliff(2), BALL2)
+        for seed in (4, 5):
+            rec = run_chain(replace(config, seed=seed), Cliff(2), BALL2)
+            assert (rec.f_value <= 1.0).all() and BALL2.contains(rec.final_point)
 
     def test_non_finite_final_point_named_by_its_step(self):
         cfg = ChainConfig(method="pg", eta=1e308, steps=1, seed=5,
@@ -938,9 +941,8 @@ class TestNonFiniteIterates:
         # point is projected onto the outer sphere, never sent to the
         # center, which lies in the cavity.
         obj, dom = Rosenbrock(2), SphericalShell(np.zeros(2), 0.5, 2.0)
-        configs = [ChainConfig(method="rgld", eta=1e300, steps=20, seed=s,
-                               enforce_step_bound=False) for s in (0, 1)]
-        records = assert_batch_matches_run_chain(configs, obj, dom)
+        config = ChainConfig(method="rgld", eta=1e300, steps=20, enforce_step_bound=False)
+        records = assert_batch_matches_run_chain(config, [0, 1], obj, dom)
         for rec in records:
             assert dom.contains(rec.final_point)
             assert rec.fallback_count == 20

@@ -227,7 +227,7 @@ class TestRunExperiment:
 
     def test_no_tv_prefixes_means_no_oracle_and_no_trajectory(self, tmp_path, monkeypatch):
         spec = replace(preset_gibbs1d(), steps=1000, tv_prefixes=())
-        assert not spec.chain_config("rgld", 0).record_trajectory
+        assert not spec.chain_config("rgld").record_trajectory
         monkeypatch.setattr(harness, "GibbsOracle", None)
         paths = run_experiment(spec, tmp_path)
         assert [p.name for p in paths] == ["gibbs1d_rgld_seed0.csv", "gibbs1d_rgld_aggregate.csv"]
@@ -476,9 +476,9 @@ def spy_on_jobs(monkeypatch):
         calls.append(("chain", config.method, config.seed))
         return run_chain(config, obj, domain)
 
-    def batch_spy(configs, obj, domain):
-        calls.append(("batch", configs[0].method, tuple(c.seed for c in configs)))
-        return run_batch(configs, obj, domain)
+    def batch_spy(config, seeds, obj, domain):
+        calls.append(("batch", config.method, tuple(seeds)))
+        return run_batch(config, seeds, obj, domain)
 
     monkeypatch.setattr(harness, "run_chain", chain_spy)
     monkeypatch.setattr(harness, "run_batch", batch_spy)
@@ -493,7 +493,8 @@ class TestDistinctChains:
         assert calls == [("chain", "pg", 4), ("batch", "rgld", (4, 5, 6))]
         for (method, seed), rec in records.items():
             assert (rec.config.method, rec.config.seed) == (method, seed)
-            alone = run_chain(spec.chain_config(method, seed), spec.objective, spec.domain)
+            alone = run_chain(replace(spec.chain_config(method), seed=seed),
+                              spec.objective, spec.domain)
             assert np.array_equal(rec.f_value, alone.f_value)
             assert np.array_equal(rec.boundary_events, alone.boundary_events)
             assert np.array_equal(rec.final_point, alone.final_point)
@@ -530,6 +531,28 @@ class TestDistinctChains:
         assert calls["_validate"] == 2
         assert calls["lipschitz_bounds"] == 1
 
+    def test_spec_build_checks_one_config_per_method(self, monkeypatch):
+        # Counted, not timed: at MAX_SEEDS seeds a spec builds one chain
+        # config per method, and no config per seed, and checks each
+        # method's config with all the seeds in one ``_validate`` call.
+        spec = preset_gm2d()
+        counts = {"configs": 0, "_validate": 0}
+        init, validate = ChainConfig.__init__, dynamics._validate
+
+        def init_spy(self, *args, **kwargs):
+            counts["configs"] += 1
+            init(self, *args, **kwargs)
+
+        def validate_spy(*args):
+            counts["_validate"] += 1
+            return validate(*args)
+
+        monkeypatch.setattr(ChainConfig, "__init__", init_spy)
+        monkeypatch.setattr(harness, "_validate", validate_spy)
+        big = replace(spec, seeds=tuple(range(harness.MAX_SEEDS)))
+        assert len(big.seeds) == harness.MAX_SEEDS
+        assert counts == {"configs": len(spec.methods), "_validate": len(spec.methods)}
+
     def test_float_chains_run_one_at_a_time(self, monkeypatch):
         # A batch of 1-D quadratic chains gives the bytes of lone chains on
         # Python floats, many times slower.
@@ -537,8 +560,7 @@ class TestDistinctChains:
         calls = spy_on_jobs(monkeypatch)
         records = harness.run_chains(spec)
         assert calls == [("chain", "rgld", s) for s in spec.seeds]
-        batch = run_batch([spec.chain_config("rgld", s) for s in spec.seeds],
-                          spec.objective, spec.domain)
+        batch = run_batch(spec.chain_config("rgld"), spec.seeds, spec.objective, spec.domain)
         for seed, ref in zip(spec.seeds, batch):
             for field in ("f_value", "cumulative_min", "boundary_events",
                           "fallback_events", "initial_point", "final_point", "trajectory"):
@@ -1104,6 +1126,76 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "custom_rgld_seed0.csv").exists()
 
+    def test_specs_are_built_through_the_traced_calls(self, tmp_path, monkeypatch):
+        # perfbench/child.py wraps these calls, looked up when called: a
+        # preset is one ``harness.PRESETS[name]`` call and a spec file one
+        # ``harness.spec_from_file`` call, flags and all, and a lone chain
+        # runs through ``harness.run_chain``. gm2d's seed-free pg chain is
+        # its lone chain; its rgld chains run as one batch.
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setitem(harness.PRESETS, "gm2d", spy("gm2d", harness.PRESETS["gm2d"]))
+        monkeypatch.setattr(harness, "spec_from_file", spy("file", harness.spec_from_file))
+        monkeypatch.setattr(harness, "run_chain", spy("run_chain", harness.run_chain))
+        argv = ["--steps", "50", "--seeds", "0..1", "--out", str(tmp_path / "out")]
+        assert cli.main(["run", "gm2d", *argv]) == 0
+        assert calls == ["gm2d", "run_chain"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+        }))
+        calls.clear()
+        assert cli.main(["run", str(path), *argv]) == 0
+        assert calls == ["file", "run_chain", "run_chain"]
+
+    def test_steps_flag_mends_a_spec_file(self, tmp_path):
+        # The flags are set in the file's tree before it is built: a file
+        # whose own steps are refused runs with ``--steps``, and its TV
+        # prefixes below the new length are kept and ended by it.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 0,
+            "seeds": [0, 1], "tv_prefixes": [5, 500],
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--steps", "100", "--out", str(out)]) == 0
+        for seed in (0, 1):
+            rows = (out / f"custom_rgld_seed{seed}.csv").read_text().splitlines()
+            assert len(rows) == 1 + 100 and rows[-1].startswith("99,")
+            tv = (out / f"custom_rgld_tv_seed{seed}.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in tv[1:]] == ["5", "100"]
+
+    @pytest.mark.parametrize("prefixes,message", [
+        (5, "spec.tv_prefixes: expected a list, got 5"),
+        (["5"], "spec.tv_prefixes[0]: expected an integer, got '5'"),
+        ([True], "spec.tv_prefixes[0]: expected an integer, got True"),
+    ], ids=["number", "string", "bool"])
+    def test_steps_flag_leaves_bad_tv_prefixes_to_the_checks(self, prefixes, message,
+                                                              tmp_path, capsys):
+        # ``--steps`` cuts the prefixes only when they are a list of
+        # integers; others are refused by the spec's checks, in one line.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "objective": {"kind": "quadratic", "dim": 1},
+            "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+            "methods": ["rgld"], "eta": 1e-3, "beta": 2.0, "steps": 10,
+            "tv_prefixes": prefixes,
+        }))
+        rc = cli.main(["run", str(path), "--steps", "100", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_run_rejects_unknown_preset(self, tmp_path, capsys):
         assert cli.main(["run", "nonexistent", "--out", str(tmp_path / "out")]) == 2
         assert ("configuration error: target: unknown preset or missing file 'nonexistent'"
@@ -1170,8 +1262,9 @@ class TestCli:
         def ran(*args):
             raise ChainRan
 
-        # The spec file's own 20 default seeds are checked as chain configs
-        # when it is built; the oversized list must build none.
+        # The flags are set in the file's tree before it is built, so its
+        # own 20 default seeds are never built; the oversized list must
+        # build no chain config.
         chain_config = harness.ExperimentSpec.chain_config
 
         def config(spec, *args):
