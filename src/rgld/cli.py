@@ -120,18 +120,21 @@ def check_geometry(domain, points) -> tuple[list[str], str]:
     ``P(x)`` is a member and ``P(P(x))`` is within 1e-12 of it; reflection:
     ``reflect_or_project`` moves exactly the exterior points, with no
     fallback, to members as far from ``P(x)`` as ``x`` within 1e-12;
-    alignment: ``<x - P(x), n(P(x))> = ||x - P(x)||`` within 1e-10."""
+    alignment: ``P(x)`` lies on the ray from the center ``c`` through
+    ``x``, ``||x - P(x)|| = | ||x - c|| - ||P(x) - c|| |`` within 1e-10, so
+    ``2 P(x) - x`` is the mirror image of ``x`` across the boundary."""
     errors = []
     for x in points:
         p = domain.project(x)
         r, reflected, fell_back = domain.reflect_or_project(x)
         d = float(np.linalg.norm(x - p))
+        radial = float(np.linalg.norm(x - domain.center) - np.linalg.norm(p - domain.center))
         reflects = (domain.contains(r) and not fell_back and reflected == (d > 0)
                     and (reflected or np.array_equal(r, x)))
         errors.append((
             float(np.linalg.norm(domain.project(p) - p)) if domain.contains(p) else np.inf,
             abs(float(np.linalg.norm(r - p)) - d) if reflects else np.inf,
-            abs(float((x - p) @ domain.outward_normal(p)) - d) if d > 0 else 0.0,
+            abs(d - abs(radial)),
         ))
     worst = np.max(errors, axis=0).tolist()  # a NaN error stays NaN, and fails
     names = ("projection", "reflection", "alignment")
@@ -182,17 +185,19 @@ def _cmd_check(_args) -> int:
         if not ok:
             failures += 1
 
-    domains = [Ball(np.zeros(2), 2.0), SphericalShell(np.zeros(2), 0.9, 4.0)]
+    # The unit interval and a 1-D shell (two intervals, built directly:
+    # ``SphericalShell`` needs dim >= 2) put both walls at d = 1.
+    intervals = [Ball(np.zeros(1), 1.0), FeasibleDomain(np.array([0.7]), 0.3, 1.0)]
+    domains = [Ball(np.zeros(2), 2.0), SphericalShell(np.zeros(2), 0.9, 4.0), *intervals]
     report("geometry projection/reflection invariants",
            not any(check_geometry(dom, margin_points(dom, 2000, 7))[0] for dom in domains))
 
-    # A lone 1-D chain constrains Python floats. The unit interval and a
-    # 1-D shell (two intervals, built directly: ``SphericalShell`` needs
-    # dim >= 2) give both walls and the nudge onto the inner one; the
-    # centers and points 3.5 and 1e200 away (whose square overflows) fall
-    # back to projection.
+    # A lone 1-D chain constrains Python floats. On the intervals, both
+    # walls and the nudge onto the inner one are met; the centers and
+    # points 3.5 and 1e200 away (whose square overflows) fall back to
+    # projection.
     bad = total = 0
-    for dom in (Ball(np.zeros(1), 1.0), FeasibleDomain(np.array([0.7]), 0.3, 1.0, 0.35, 0.3)):
+    for dom in intervals:
         c = dom.center.item()
         points = margin_points(dom, 2000, 7) + [
             np.array([c + t]) for t in (0.0, 3.5, -3.5, 1e200, -1e200)]

@@ -7,7 +7,9 @@ two concentric spheres, sometimes called a thick-walled sphere) when it
 is positive. Both have smooth boundaries and closed-form nearest-point
 projections, so the reflection operator ``2 * project(x) - x`` is exact
 and cheap to evaluate inside a sampler loop. One implementation serves
-the convex ball and the non-convex shell alike.
+the convex ball and the non-convex shell alike, and a region is its
+center and its two radii: the radii the sampler's step condition reads
+(the inscribed radius and the reflection margin) are derived from them.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
 ``(B, dim)`` array (quadrature grids; the chain loops write its test
@@ -33,14 +35,7 @@ __all__ = [
     "Ball",
     "SphericalShell",
     "ReflectionUndefinedError",
-    "BOUNDARY_TOL",
 ]
-
-# Absolute tolerance on the defining radius when classifying boundary
-# points for outward_normal. Projection outputs land on the boundary only
-# up to floating-point rounding.
-BOUNDARY_TOL = 1e-9
-
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -85,8 +80,10 @@ class ReflectionUndefinedError(ValueError):
 class FeasibleDomain:
     """Closed radial region ``{x : inner_radius <= ||x - center|| <= outer_radius}``.
 
-    Build it through :class:`Ball` or :class:`SphericalShell`, which
-    validate their radii and supply the derived radii below.
+    The radii must be finite with ``0 <= inner_radius < outer_radius``;
+    ``ValueError`` (``radii: …``) otherwise. :class:`Ball` and
+    :class:`SphericalShell` name the two cases; a one-dimensional region
+    with a cavity (two intervals) is built here directly.
 
     Attributes
     ----------
@@ -97,34 +94,39 @@ class FeasibleDomain:
     inner_radius, outer_radius : float
         Radii of the bounding spheres; ``inner_radius`` is 0 for a ball.
     inscribed_radius : float
-        Radius of a Euclidean ball guaranteed to fit inside the region.
+        Radius of a Euclidean ball guaranteed to fit inside the region:
+        ``outer_radius`` for a ball, half the wall, ``(outer_radius -
+        inner_radius) / 2``, with a cavity.
     reflection_margin : float
         Largest distance from the region at which reflection is
-        well-defined.
+        well-defined: ``outer_radius`` for a ball, the smaller of
+        ``inner_radius`` and half the wall with a cavity.
     """
 
-    def __init__(
-        self,
-        center,
-        inner_radius: float,
-        outer_radius: float,
-        inscribed_radius: float,
-        reflection_margin: float,
-    ):
+    def __init__(self, center, inner_radius: float, outer_radius: float):
         center = np.atleast_1d(np.asarray(center, dtype=np.float64))
         if center.ndim != 1 or center.size < 1:
             raise ValueError("center: must be a 1-D point")
         if not np.all(np.isfinite(center)):
             raise ValueError(f"center: must be finite, got {center.tolist()}")
+        if not 0 <= inner_radius < outer_radius < math.inf:
+            raise ValueError(
+                "radii: must satisfy 0 <= inner_radius < outer_radius < inf, "
+                f"got {inner_radius}, {outer_radius}"
+            )
         center.setflags(write=False)
+        inner, outer = float(inner_radius), float(outer_radius)
         self.center = center
         self.dim = center.size
-        self.inner_radius = inner_radius
-        self.outer_radius = outer_radius
-        self.inscribed_radius = inscribed_radius
-        self.reflection_margin = reflection_margin
-        self._in2 = inner_radius * inner_radius
-        self._out2 = outer_radius * outer_radius
+        self.inner_radius = inner
+        self.outer_radius = outer
+        if inner == 0.0:
+            self.inscribed_radius = self.reflection_margin = outer
+        else:
+            self.inscribed_radius = 0.5 * (outer - inner)
+            self.reflection_margin = min(inner, self.inscribed_radius)
+        self._in2 = inner * inner
+        self._out2 = outer * outer
 
     def __repr__(self) -> str:
         return (
@@ -186,25 +188,6 @@ class FeasibleDomain:
             p = c + s * v
             w = p - c
         return p
-
-    def outward_normal(self, x) -> np.ndarray:
-        """Outer unit normal at a boundary point.
-
-        ``x`` must lie on the boundary within ``BOUNDARY_TOL`` of one of
-        the defining radii, otherwise ``ValueError`` is raised. Outward
-        from the region at the inner wall points into the cavity.
-        """
-        v = as_point(x, self.dim) - self.center
-        rho = math.sqrt(float(v.dot(v)))
-        if abs(rho - self.outer_radius) <= BOUNDARY_TOL:
-            return v / rho
-        if self.inner_radius > 0 and abs(rho - self.inner_radius) <= BOUNDARY_TOL:
-            return -v / rho
-        raise ValueError(
-            f"point at radius {rho:.12g} is not on the boundary: it is "
-            f"farther than {BOUNDARY_TOL} from each bounding sphere (radii "
-            f"{self.inner_radius:.12g}, {self.outer_radius:.12g})"
-        )
 
     def reflect_or_project(self, x) -> tuple[np.ndarray | float, bool, bool]:
         """Constrain a point array of shape ``(dim,)``, or a Python float at
@@ -278,8 +261,7 @@ class Ball(FeasibleDomain):
     def __init__(self, center, radius: float):
         if not 0 < radius < math.inf:
             raise ValueError(f"radius: must be positive and finite, got {radius}")
-        radius = float(radius)
-        super().__init__(center, 0.0, radius, radius, radius)
+        super().__init__(center, 0.0, radius)
 
 
 class SphericalShell(FeasibleDomain):
@@ -295,11 +277,6 @@ class SphericalShell(FeasibleDomain):
         if np.size(center) < 2:
             raise ValueError(
                 f"center: a spherical shell requires dimension >= 2, got {np.size(center)}")
-        if not 0 < inner_radius < outer_radius < math.inf:
-            raise ValueError(
-                "radii: must satisfy 0 < inner_radius < outer_radius < inf, "
-                f"got {inner_radius}, {outer_radius}"
-            )
-        inner, outer = float(inner_radius), float(outer_radius)
-        inscribed = 0.5 * (outer - inner)
-        super().__init__(center, inner, outer, inscribed, min(inner, inscribed))
+        if not inner_radius > 0:
+            raise ValueError(f"radii: a spherical shell needs inner_radius > 0, got {inner_radius}")
+        super().__init__(center, inner_radius, outer_radius)

@@ -102,6 +102,11 @@ _NAME_BYTES = 200
 # Rows per CSV write and errors per quartile block: large enough to
 # amortise the per-call cost, small enough to bound the temporaries.
 _BLOCK_ROWS = 1 << 14
+# The fewest steps per quartile block: each block slices every record
+# once, so with many seeds a width of ``_BLOCK_ROWS // S`` would cost
+# n * S^2 / 2^14 slices. A block of S * 256 errors is never more than the
+# records' own running minima when they have 256 steps or more.
+_MIN_COLS = 256
 
 
 @dataclass(frozen=True)
@@ -208,9 +213,9 @@ class AggregateCurve:
         n = records[0].cumulative_min.shape[0]
         q = np.empty((3, n))
         # Columns are independent, so column blocks give the same bits with
-        # far less scratch: at most ``_BLOCK_ROWS`` errors per block (or one
-        # column), whatever the seed count.
-        cols = max(1, _BLOCK_ROWS // S)
+        # far less scratch: ``_BLOCK_ROWS`` errors per block, or
+        # ``_MIN_COLS`` columns when there are many seeds.
+        cols = max(_MIN_COLS, _BLOCK_ROWS // S)
         for a in range(0, n, cols):
             errs = np.stack([r.cumulative_min[a:a + cols] - base for r in records])
             errs.partition(kth, axis=0)

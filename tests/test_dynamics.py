@@ -840,7 +840,7 @@ class TestOneCoordinate:
         # directly: SphericalShell needs dim >= 2). The quadratic's
         # minimizer lies in the cavity, so every method meets the inner
         # wall, and the noisy ones the outer wall too.
-        dom = FeasibleDomain(np.array([center]), 0.3, 1.0, 0.35, 0.3)
+        dom = FeasibleDomain(np.array([center]), 0.3, 1.0)
         config = ChainConfig(method=method, eta=0.05, beta=1.0, steps=2000, seed=5,
                              record_trajectory=True, enforce_step_bound=False)
         rec = self.assert_lone_matches_batch(config, Quadratic(2.0, 1), dom)

@@ -1,4 +1,4 @@
-"""Geometry: membership, projection, reflection, normals."""
+"""Geometry: membership, projection, reflection, derived radii."""
 
 import functools
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgld import harness
 from rgld.cli import check_float_operators, check_geometry, margin_points
 from rgld.geometry import (
     Ball,
@@ -131,28 +132,6 @@ class TestReflect:
             Ball(np.zeros(1), 1.0).reflect(3.5)
 
 
-class TestOutwardNormal:
-    def test_ball(self):
-        np.testing.assert_allclose(BALL.outward_normal([2.0, 0.0]), [1.0, 0.0])
-
-    def test_shell_inner_points_into_cavity(self):
-        np.testing.assert_allclose(SHELL.outward_normal([0.9, 0.0]), [-1.0, 0.0])
-
-    def test_shell_outer(self):
-        np.testing.assert_allclose(SHELL.outward_normal([0.0, 4.0]), [0.0, 1.0])
-
-    def test_off_boundary_rejected(self):
-        with pytest.raises(ValueError, match="sphere"):
-            SHELL.outward_normal([2.0, 0.0])
-        with pytest.raises(ValueError, match="boundary"):
-            BALL.outward_normal([1.0, 0.0])
-
-    def test_tolerance_absorbs_projection_rounding(self):
-        p = SHELL.project([5.000000001, 0.0])
-        n = SHELL.outward_normal(p)
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestDistanceToSet:
     def test_examples(self):
         assert SHELL.distance_to_set([5.0, 0.0]) == pytest.approx(1.0)
@@ -195,6 +174,53 @@ class TestConstruction:
         wide = SphericalShell(np.zeros(2), 3.0, 4.0)
         assert wide.reflection_margin == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("inner,outer", [
+        (2.0, 1.0), (1.0, 1.0), (0.0, 0.0), (-0.5, 1.0), (0.0, -1.0), (math.nan, 1.0),
+        (0.5, math.nan), (0.5, math.inf), (-math.inf, 1.0), (math.inf, math.inf)],
+        ids=["inverted", "equal", "zero", "negative-inner", "negative-outer", "nan-inner",
+             "nan-outer", "inf-outer", "minus-inf-inner", "inf-both"])
+    def test_direct_radii_checked(self, inner, outer):
+        with pytest.raises(ValueError, match="^radii: "):
+            FeasibleDomain(np.zeros(2), inner, outer)
+
+    # (inscribed_radius, reflection_margin) of each preset's region, as
+    # ``float.hex``: the values the presets have always had.
+    @pytest.mark.parametrize("name,dim,inscribed,margin", [
+        ("gm2d", None, "0x1.8cccccccccccdp+0", "0x1.ccccccccccccdp-1"),
+        ("gm2d-pgld-vs-rgld", None, "0x1.8cccccccccccdp+0", "0x1.ccccccccccccdp-1"),
+        ("rosenbrock", None, "0x1.8000000000000p+0", "0x1.0000000000000p+0"),
+        ("rosenbrock", 2, "0x1.0f876ccdf6cdap+0", "0x1.6a09e667f3bcdp-1"),
+        ("rosenbrock", 10, "0x1.2f9422c23c47ep+1", "0x1.94c583ada5b53p+0"),
+        ("rosenbrock", 20, "0x1.ad5336963eefcp+1", "0x1.1e3779b97f4a8p+1"),
+        ("rastrigin", None, "0x1.0e147ae147ae1p+1", "0x1.ccccccccccccdp-1"),
+        ("rastrigin", 20, "0x1.0e147ae147ae1p+1", "0x1.ccccccccccccdp-1"),
+        ("gibbs1d", None, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ])
+    def test_preset_derived_radii_bits(self, name, dim, inscribed, margin):
+        factory = harness.PRESETS[name]
+        dom = (factory() if dim is None else factory(dim=dim)).domain
+        assert (dom.inscribed_radius.hex(), dom.reflection_margin.hex()) == (inscribed, margin)
+
+    @pytest.mark.parametrize("center,inner,outer,inscribed,margin", [
+        (0.7, 0.3, 1.0, 0.35, 0.3),  # rgld check's two intervals
+        (0.1, 0.3, 1.0, 0.35, 0.3),
+        (0.0, 0.99, 1.0, 0.5 * (1.0 - 0.99), 0.5 * (1.0 - 0.99)),
+    ])
+    def test_direct_derived_radii_bits(self, center, inner, outer, inscribed, margin):
+        dom = FeasibleDomain(np.array([center]), inner, outer)
+        assert (dom.inscribed_radius, dom.reflection_margin) == (inscribed, margin)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0]) | st.floats(0.1, 5.0), st.floats(0.1, 5.0))
+    def test_derived_radii_formulas(self, inner, wall):
+        # A ball's are its radius; with a cavity, half the wall and the
+        # smaller of that and the inner radius, bit for bit.
+        outer = inner + wall
+        dom = FeasibleDomain(np.array([-1.5]), inner, outer)
+        half = 0.5 * (outer - inner)
+        want = (outer, outer) if inner == 0.0 else (half, min(inner, half))
+        assert (dom.inscribed_radius, dom.reflection_margin) == want
+
 
 @functools.cache
 def battery(domain, seed):
@@ -215,10 +241,26 @@ class TestProperties:
         assert "reflection" not in failed, detail
 
     def test_normal_alignment(self, domain, seed):
-        # <x - P(x), n(P(x))> equals ||x - P(x)|| for exterior points.
+        # P(x) lies on the ray from the center through x, so x - P(x) is
+        # normal to the boundary at P(x), for exterior points.
         failed, detail, exterior = battery(domain, seed)
         assert "alignment" not in failed, detail
         assert exterior > 10_000 // 20
+
+
+def test_alignment_fails_off_the_ray(monkeypatch):
+    # A projection turned 1e-3 rad along its sphere still lands on the
+    # boundary, but off x's ray: 2 P(x) - x is then no mirror image.
+    dom = SphericalShell(np.zeros(2), 0.9, 4.0)
+    project, (cos, sin) = dom.project, (math.cos(1e-3), math.sin(1e-3))
+
+    def turned(x):
+        p = project(x)
+        return p if p is x else np.array([[cos, -sin], [sin, cos]]) @ p
+
+    monkeypatch.setattr(dom, "project", turned)
+    failed, detail = check_geometry(dom, margin_points(dom, 2000, 7))
+    assert "alignment" in failed, detail
 
 
 @pytest.mark.parametrize("domain", [BALL, SHELL, SHELL3])
@@ -292,13 +334,6 @@ def regions_and_far_points(draw):
     return dom, dom.center + draw(st.floats(1e155, 1e300)) * (u / np.linalg.norm(u))
 
 
-def shell_1d(center: float, inner: float, outer: float) -> FeasibleDomain:
-    """The two intervals ``inner <= |x - center| <= outer``, with the
-    derived radii of ``SphericalShell``, which needs dim >= 2."""
-    inscribed = 0.5 * (outer - inner)
-    return FeasibleDomain(np.array([center]), inner, outer, inscribed, min(inner, inscribed))
-
-
 @st.composite
 def intervals_and_points(draw):
     """An interval or a 1-D shell and a ``(1,)`` point drawn as above up to
@@ -306,7 +341,7 @@ def intervals_and_points(draw):
     c = draw(st.floats(-3.0, 3.0))
     inner = draw(st.sampled_from([0.0]) | st.floats(0.1, 5.0))
     outer = inner + draw(st.floats(0.1, 5.0))
-    dom = Ball(np.array([c]), outer) if inner == 0.0 else shell_1d(c, inner, outer)
+    dom = FeasibleDomain(np.array([c]), inner, outer)
     where = draw(st.sampled_from(["near", "center", "far"]))
     if where == "near":
         return dom, _point(draw, dom, 3.0)
@@ -333,7 +368,7 @@ class TestRegionProperties:
             p = dom.project(x)
         assert dom.contains(p)
         # On the outer sphere, along the point's own direction.
-        dom.outward_normal(p)
+        assert abs(float(np.linalg.norm(p - dom.center)) - dom.outer_radius) <= 1e-9
         u = v / np.abs(v).max()
         np.testing.assert_allclose((p - dom.center) / dom.outer_radius,
                                    u / np.linalg.norm(u), atol=1e-12)

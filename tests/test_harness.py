@@ -8,6 +8,7 @@ import json
 import math
 import pkgutil
 import re
+import os
 import subprocess
 import sys
 import warnings
@@ -37,6 +38,14 @@ from rgld.harness import (
     spec_from_dict,
 )
 from rgld.objectives import Objective, Quadratic, Rastrigin
+
+
+def run_python(*args):
+    """``python *args`` with this checkout's rgld first on its path, as
+    the tests import it, whether or not rgld is installed."""
+    path = [str(Path(rgld.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 def spec_fields(spec):
@@ -424,6 +433,7 @@ class TestStreamedWriter:
         want = np.percentile(np.stack([c + 1.5 for c in cummins]), [25.0, 50.0, 75.0], axis=0)
         # 200 columns a call, and one column when there are more seeds
         # than errors a call.
+        monkeypatch.setattr(harness, "_MIN_COLS", 1)
         for block in (1000, 3):
             monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
             curve = AggregateCurve.from_records(records, -1.5)
@@ -438,10 +448,31 @@ class TestStreamedWriter:
         records = [SimpleNamespace(cumulative_min=c) for c in cummins]
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.percentile(cummins - base, [25.0, 50.0, 75.0], axis=0)
-            with mock.patch.object(harness, "_BLOCK_ROWS", block):
+            with (mock.patch.object(harness, "_BLOCK_ROWS", block),
+                  mock.patch.object(harness, "_MIN_COLS", 1)):
                 curve = AggregateCurve.from_records(records, min_f)
         got = np.stack([curve.q25, curve.q50, curve.q75])
         assert got.tobytes() == want.tobytes()
+
+    def test_many_seeds_slice_each_record_in_wide_blocks(self):
+        # 4096 seeds of 1000 steps: blocks of at least 256 steps slice each
+        # record 4 times, where blocks of 2^14 // 4096 = 4 steps took 250.
+        slices = 0
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                nonlocal slices
+                slices += type(key) is slice
+                return super().__getitem__(key)
+
+        rng = np.random.default_rng(4)
+        cummins = np.minimum.accumulate(rng.standard_normal((64, 1000)), axis=1)
+        records = [SimpleNamespace(cumulative_min=cummins[i % 64].view(Counted))
+                   for i in range(4096)]
+        curve = AggregateCurve.from_records(records, None)
+        assert slices == 4096 * 4
+        want = np.percentile(np.tile(cummins, (64, 1)), [25.0, 50.0, 75.0], axis=0)
+        assert np.stack([curve.q25, curve.q50, curve.q75]).tobytes() == want.tobytes()
 
     def test_one_record_quartiles_are_its_errors(self):
         cummin = np.array([0.1, 5e-324, -0.0, 1e300, -2.5])
@@ -697,11 +728,8 @@ class TestInputChecks:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgld.cli", command, str(path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "rgld.cli", command, str(path),
+                            "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr == "configuration error: steps: must be at least 1, got 0\n"
         assert not (tmp_path / "out").exists()
@@ -856,11 +884,8 @@ class TestInputChecks:
         assert not (tmp_path / "out").exists()
         # Run as a program, the error is the only line: the overflow and
         # the invalid value on the way print no numpy warning.
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgld.cli", "run", str(path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "rgld.cli", "run", str(path),
+                            "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("configuration error: pg chain, seed 3: iterate 1 ")
@@ -1305,10 +1330,8 @@ class TestCli:
             argv = []
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgld.cli", "run", str(path), *argv,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        proc = run_python("-m", "rgld.cli", "run", str(path), *argv,
+                            "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert f"error: {field}: " in proc.stderr
@@ -1343,10 +1366,8 @@ class TestCli:
                 "from rgld import cli, harness\n"
                 "harness.run_chain = harness.run_batch = None\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "run", str(path), *argv,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        proc = run_python("-c", code, "run", str(path), *argv,
+                            "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(f"configuration error: {message}"), proc.stderr
@@ -1358,7 +1379,7 @@ class TestCli:
                 "from rgld import cli\n"
                 f"assert cli.main(['run', 'gm2d', '--steps', '50', '--out', {str(tmp_path)!r}]) == 0\n"
                 "print('numpy.ma' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
@@ -1548,9 +1569,7 @@ class TestCli:
                 "harness.run_chains = harness.GibbsOracle = cli.GibbsOracle = None\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
         (tmp_path / "file").write_text("")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *(a.format(d=tmp_path) for a in argv)],
-            capture_output=True, text=True)
+        proc = run_python("-c", code, *(a.format(d=tmp_path) for a in argv))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
@@ -1567,15 +1586,12 @@ class TestCli:
             "assert cli.main(['check']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_entry_point_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgld.cli", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "rgld.cli", "--help")
         assert proc.returncode == 0
         assert "run" in proc.stdout
 

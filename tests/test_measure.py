@@ -96,7 +96,7 @@ class TestOracle:
     def test_rejects_grid_with_no_cell_in_the_region(self):
         # The region 0.99 <= |x| <= 1 lies between the outermost midpoints
         # (+-0.96875) and the edges of 32 cells on [-1, 1].
-        dom = FeasibleDomain(np.zeros(1), 0.99, 1.0, 0.005, 0.005)
+        dom = FeasibleDomain(np.zeros(1), 0.99, 1.0)
         with pytest.raises(ValueError, match="^n_per_axis: no cell midpoint lies in the region$"):
             GibbsOracle(Quadratic(1.0, 1), dom, 1.0, 32)
 
