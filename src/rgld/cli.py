@@ -118,15 +118,15 @@ def check_geometry(domain, points) -> tuple[list[str], str]:
     """The geometry battery on points within the reflection margin: the
     invariants that fail, and the worst error of each as text. projection:
     ``P(x)`` is a member and ``P(P(x))`` is within 1e-12 of it; reflection:
-    ``reflect_or_project`` moves exactly the exterior points, with no
-    fallback, to members as far from ``P(x)`` as ``x`` within 1e-12;
+    ``reflect`` moves exactly the exterior points, with no fallback, to
+    members as far from ``P(x)`` as ``x`` within 1e-12;
     alignment: ``P(x)`` lies on the ray from the center ``c`` through
     ``x``, ``||x - P(x)|| = | ||x - c|| - ||P(x) - c|| |`` within 1e-10, so
     ``2 P(x) - x`` is the mirror image of ``x`` across the boundary."""
     errors = []
     for x in points:
         p = domain.project(x)
-        r, reflected, fell_back = domain.reflect_or_project(x)
+        r, reflected, fell_back = domain.reflect(x)
         d = float(np.linalg.norm(x - p))
         radial = float(np.linalg.norm(x - domain.center) - np.linalg.norm(p - domain.center))
         reflects = (domain.contains(r) and not fell_back and reflected == (d > 0)
@@ -144,14 +144,14 @@ def check_geometry(domain, points) -> tuple[list[str], str]:
 
 def check_float_operators(domain, points) -> int:
     """How many of the ``(1,)`` points fail to get, from ``project`` and
-    ``reflect_or_project`` on their Python float, floats with the bits of
-    the point calls, the same flags, and the argument itself back exactly
+    ``reflect`` on their Python float, floats with the bits of the point
+    calls, the same flags, and the argument itself back exactly
     when the point call returns its argument."""
     bad = 0
     for x in points:
         xf = x.item()
         p, pf = domain.project(x), domain.project(xf)
-        (r, *flags), (rf, *flags_f) = domain.reflect_or_project(x), domain.reflect_or_project(xf)
+        (r, *flags), (rf, *flags_f) = domain.reflect(x), domain.reflect(xf)
         bad += not (type(pf) is float and type(rf) is float and flags == flags_f
                     and (pf is xf) == (p is x) and (rf is xf) == (r is x)
                     and np.array([pf, rf]).tobytes() == np.concatenate([p, r]).tobytes())

@@ -5,7 +5,7 @@ and a constraint operator that returns ``x'`` to the region when it
 left it. The method picks the noise and the operator:
 
 * ``rgld``: reflection across the boundary projection point
-  (``FeasibleDomain.reflect_or_project``);
+  (``FeasibleDomain.reflect``);
 * ``pgld``: Euclidean projection (``FeasibleDomain.project``);
 * ``pg``: projection with no noise (projected gradient descent).
 
@@ -351,7 +351,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
     f_row, event_row, fallback_row = f_vals[0], events[0], fallbacks[0]
     traj_row = None if traj is None else traj[0]
 
-    reflect_or_project, project = domain.reflect_or_project, domain.project
+    reflect, project = domain.reflect, domain.project
     in2 = domain.inner_radius * domain.inner_radius
     out2 = domain.outer_radius * domain.outer_radius
     # The step carries only the iterate, a float. The gradient is the
@@ -374,7 +374,7 @@ def run_chain(config: ChainConfig, obj: Objective, domain: FeasibleDomain) -> Ru
                 k = a + len(xs) - 1
                 event_row[k] = True
                 if is_rgld:
-                    xf, _, fallback_row[k] = reflect_or_project(x_raw)
+                    xf, _, fallback_row[k] = reflect(x_raw)
                 else:
                     xf = project(x_raw)
         X = np.array(xs)[:, None]
@@ -428,7 +428,7 @@ def run_batch(config: ChainConfig, seeds, obj: Objective,
     w = x.itemsize * d  # bytes per row
 
     value_and_gradient = obj.value_and_gradient
-    reflect_or_project, project = domain.reflect_or_project, domain.project
+    reflect, project = domain.reflect, domain.project
     # The membership test of ``contains``, inline: one check of the least
     # and greatest squared norms clears a step whose rows are all inside,
     # and only rows outside the region pay for the operator's call. At
@@ -457,7 +457,7 @@ def run_batch(config: ChainConfig, seeds, obj: Objective,
                 b = rows[i]
                 events[b, k] = True
                 if is_rgld:
-                    x_raw[i], _, fallbacks[b, k] = reflect_or_project(x_raw[i])
+                    x_raw[i], _, fallbacks[b, k] = reflect(x_raw[i])
                 else:
                     x_raw[i] = project(x_raw[i])
         if not noisy:

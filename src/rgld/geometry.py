@@ -6,19 +6,19 @@ ball when ``inner_radius == 0`` and a spherical shell (the set between
 two concentric spheres, sometimes called a thick-walled sphere) when it
 is positive. Both have smooth boundaries and closed-form nearest-point
 projections, so the reflection operator ``2 * project(x) - x`` is exact
-and cheap to evaluate inside a sampler loop. One implementation serves
+and cheap to evaluate inside a sampler loop; within the reflection margin
+it lands in the region, and beyond it ``reflect`` projects and sets a
+fallback flag. One implementation serves
 the convex ball and the non-convex shell alike, and a region is its
 center and its two radii: the radii the sampler's step condition reads
 (the inscribed radius and the reflection margin) are derived from them.
 
 ``contains`` takes one point of shape ``(dim,)`` or the rows of a
 ``(B, dim)`` array (quadrature grids; the chain loops write its test
-inline, with its bits); ``project`` and
-``reflect_or_project`` take one point, or a Python float at ``dim == 1``
-(a lone one-dimensional chain), and so do ``reflect`` and
-``distance_to_set``, which are built on them. All of these measure
-through ``sq_norm``; the other operators take one point and use
-``v.dot(v)``.
+inline, with its bits); ``project`` and ``reflect`` take one point, or
+a Python float at ``dim == 1`` (a lone one-dimensional chain), and so
+does ``distance_to_set``, which is built on ``project``. All of these
+measure through ``sq_norm``; ``sample_uniform`` uses ``v.dot(v)``.
 
 All domain objects are immutable after construction and every operation
 is a pure function, so instances can be shared freely across threads.
@@ -27,6 +27,7 @@ is a pure function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "FeasibleDomain",
     "Ball",
     "SphericalShell",
-    "ReflectionUndefinedError",
 ]
 
 _FLOAT64 = np.dtype(np.float64)
@@ -71,16 +71,12 @@ def as_point(x, dim: int, rows: bool = False) -> np.ndarray:
     return x
 
 
-class ReflectionUndefinedError(ValueError):
-    """Raised when reflecting a point would land outside the region, i.e.
-    the point overshot farther than the shape can absorb. In a sampler
-    this signals a step size too large for the domain."""
-
-
 class FeasibleDomain:
     """Closed radial region ``{x : inner_radius <= ||x - center|| <= outer_radius}``.
 
-    The radii must be finite with ``0 <= inner_radius < outer_radius``;
+    The radii must be finite with ``0 <= inner_radius < outer_radius``,
+    and their squares finite normal doubles (``inner_radius`` 0 or at
+    least about 1.5e-154, ``outer_radius`` at most about 1.34e154);
     ``ValueError`` (``radii: …``) otherwise. :class:`Ball` and
     :class:`SphericalShell` name the two cases; a one-dimensional region
     with a cavity (two intervals) is built here directly.
@@ -114,8 +110,18 @@ class FeasibleDomain:
                 "radii: must satisfy 0 <= inner_radius < outer_radius < inf, "
                 f"got {inner_radius}, {outer_radius}"
             )
-        center.setflags(write=False)
         inner, outer = float(inner_radius), float(outer_radius)
+        # The membership test compares squared norms with these: a square
+        # that overflows, or underflows to a subnormal or 0, is another
+        # sphere's.
+        in2, out2 = inner * inner, outer * outer
+        if out2 == math.inf or (inner > 0.0 and in2 < sys.float_info.min):
+            raise ValueError(
+                "radii: the squares must be finite normal doubles (inner_radius 0 "
+                "or at least about 1.5e-154, outer_radius at most about 1.34e154), "
+                f"got {inner}, {outer}"
+            )
+        center.setflags(write=False)
         self.center = center
         self.dim = center.size
         self.inner_radius = inner
@@ -125,8 +131,7 @@ class FeasibleDomain:
         else:
             self.inscribed_radius = 0.5 * (outer - inner)
             self.reflection_margin = min(inner, self.inscribed_radius)
-        self._in2 = inner * inner
-        self._out2 = outer * outer
+        self._in2, self._out2 = in2, out2
 
     def __repr__(self) -> str:
         return (
@@ -189,14 +194,16 @@ class FeasibleDomain:
             w = p - c
         return p
 
-    def reflect_or_project(self, x) -> tuple[np.ndarray | float, bool, bool]:
-        """Constrain a point array of shape ``(dim,)``, or a Python float at
-        ``dim == 1`` (as ``project``); returns ``(point, reflected, fallback)``.
+    def reflect(self, x) -> tuple[np.ndarray | float, bool, bool]:
+        """Reflect ``x`` across its boundary projection point: a point array
+        of shape ``(dim,)``, or a Python float at ``dim == 1`` (as
+        ``project``); returns ``(point, reflected, fallback)``.
 
         Members come back unchanged with both flags false. Exterior
-        points are reflected to ``2 * project(x) - x``; when that lands
-        outside the region (an overshoot beyond what the shape can
-        absorb) the projection is returned instead with ``fallback`` set.
+        points are reflected to ``2 * project(x) - x``, a member for every
+        point within ``reflection_margin`` of the region; when it lands
+        outside (an overshoot beyond what the shape can absorb) the
+        projection is returned instead with ``fallback`` set.
         """
         x, c = self._point(x)
         p = self.project(x)
@@ -208,30 +215,15 @@ class FeasibleDomain:
             return r, True, False
         return p, False, True
 
-    def reflect(self, x) -> tuple[np.ndarray, bool]:
-        """Reflect ``x`` across its boundary projection point.
-
-        Returns ``(2 * project(x) - x, True)`` for exterior points and
-        ``(x, False)`` unchanged for members. Raises
-        ``ReflectionUndefinedError`` when the reflected point would leave
-        the region; any point within ``reflection_margin`` of the region
-        is guaranteed to reflect successfully.
-        """
-        point, reflected, fallback = self.reflect_or_project(x)
-        if fallback:
-            raise ReflectionUndefinedError(
-                f"reflecting a point at distance {self.distance_to_set(x):.6g} from "
-                f"the region lands outside it (margin {self.reflection_margin:.6g} "
-                "is always safe)"
-            )
-        return point, reflected
-
+    @np.errstate(over="ignore")
     def distance_to_set(self, x) -> float:
         """Euclidean distance to the region (0 for members); takes what
-        ``project`` takes."""
+        ``project`` takes. A distance whose square overflows is still
+        found, and warns of nothing."""
         x, _ = self._point(x)
         d = x - self.project(x)
-        return math.sqrt(float(sq_norm(d)))
+        d2 = float(sq_norm(d))
+        return math.sqrt(d2) if d2 < math.inf else math.hypot(*np.ravel(d).tolist())
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point uniformly from the region.
@@ -267,10 +259,14 @@ class Ball(FeasibleDomain):
 class SphericalShell(FeasibleDomain):
     """Closed region between two concentric spheres.
 
-    Requires ``dim >= 2``: a one-dimensional shell is a disconnected pair
-    of intervals, which breaks the connectivity every operator here
-    relies on. The region is non-convex (the inner cavity is excluded)
-    but its boundary is smooth.
+    Requires ``dim >= 2``. A one-dimensional shell is two intervals, and a
+    Rademacher chain that meets the step bound never crosses the cavity
+    between them: a step moves at most the reflection margin, at most the
+    inner radius, so an update that enters the cavity is nearer the wall
+    it crossed and is reflected back. Its law is then no Gibbs law on
+    both intervals. The operators work on such a region, which
+    :class:`FeasibleDomain` builds directly. The region is non-convex (the
+    inner cavity is excluded) but its boundary is smooth.
     """
 
     def __init__(self, center, inner_radius: float, outer_radius: float):

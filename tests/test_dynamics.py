@@ -227,7 +227,7 @@ class TestRunChain:
         for k in range(50):
             assert rec.f_value[k] == QUAD2.value(x)
             raw = x - 0.02 * QUAD2.gradient(x) + math.sqrt(2 * 0.02 / 2.0) * noise[k]
-            x = BALL2.reflect_or_project(raw)[0]
+            x = BALL2.reflect(raw)[0]
         np.testing.assert_array_equal(rec.final_point, x)
 
     def test_noise_scale_is_exact_for_rademacher(self):
@@ -351,7 +351,7 @@ class TestOuterSphere:
         assert rec.initial_point.tobytes() == x0.tobytes()
         assert bool(rec.boundary_events[0]) is beyond
         assert (rec.reflection_events, rec.fallback_count) == (int(beyond), 0)
-        point, reflected, fallback = dom.reflect_or_project(target)
+        point, reflected, fallback = dom.reflect(target)
         assert (reflected, fallback) == (beyond, False)
         assert rec.final_point.tobytes() == point.tobytes()
         assert dom.contains(rec.final_point)
@@ -363,7 +363,7 @@ def reference_chain(cfg, obj, dom):
     with no batch and no early exit: the start drawn or projected as the
     runner does, the noise of every step drawn at once and scaled by
     ``sqrt(2 eta / beta)`` (none for pg), and each update that ``contains``
-    rejects constrained by ``reflect_or_project`` (rgld, whose flag is the
+    rejects constrained by ``reflect`` (rgld, whose flag is the
     fallback) or ``project``. ``computed_steps`` ends at the first update
     of a pg chain that returns its iterate bit for bit."""
     rng = np.random.default_rng(cfg.seed)
@@ -385,7 +385,7 @@ def reference_chain(cfg, obj, dom):
             y = y + kicks[k]
         event, fallback = not dom.contains(y), False
         if event and cfg.method == "rgld":
-            y, _, fallback = dom.reflect_or_project(y)
+            y, _, fallback = dom.reflect(y)
         elif event:
             y = dom.project(y)
         events.append(event)

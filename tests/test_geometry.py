@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rgld.cli import check_float_operators, check_geometry, margin_points
 from rgld.geometry import (
     Ball,
     FeasibleDomain,
-    ReflectionUndefinedError,
     SphericalShell,
     sq_norm,
 )
@@ -96,7 +96,7 @@ class TestProject:
         np.testing.assert_allclose(p, domain.outer_radius * u / np.linalg.norm(u),
                                    rtol=1e-15, atol=1e-15)
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-            r, reflected, fallback = domain.reflect_or_project(x)
+            r, reflected, fallback = domain.reflect(x)
         assert fallback and np.array_equal(r, p)
 
     def test_dimension_mismatch(self):
@@ -106,36 +106,40 @@ class TestProject:
 
 class TestReflect:
     def test_shell_outer(self):
-        r, moved = SHELL.reflect([5.0, 0.0])
+        r, reflected, fallback = SHELL.reflect([5.0, 0.0])
         np.testing.assert_allclose(r, [3.0, 0.0])
-        assert moved
+        assert (reflected, fallback) == (True, False)
 
     def test_shell_cavity(self):
-        r, moved = SHELL.reflect([0.5, 0.0])
+        r, reflected, fallback = SHELL.reflect([0.5, 0.0])
         np.testing.assert_allclose(r, [1.3, 0.0])
-        assert moved
+        assert (reflected, fallback) == (True, False)
 
     def test_identity_on_members_is_exact(self):
         x = np.array([0.3, -0.7])
-        r, moved = BALL.reflect(x)
-        assert np.array_equal(r, x)
-        assert not moved
+        r, reflected, fallback = BALL.reflect(x)
+        assert r is x
+        assert (reflected, fallback) == (False, False)
 
-    def test_overshoot_raises(self):
-        # Reflection across the outer sphere would land inside the cavity.
-        with pytest.raises(ReflectionUndefinedError):
-            SHELL.reflect([7.5, 0.0])
-        with pytest.raises(ReflectionUndefinedError):
-            BALL.reflect([6.5, 0.0])
-        # A Python float at dim 1, as a lone 1-D chain passes it.
-        with pytest.raises(ReflectionUndefinedError, match="at distance 2.5 from"):
-            Ball(np.zeros(1), 1.0).reflect(3.5)
+    def test_overshoot_falls_back_to_projection(self):
+        for domain, x in [
+            (SHELL, np.array([7.5, 0.0])),  # the reflection would land in the cavity
+            (BALL, np.array([6.5, 0.0])),
+            (Ball(np.zeros(1), 1.0), 3.5),  # a Python float, as a lone 1-D chain passes it
+        ]:
+            assert domain.distance_to_set(x) > domain.reflection_margin
+            r, reflected, fallback = domain.reflect(x)
+            assert (reflected, fallback) == (False, True)
+            assert type(r) is type(x)
+            assert np.array_equal(r, domain.project(x))
 
 
 class TestDistanceToSet:
     def test_examples(self):
         assert SHELL.distance_to_set([5.0, 0.0]) == pytest.approx(1.0)
         assert SHELL.distance_to_set([0.5, 0.0]) == pytest.approx(0.4)
+        # A Python float whose square overflows.
+        assert Ball(np.zeros(1), 1.0).distance_to_set(-1e200) == 1e200
 
     def test_members_have_zero_distance(self):
         assert SHELL.distance_to_set([2.0, 0.0]) == 0.0
@@ -176,12 +180,29 @@ class TestConstruction:
 
     @pytest.mark.parametrize("inner,outer", [
         (2.0, 1.0), (1.0, 1.0), (0.0, 0.0), (-0.5, 1.0), (0.0, -1.0), (math.nan, 1.0),
-        (0.5, math.nan), (0.5, math.inf), (-math.inf, 1.0), (math.inf, math.inf)],
+        (0.5, math.nan), (0.5, math.inf), (-math.inf, 1.0), (math.inf, math.inf),
+        # Squares that are not normal doubles: the ball of radius 1e200
+        # would contain 1e250, whose square overflows as its radius's does,
+        # and the shell 1e-200..1 the point (1e-250, 0), deep in its cavity.
+        (0.0, 1e200), (0.0, 1.35e154), (1e-200, 1.0), (1.49e-154, 1.0)],
         ids=["inverted", "equal", "zero", "negative-inner", "negative-outer", "nan-inner",
-             "nan-outer", "inf-outer", "minus-inf-inner", "inf-both"])
+             "nan-outer", "inf-outer", "minus-inf-inner", "inf-both",
+             "outer-square-overflows", "outer-square-just-overflows", "inner-square-zero",
+             "inner-square-subnormal"])
     def test_direct_radii_checked(self, inner, outer):
         with pytest.raises(ValueError, match="^radii: "):
             FeasibleDomain(np.zeros(2), inner, outer)
+
+    def test_radii_near_the_square_limits_accepted(self):
+        ball = Ball(np.zeros(1), 1.3e154)
+        assert ball.contains([1.3e154]) and not ball.contains([1.31e154])
+        shell = SphericalShell(np.zeros(2), 1.5e-154, 1.0)
+        assert shell.contains([1.5e-154, 0.0]) and not shell.contains([1.4e-154, 0.0])
+
+    @pytest.mark.parametrize("center", [np.zeros((2, 2)), np.zeros(0)], ids=["2-d", "empty"])
+    def test_center_must_be_a_point(self, center):
+        with pytest.raises(ValueError, match="^center: must be a 1-D point$"):
+            FeasibleDomain(center, 0.0, 1.0)
 
     # (inscribed_radius, reflection_margin) of each preset's region, as
     # ``float.hex``: the values the presets have always had.
@@ -351,6 +372,16 @@ def intervals_and_points(draw):
 
 class TestRegionProperties:
     @PROPERTIES
+    @given(regions_and_far_points())
+    def test_distance_of_overflowing_points(self, case):
+        # Finite, and with no overflow warning, although its square is not.
+        dom, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dom.distance_to_set(x)
+        assert d == pytest.approx(math.hypot(*(x - dom.center)) - dom.outer_radius, rel=1e-12)
+
+    @PROPERTIES
     @given(intervals_and_points())
     def test_float_operators_have_the_point_bits(self, case):
         # A Python float at dim 1 gets a float with the bits and flags of
@@ -393,24 +424,19 @@ class TestRegionProperties:
     def test_reflection_within_margin_feasible_and_isometric(self, case):
         dom, x = case
         p = dom.project(x)
-        r, moved = dom.reflect(x)
+        r, reflected, fallback = dom.reflect(x)
+        assert not fallback
         assert dom.contains(r)
-        assert moved != dom.contains(x)
+        assert reflected != dom.contains(x)
         scale = max(1.0, float(np.abs(x).max()))
         assert abs(np.linalg.norm(r - p) - np.linalg.norm(x - p)) <= 1e-12 * scale
 
     @PROPERTIES
     @given(regions_and_points(reach=3.0))
-    def test_reflect_agrees_with_reflect_or_project(self, case):
+    def test_reflect_falls_back_to_projection(self, case):
         dom, x = case
-        point, reflected, fallback = dom.reflect_or_project(x)
+        point, reflected, fallback = dom.reflect(x)
         assert dom.contains(point)
         if fallback:
             assert not reflected
             assert np.array_equal(point, dom.project(x))
-            with pytest.raises(ReflectionUndefinedError):
-                dom.reflect(x)
-        else:
-            r, moved = dom.reflect(x)
-            assert np.array_equal(r, point)
-            assert moved == reflected

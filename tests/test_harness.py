@@ -1258,14 +1258,16 @@ class TestCli:
             with pytest.raises(argparse.ArgumentTypeError, match=f"more than {most} seeds"):
                 cli._parse_seeds(text)
 
-    @pytest.mark.parametrize("text", ["abc", "0..", "0..x", "1,,2"])
-    def test_bad_seed_text_exits_2_in_one_line(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize("text,error", [
+        (text, f"expected a range a..b or a comma list of integers, got {text!r}")
+        for text in ("abc", "0..", "0..x", "1,,2")
+    ] + [("5..1", "empty seed range '5..1'")], ids=["abc", "0..", "0..x", "1,,2", "5..1"])
+    def test_bad_seed_text_exits_2_in_one_line(self, text, error, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli.main(["run", "gibbs1d", "--seeds", text, "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "rgld run: error: argument --seeds: expected a range a..b or a comma list of "
-            f"integers, got {text!r}; see rgld run --help"]
+            f"rgld run: error: argument --seeds: {error}; see rgld run --help"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["spec", "flag"])
@@ -1452,9 +1454,9 @@ class TestCli:
 
     def test_check_battery_fails_on_a_geometry_fault(self, capsys, monkeypatch):
         # Reflection that leaves exterior points where they are.
-        reflect_or_project = FeasibleDomain.reflect_or_project
-        monkeypatch.setattr(FeasibleDomain, "reflect_or_project", lambda self, x: (
-            (x, False, False) if self.project(x) is not x else reflect_or_project(self, x)))
+        reflect = FeasibleDomain.reflect
+        monkeypatch.setattr(FeasibleDomain, "reflect", lambda self, x: (
+            (x, False, False) if self.project(x) is not x else reflect(self, x)))
         assert cli.main(["check"]) == 1
         assert "FAIL geometry projection/reflection invariants" in capsys.readouterr().out
 
@@ -1483,7 +1485,7 @@ class TestCli:
             c, in2 = dom.center.item(), dom.inner_radius ** 2
             for x in points:
                 v = x.item() - c
-                _, reflected, fell_back = dom.reflect_or_project(x.item())
+                _, reflected, fell_back = dom.reflect(x.item())
                 if reflected or fell_back:
                     walls.add(("inner" if v * v < in2 else "outer", v > 0))
                 fallbacks += fell_back
@@ -1574,6 +1576,44 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("domain,x0,error", [
+        ({"kind": "ball", "center": [0.0], "radius": 1e200}, [1e250],
+         "radii: the squares must be finite normal doubles"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, [1e200, 0.0],
+         "x0: point at distance 1e+200 from the region exceeds the reflection margin 1"),
+    ], ids=["radius-square-overflows", "x0-square-overflows"])
+    def test_far_spec_exits_2_in_one_line(self, domain, x0, error, tmp_path):
+        # Numbers whose squares overflow: a radius, refused, and a start
+        # whose distance is still found, with no numpy warning on stderr.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "far", "domain": domain, "x0": x0,
+            "objective": {"kind": "gaussian-mixture", "weights": [1.0],
+                          "means": [[0.0] * len(x0)]},
+            "methods": ["rgld"], "eta": 0.01, "beta": 1.0, "steps": 5, "seeds": [0],
+        }))
+        proc = run_python("-m", "rgld.cli", "run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"configuration error: {error}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gm2d", "--steps", "300", "--seeds", "0..1"],
+        ["gibbs1d", "--steps", "4000", "--seeds", "0"],
+    ], ids=["gm2d", "gibbs1d"])
+    def test_benchmark_traced_child_runs(self, argv, tmp_path):
+        # The benchmark's child (perfbench/child.py) calls rgld's layers and
+        # the region's operators by name; one renamed or removed fails here.
+        child = Path(__file__).parents[1] / "perfbench" / "child.py"
+        report = tmp_path / "report.json"
+        proc = run_python(str(child), str(report), "trace", "run", *argv, "--workers", "1",
+                          "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(report.read_text())
+        assert report["counts"]
+        assert report["replay_us"]["project"] > 0 and report["replay_us"]["reflect"] > 0
 
     def test_presets_and_check_never_import_scipy(self):
         # scipy.optimize alone takes about half a second to import.

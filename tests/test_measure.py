@@ -174,6 +174,20 @@ class TestHistogramAndTV:
         assert tv_distance(counts, oracle) == total_variation(
             counts / samples.size, oracle.probabilities)
 
+    @pytest.mark.parametrize("dim,samples", [
+        (1, np.zeros((3, 2))), (2, np.zeros(3)), (2, np.zeros((3, 3))), (2, np.zeros((2, 3, 2)))],
+        ids=["1-d-rows-of-2", "2-d-flat", "2-d-rows-of-3", "3-axes"])
+    def test_binning_refuses_samples_of_another_width(self, dim, samples):
+        oracle = GibbsOracle(Quadratic(1.0, dim), Ball(np.zeros(dim), 1.0), 2.0, 32)
+        with pytest.raises(ValueError, match=r"^samples must have shape \(n, %d\)" % dim):
+            bin_samples(oracle, samples)
+
+    @pytest.mark.parametrize("q", [np.full(1, 1.0), np.full(4, 0.25), np.full((3, 1), 1 / 3)],
+                             ids=["broadcasts", "longer", "column"])
+    def test_total_variation_refuses_another_shape(self, q):
+        with pytest.raises(ValueError, match="^probability vectors must share a shape$"):
+            total_variation(np.full(3, 1 / 3), q)
+
     def test_partition_mismatch_rejected(self):
         a = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 64)
         b = GibbsOracle(Quadratic(1.0, 1), UNIT_BALL1, 2.0, 128)
