@@ -237,13 +237,17 @@ class FeasibleDomain:
         while n == 0.0:  # probability zero, but keep the contract total
             v = rng.standard_normal(self.dim)
             n = math.sqrt(float(v.dot(v)))
-        d = self.dim
+        d, u = self.dim, rng.random()
         if self.inner_radius == 0.0:
             # Not the shell formula at lo = 0: that rounds differently.
-            r = self.outer_radius * rng.random() ** (1.0 / d)
+            r = self.outer_radius * u ** (1.0 / d)
         else:
-            lo, hi = self.inner_radius**d, self.outer_radius**d
-            r = (lo + rng.random() * (hi - lo)) ** (1.0 / d)
+            try:
+                lo, hi = self.inner_radius**d, self.outer_radius**d
+                r = (lo + u * (hi - lo)) ** (1.0 / d)
+            except OverflowError:  # outer_radius**d: the same law, relative to it
+                rho = (self.inner_radius / self.outer_radius) ** d
+                r = self.outer_radius * (rho + u * (1.0 - rho)) ** (1.0 / d)
         return self.center + r * (v / n)
 
 

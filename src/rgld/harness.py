@@ -29,8 +29,9 @@ row writers take the steps' digits, each followed by a fixed tail, from
 one uint8 matrix per block (``_step_digits``). A block of chain rows is
 then one ``%``-format of its ``f`` texts and tails into a template that
 holds the digits (the last template is kept for the next chain CSV),
-where most ``f`` values are a head string and an int found by integer
-arithmetic (``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a
+where an ``f`` value in fixed notation with a fraction digit is a head
+string and an int found by integer arithmetic, any other its ``%.17g``
+text (``_float_text``): about 0.4 s for gibbs1d's 10**6 rows on a
 2-core x86-64 host. The aggregate rows of a run within a block are one
 slice of the digits' bytes, each step's tail a NUL, with the NUL
 replaced by the run's text: about 0.12 s for 10**6 rows. Seeds that
@@ -549,16 +550,16 @@ def _run_strings(fmt: str, columns) -> tuple[list, list]:
 
 
 # Exact powers of ten and five, and powers of ten as doubles, for the
-# digits of ``_float_text``.
+# digits of ``_float_text`` (``16 - x`` for decimal exponents x of -4 .. 15).
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-_POW5 = 5 ** np.arange(28, dtype=np.uint64)
-_POW10_F = 10.0 ** np.arange(28)
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_POW10_F = 10.0 ** np.arange(21)
 
 
 def _digits17(a: np.ndarray, x: np.ndarray):
-    """``floor(a * 10**(16 - x))`` for doubles ``a`` in [2**-31, 2**51),
-    with ``d`` and ``r`` such that the exact product is that floor plus
-    ``d mod 2**r`` over ``2**r``.
+    """``floor(a * 10**(16 - x))`` for doubles ``a`` in [1e-4, 2**51) and
+    decimal exponents ``x`` of -4 .. 15, with ``d`` and ``r`` such that the
+    exact product is that floor plus ``d mod 2**r`` over ``2**r``.
 
     With ``a = m * 2**e`` (``m`` an integer below 2**53) and ``t = 16 - x``,
     the product is ``m * 5**t / 2**r`` for ``r = -(e + t)``, which is at
@@ -580,57 +581,50 @@ def _float_text(v: np.ndarray) -> tuple[list, list]:
     """Heads and bodies with ``"%s%s" % (heads[i], bodies[i])`` equal to
     ``"%.17g" % v[i]`` for every ``i``.
 
-    A value of magnitude in [2**-31, 2**51) gets its 17 significant digits
-    by integer arithmetic. In fixed notation (decimal exponent -4 .. 16)
-    its head is the sign, integer part, point and leading fraction zeros,
-    one string per distinct head, and its body the other fraction digits
-    as an int, or "" when it has none. Below 10**-4 the same split of its
-    mantissa (the digits at exponent 0) is followed by ``e`` and the
-    exponent, in the body. Any other value's head is Python's own text,
-    with an empty body.
+    A value that ``%.17g`` prints in fixed notation with a fraction digit,
+    one of magnitude in [1e-4, 2**51) that is not an integer, gets its 17
+    significant digits by integer arithmetic. Its head is the sign,
+    integer part, point and leading fraction zeros, one string per
+    distinct head, and its body the other fraction digits as an int. Any
+    other value (below 1e-4, integer-valued, 2**51 or more, inf or nan)
+    gets Python's own text as its head, with an empty body.
     """
     a = np.abs(v)
-    exact = (a >= 2.0**-31) & (a < 2.0**51)
-    a = np.where(exact, a, 1.0)  # the other rows get digits that are not used
-    x = np.floor(np.log10(a)).astype(np.int64)
+    # The other rows get digits that are not used.
+    a = np.where((a >= 1e-4) & (a < 2.0**51), a, 1.0)
+    fast = np.floor(a) != a
+    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
     q, d, r = _digits17(a, x)
     # np.log10 can miss the decade next to a power of ten: the unrounded
     # digits tell, since they lie in [10**16, 10**17) at the right exponent.
+    # Both clips keep a broken build's digits (``rgld check``) in the tables.
     off = (q >= _POW10[17]).astype(np.int64) - (q < _POW10[16])
     moved = np.flatnonzero(off)
     if moved.size:
-        x[moved] += off[moved]
+        x[moved] = np.clip(x[moved] + off[moved], -4, 15)
         q[moved], d[moved], r[moved] = _digits17(a[moved], x[moved])
-    # Round half to even. No double in [2**-31, 2**51) rounds up to
-    # 10**17: the largest below each power of ten is too far from it.
+    # Round half to even. No double in [1e-4, 2**51) rounds up to 10**17:
+    # the largest below each power of ten is too far from it.
     rest, half = d & ((1 << r) - 1), 1 << (r - 1)
     q += (rest > half) | ((rest == half) & (q & 1 == 1))
-    # Exponents -10 .. -5 are printed in scientific notation: the mantissa
-    # is the text of the same digits at exponent 0.
-    expo = exact & (x < -4)
-    xm = np.where(expo, 0, x)
-    # s is q without its trailing zeros, z their count.
+    # s is q without its trailing zeros, z their count. A fast value is no
+    # integer, and its 17 digits round-trip, so a fraction digit is left.
     s, z = q.copy(), np.zeros_like(q)
-    i = np.flatnonzero(exact & (s % 10 == 0))
+    i = np.flatnonzero(fast & (s % 10 == 0))
     while i.size:
         s[i] //= 10
         z[i] += 1
         i = i[s[i] % 10 == 0]
-    shown = np.maximum(16 - xm - z, 0)  # fraction digits printed
+    shown = 16 - x - z  # fraction digits printed
     body = s % _POW10[np.minimum(shown, 18)]
-    whole = q // _POW10[np.minimum(16 - xm, 18)]
-    # 0: no point; else 1 + the leading zeros of the fraction.
-    point = np.where(shown > 0, shown + 1 - np.searchsorted(_POW10, body, "right"), 0)
+    whole = q // _POW10[np.minimum(16 - x, 18)]
+    # 1 + the leading zeros of the fraction.
+    point = shown + 1 - np.searchsorted(_POW10, body, "right")
     keys, inverse = np.unique((whole * 2 + (v < 0)) * 32 + point, return_inverse=True)
-    table = np.array([("-" if k & 32 else "") + str(k >> 6)
-                      + ("." + "0" * ((k & 31) - 1) if k & 31 else "")
+    table = np.array([("-" if k & 32 else "") + str(k >> 6) + "." + "0" * ((k & 31) - 1)
                       for k in keys.tolist()], dtype=object)
     heads, bodies = table[inverse].tolist(), body.tolist()
-    for i in np.flatnonzero(exact & (shown == 0)).tolist():
-        bodies[i] = ""
-    for i, e in zip(np.flatnonzero(expo).tolist(), x[expo].tolist()):
-        bodies[i] = "%se%03d" % (bodies[i], e)  # e-05, as %.17g writes it
-    other = np.flatnonzero(~exact)
+    other = np.flatnonzero(~fast)
     for i, value in zip(other.tolist(), v[other].tolist()):
         heads[i], bodies[i] = "%.17g" % value, ""
     return heads, bodies

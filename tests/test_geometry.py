@@ -305,6 +305,19 @@ def test_sample_uniform_shell_radius_law():
     assert abs(u.mean() - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("dim,outer", [(400, 10.0), (1100, 2.0)])
+def test_sample_uniform_shell_where_the_outer_power_overflows(dim, outer):
+    # outer**dim is beyond the largest double: the draws are still members,
+    # and (r / outer)**dim is uniform between rho**dim and 1.
+    dom = SphericalShell(np.zeros(dim), 1.0, outer)
+    rng = np.random.default_rng(3)
+    pts = [dom.sample_uniform(rng) for _ in range(2000)]
+    assert all(dom.contains(p) for p in pts)
+    rho = (dom.inner_radius / outer) ** dim
+    u = ((np.linalg.norm(pts, axis=1) / outer) ** dim - rho) / (1.0 - rho)
+    assert abs(u.mean() - 0.5) < 0.03
+
+
 @st.composite
 def regions_and_points(draw, reach=0.99):
     """A ball (d = 1..30) or a shell (d = 2..30) and a point whose

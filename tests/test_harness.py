@@ -323,6 +323,14 @@ class TestFloatText:
     def test_integer_digit_range(self, drawn):
         self.check([-a if neg else a for a, neg in drawn])
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2**53).map(float) | st.floats(1e-5, 1e-4, exclude_max=True),
+        st.booleans()), min_size=1, max_size=40))
+    def test_values_next_to_the_integer_digit_range(self, drawn):
+        # Integer-valued doubles and the decade below 1e-4 take Python's text.
+        self.check([-a if neg else a for a, neg in drawn])
+
 
 @st.composite
 def error_blocks(draw):
@@ -1576,6 +1584,20 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_drawn_start_on_a_high_dimensional_shell_runs(self, tmp_path):
+        # outer_radius**400 overflows; the start is drawn (no x0).
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "wide", "objective": {"kind": "quadratic", "dim": 400},
+            "domain": {"kind": "shell", "center": [0.0] * 400,
+                       "inner_radius": 1.0, "outer_radius": 10.0},
+            "methods": ["rgld"], "eta": 1e-4, "beta": 100.0, "steps": 20, "seeds": [0, 1],
+        }))
+        proc = run_python("-m", "rgld.cli", "run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "wide_rgld_aggregate.csv", "wide_rgld_seed0.csv", "wide_rgld_seed1.csv"]
 
     @pytest.mark.parametrize("domain,x0,error", [
         ({"kind": "ball", "center": [0.0], "radius": 1e200}, [1e250],
